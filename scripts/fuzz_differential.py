@@ -4,8 +4,8 @@
 Three rounds: NFA membership vs materialized membership, succinct CQ
 containment vs materialized homomorphism search, and boundedness verdicts
 cross-checked by oracle evaluation on witness databases or sampled
-equivalence of rewritings.  Any disagreement prints a replay line and the
-script exits nonzero.
+equivalence of rewritings, and against the full-enumeration verdict.  Any
+disagreement prints a replay line and the script exits nonzero.
 """
 
 import argparse
@@ -81,7 +81,8 @@ def fuzz_boundedness(cfg: FuzzConfig) -> int:
     Unbounded verdicts replay the witness on its own canonical database.
     Bounded verdicts are probed just past the threshold: the canonical
     database of every expansion at exponents z+1 and z+2 must still
-    satisfy the star-free rewriting.
+    satisfy the star-free rewriting.  Every query is also decided with
+    full enumeration, whose conclusive verdict must agree.
     """
     rng = random.Random(cfg.seed + 2)
     caps = replace(DEFAULT_CAPS, max_expansions=20000)
@@ -89,6 +90,10 @@ def fuzz_boundedness(cfg: FuzzConfig) -> int:
     for i in range(cfg.boundedness_queries):
         q = gen_random_crpq_astar(rng)
         report = is_bounded(q, caps)
+        full = is_bounded(q, caps, full_enumeration=True).verdict
+        if "inconclusive" not in (report.verdict, full) and full != report.verdict:
+            bad += 1
+            print(f"  full enumeration says {full} at query {i}: {q}")
         if report.verdict == "inconclusive":
             inconclusive += 1
         elif report.verdict == "unbounded":

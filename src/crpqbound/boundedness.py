@@ -2,10 +2,14 @@
 
 A query whose stars range over single words is bounded exactly when every
 expansion, with star exponents drawn from a finite probe set, is already
-subsumed by the star-capped query q(Z).  This module computes the numeric
-thresholds (Z and the probe exponent), runs the expansion enumeration with
-containment checks, and derives star-free rewritings, letter-restricted
-verdicts, and the maximal set of individually bounded star letters.
+subsumed by the star-capped query q(Z).  An expansion whose capped stars
+all sit at or below Z is an expansion of q(Z), so only the probe
+expansions, with at least one capped star above Z, are enumerated and
+checked.  This module computes the numeric thresholds (Z and the probe
+exponent), counts the probe grid arithmetically against the budget, runs
+the containment checks, and derives star-free rewritings,
+letter-restricted verdicts, and the maximal set of individually bounded
+star letters.
 """
 
 from __future__ import annotations
@@ -19,8 +23,8 @@ from crpqbound.expansion import (
     ExponentDomain,
     SuccinctCQ,
     bound_letters,
-    bound_query,
     enumerate_expansions,
+    is_capped,
     max_word_len,
     nullable,
     star_free_choice_count,
@@ -128,26 +132,14 @@ class LettersResult:
 # ------------------------------------------------------------ the decision
 
 
-def _star_domain(d, z: int, probe: int, full: bool) -> ExponentDomain:
-    indices = [
-        i for i, a in enumerate(d.edge_atoms) if isinstance(a.label, Star)
-    ]
-    if not indices:
-        return ExponentDomain(())
+def _probe_grid(d, z: int, probe: int, full: bool, letters):
+    """The star exponent domain of one disjunct and its capped star atoms."""
+    stars = [i for i, a in enumerate(d.edge_atoms) if isinstance(a.label, Star)]
     values = tuple(range(probe + 1)) if full else tuple(range(z + 1)) + (probe,)
-    return ExponentDomain(tuple((i, values) for i in indices))
-
-
-def _is_trivial(lam: SuccinctCQ, z: int, a_letters) -> bool:
-    """Expansions with all relevant exponents <= z embed identically in q(Z)."""
-    for atom in lam.atoms:
-        if a_letters is not None and not (
-            len(atom.word) == 1 and atom.word[0] in a_letters
-        ):
-            continue
-        if atom.exponent > z:
-            return False
-    return True
+    capped = frozenset(
+        i for i in stars if is_capped(d.edge_atoms[i].label.word, letters)
+    )
+    return ExponentDomain(tuple((i, values) for i in stars)), capped
 
 
 def _has_nullable_disjunct(rhs: UCRPQ) -> bool:
@@ -157,19 +149,19 @@ def _has_nullable_disjunct(rhs: UCRPQ) -> bool:
     )
 
 
-def _disjunct_counts(d, z, probe, full, a_letters, caps):
-    """Raw combination count and non-trivial check count for one disjunct.
+def _disjunct_counts(d, z, probe, full, letters, caps):
+    """Raw combination count and probe check count for one disjunct.
 
-    Pure arithmetic so that astronomically large Z never materializes a
-    value tuple before the budget check.
+    A probe combination has at least one capped star above z; the others
+    are expansions of q(Z) and need no check.  Pure arithmetic, so that
+    astronomically large Z never materializes a value tuple before the
+    budget check.
     """
     base = 1
     capped_stars = free_stars = 0
     for a in d.edge_atoms:
         if isinstance(a.label, Star):
-            if a_letters is None or (
-                len(a.label.word) == 1 and a.label.word[0] in a_letters
-            ):
+            if is_capped(a.label.word, letters):
                 capped_stars += 1
             else:
                 free_stars += 1
@@ -181,8 +173,12 @@ def _disjunct_counts(d, z, probe, full, a_letters, caps):
     return raw, raw - trivial
 
 
-def _decide(qc, rhs, z, probe, a_letters, caps, full, stats, mode):
-    """Shared enumeration core.  Returns (verdict, witness, reason)."""
+def _decide(qc, rhs, z, probe, letters, caps, full, stats, mode):
+    """Check every probe expansion of qc against rhs.
+
+    Returns (verdict, witness, reason); the witness is the first
+    uncontained probe expansion in enumeration order.
+    """
     if _has_nullable_disjunct(rhs):
         # some right-side disjunct expands to isolated points, which map
         # into every canonical database, so every expansion is contained
@@ -192,13 +188,16 @@ def _decide(qc, rhs, z, probe, a_letters, caps, full, stats, mode):
     def counts(use_full):
         raw = real = 0
         for d in qc.disjuncts:
-            total, checks = _disjunct_counts(d, z, probe, use_full, a_letters, caps)
+            total, checks = _disjunct_counts(d, z, probe, use_full, letters, caps)
             raw += total
             real += checks
         return raw, real
 
     effective_full = full
-    raw, real = counts(effective_full)
+    try:
+        raw, real = counts(effective_full)
+    except CapExceeded as exc:
+        return "inconclusive", None, str(exc)
     if effective_full and max(raw, real) > caps.max_expansions:
         effective_full = False
         raw, real = counts(effective_full)
@@ -213,17 +212,11 @@ def _decide(qc, rhs, z, probe, a_letters, caps, full, stats, mode):
         )
         return "inconclusive", None, reason
 
+    # the budget check bounds every enumeration below the expansion cap
     capped = False
     for d in qc.disjuncts:
-        dom = _star_domain(d, z, probe, effective_full)
-        try:
-            lams = enumerate_expansions(d, dom, caps=caps)
-        except CapExceeded:
-            capped = True
-            continue
-        for lam in lams:
-            if _is_trivial(lam, z, a_letters):
-                continue
+        dom, probed = _probe_grid(d, z, probe, effective_full, letters)
+        for lam in enumerate_expansions(d, dom, caps=caps, above=(probed, z)):
             stats.expansions_checked += 1
             try:
                 result = expansion_contained(lam, rhs, caps)
@@ -238,6 +231,51 @@ def _decide(qc, rhs, z, probe, a_letters, caps, full, stats, mode):
     return "bounded", None, None
 
 
+def _analyze(q, letters, caps, full_enumeration, zplus_mode) -> AnalysisReport:
+    """The analysis core of is_bounded (letters=None) and is_bounded_in."""
+    t0 = time.monotonic()
+    if zplus_mode not in ("paper", "safe"):
+        raise ValueError(f"unknown zplus_mode: {zplus_mode!r}")
+    check_ssf_wstar(q)
+    if letters is not None:
+        check_single_letter_stars(q)
+        letters = frozenset(letters)
+    qc = collapse(q)
+    per = tuple(_disjunct_profile(d) for d in qc.disjuncts)
+    agg = max(per, key=lambda p: p.z)
+    z = agg.z
+    probe = agg.z_plus if zplus_mode == "paper" else _safe_probe(agg)
+    stats = Stats()
+    mode = {
+        "zplus_mode": zplus_mode,
+        "full_enumeration": full_enumeration,
+        "probe": probe,
+        "z": z,
+        "letters": None if letters is None else "".join(sorted(letters)),
+        "shortcut": None,
+    }
+    if letters == frozenset():
+        # nothing is capped, so q is its own rewriting
+        verdict, witness, reason = "bounded", None, None
+    else:
+        verdict, witness, reason = _decide(
+            qc, bound_letters(qc, letters, z), z, probe, letters, caps,
+            full_enumeration, stats, mode,
+        )
+    stats.wall_ms = (time.monotonic() - t0) * 1000.0
+    return AnalysisReport(
+        verdict=verdict,
+        bounds=agg,
+        per_disjunct=per,
+        rewriting=bound_letters(q, letters, z) if verdict == "bounded" else None,
+        witness=witness,
+        letters=letters,
+        stats=stats,
+        mode=mode,
+        inconclusive_reason=reason,
+    )
+
+
 def is_bounded(
     q: UCRPQ,
     caps: Caps = DEFAULT_CAPS,
@@ -246,46 +284,15 @@ def is_bounded(
 ) -> AnalysisReport:
     """Decide whether q is equivalent to its star-capped version q(Z).
 
-    Enumerates expansions with star exponents in {0..Z} plus the probe
-    exponent (all of {0..probe} under full_enumeration) and checks each
-    against q(Z).  The first uncontained expansion, in enumeration order,
-    is returned as the witness.  Caps yield Inconclusive, never a wrong
-    verdict.
+    Checks only the probe expansions against q(Z): star exponents range
+    over {0..Z} plus the probe exponent (all of {0..probe} under
+    full_enumeration), and at least one star sits above Z, since the
+    other expansions are expansions of q(Z) already.  Each check
+    materializes the expansion.  The first uncontained expansion, in
+    enumeration order, is returned as the witness.  Caps yield
+    Inconclusive, never a wrong verdict.
     """
-    t0 = time.monotonic()
-    if zplus_mode not in ("paper", "safe"):
-        raise ValueError(f"unknown zplus_mode: {zplus_mode!r}")
-    check_ssf_wstar(q)
-    qc = collapse(q)
-    per = tuple(_disjunct_profile(d) for d in qc.disjuncts)
-    agg = max(per, key=lambda p: p.z)
-    z = agg.z
-    probe = agg.z_plus if zplus_mode == "paper" else _safe_probe(agg)
-    rhs = bound_query(qc, z)
-    stats = Stats()
-    mode = {
-        "zplus_mode": zplus_mode,
-        "full_enumeration": full_enumeration,
-        "probe": probe,
-        "z": z,
-        "letters": None,
-        "shortcut": None,
-    }
-    verdict, witness, reason = _decide(
-        qc, rhs, z, probe, None, caps, full_enumeration, stats, mode
-    )
-    stats.wall_ms = (time.monotonic() - t0) * 1000.0
-    return AnalysisReport(
-        verdict=verdict,
-        bounds=agg,
-        per_disjunct=per,
-        rewriting=bound_query(q, z) if verdict == "bounded" else None,
-        witness=witness,
-        letters=None,
-        stats=stats,
-        mode=mode,
-        inconclusive_reason=reason,
-    )
+    return _analyze(q, None, caps, full_enumeration, zplus_mode)
 
 
 def rewrite(
@@ -311,58 +318,11 @@ def is_bounded_in(
     """Decide A-boundedness: is q equivalent to q with A-stars capped?
 
     Only stars over letters in A are capped on the right and probed on the
-    left; other stars stay and absorb their own exponents.  Stars must be
-    over single letters for the letter-restricted analysis.
+    left; other stars stay and absorb their own exponents, over the same
+    exponent domain.  Stars must be over single letters for the
+    letter-restricted analysis.
     """
-    t0 = time.monotonic()
-    if zplus_mode not in ("paper", "safe"):
-        raise ValueError(f"unknown zplus_mode: {zplus_mode!r}")
-    check_ssf_wstar(q)
-    check_single_letter_stars(q)
-    a_letters = frozenset(letters)
-    qc = collapse(q)
-    per = tuple(_disjunct_profile(d) for d in qc.disjuncts)
-    agg = max(per, key=lambda p: p.z)
-    z = agg.z
-    probe = agg.z_plus if zplus_mode == "paper" else _safe_probe(agg)
-    stats = Stats()
-    mode = {
-        "zplus_mode": zplus_mode,
-        "full_enumeration": full_enumeration,
-        "probe": probe,
-        "z": z,
-        "letters": "".join(sorted(a_letters)),
-        "shortcut": None,
-    }
-    if not a_letters:
-        stats.wall_ms = (time.monotonic() - t0) * 1000.0
-        return AnalysisReport(
-            verdict="bounded",
-            bounds=agg,
-            per_disjunct=per,
-            rewriting=q,
-            witness=None,
-            letters=a_letters,
-            stats=stats,
-            mode=mode,
-            inconclusive_reason=None,
-        )
-    rhs = bound_letters(qc, a_letters, z)
-    verdict, witness, reason = _decide(
-        qc, rhs, z, probe, a_letters, caps, full_enumeration, stats, mode
-    )
-    stats.wall_ms = (time.monotonic() - t0) * 1000.0
-    return AnalysisReport(
-        verdict=verdict,
-        bounds=agg,
-        per_disjunct=per,
-        rewriting=bound_letters(q, a_letters, z) if verdict == "bounded" else None,
-        witness=witness,
-        letters=a_letters,
-        stats=stats,
-        mode=mode,
-        inconclusive_reason=reason,
-    )
+    return _analyze(q, letters, caps, full_enumeration, zplus_mode)
 
 
 def maximal_bounded_letters(

@@ -30,7 +30,6 @@ from crpqbound.config import DEFAULT_CAPS, Caps
 from crpqbound.errors import CapExceeded, ParseError, UnsupportedFragment
 from crpqbound.expansion import (
     bound_letters,
-    bound_query,
     materialize,
     render_succinct_cq,
     succinct_cq_from_crpq,
@@ -212,11 +211,7 @@ def _verify_bounded(q: UCRPQ, rewriting: UCRPQ, caps: Caps, seed: int) -> bool |
 
 
 def _verify_unbounded(q: UCRPQ, report: AnalysisReport, caps: Caps) -> bool | None:
-    z = report.bounds.z
-    if report.letters is None:
-        rhs = bound_query(q, z)
-    else:
-        rhs = bound_letters(q, report.letters, z)
+    rhs = bound_letters(q, report.letters, report.bounds.z)
     try:
         db = graph_of_cq(materialize(report.witness, caps=caps))
         holds_in_q = eval_on_graph(q, db, caps)

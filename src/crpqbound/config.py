@@ -35,17 +35,6 @@ class Caps:
     max_word_len: int = 10**4
     max_semilinear: int = 10**5
 
-    def with_uniform(self, cap: int) -> "Caps":
-        """Return a copy with every limit set to ``cap``."""
-        return Caps(
-            max_expansions=cap,
-            max_materialized_atoms=cap,
-            max_length_dp=cap,
-            max_positions=cap,
-            max_word_len=cap,
-            max_semilinear=cap,
-        )
-
 
 @dataclass
 class Stats:

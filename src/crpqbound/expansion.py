@@ -136,19 +136,25 @@ def _replace_stars(e: RegexExpr, f) -> RegexExpr:
     return e
 
 
+def is_capped(word, letters) -> bool:
+    """Whether a star over ``word`` is capped under letter set A.
+
+    ``letters=None`` stands for all letters: every star is capped.
+    Otherwise only single-letter stars over a letter in A are.
+    """
+    return letters is None or (len(word) == 1 and word[0] in letters)
+
+
 def bound_query(q: UCRPQ, m: int) -> UCRPQ:
     """q(m): every w* becomes w^{<=m}."""
-    return _map_labels(q, lambda e: _replace_stars(e, lambda s: PowerLE(s.word, m)))
+    return bound_letters(q, None, m)
 
 
 def bound_letters(q: UCRPQ, letters, n: int) -> UCRPQ:
-    """q[A -> n]: stars over letters in A become ^{<=n}, others stay."""
-    letters = frozenset(letters)
+    """q[A -> n]: capped stars (see is_capped) become ^{<=n}, others stay."""
 
     def swap(s: Star) -> RegexExpr:
-        if len(s.word) == 1 and s.word[0] in letters:
-            return PowerLE(s.word, n)
-        return s
+        return PowerLE(s.word, n) if is_capped(s.word, letters) else s
 
     return _map_labels(q, lambda e: _replace_stars(e, swap))
 
@@ -228,13 +234,12 @@ def _ssf_words(e: RegexExpr, caps: Caps):
         out = [()]
         for p in e.parts:
             tails = _ssf_words(p, caps)
-            nxt = [w + t for w in out for t in tails]
-            if len(nxt) > caps.max_expansions:
+            # check the product before building it
+            if len(out) * len(tails) > caps.max_expansions:
                 raise CapExceeded(caps.max_expansions, "concat language too large")
-            for w in nxt:
-                if len(w) > caps.max_word_len:
-                    raise CapExceeded(caps.max_word_len, "concat word too long")
-            out = nxt
+            if max(map(len, out)) + max(map(len, tails), default=0) > caps.max_word_len:
+                raise CapExceeded(caps.max_word_len, "concat word too long")
+            out = [w + t for w in out for t in tails]
         return out
     if isinstance(e, Star):
         raise UnsupportedFragment("a starred expression has no finite language")
@@ -406,34 +411,29 @@ def _prepared_choices(q: CRPQ, dom: ExponentDomain, caps: Caps):
     return q, choice_lists
 
 
-def count_expansions(q: CRPQ, dom: ExponentDomain, caps: Caps = DEFAULT_CAPS) -> int:
-    """Number of raw choice combinations enumerate_expansions would visit."""
-    _, choice_lists = _prepared_choices(q, dom, caps)
-    n = 1
-    for choices in choice_lists:
-        n *= len(choices)
-    return n
-
-
 def enumerate_expansions(
     q: CRPQ,
     dom: ExponentDomain,
     cap: int | None = None,
     caps: Caps = DEFAULT_CAPS,
+    above: tuple | None = None,
 ):
     """Yield the expansions of q, as normalized succinct CQs.
 
     Recursive atoms draw exponents from ``dom``; star-free atoms range
     over their finite languages.  Enumeration order is lexicographic over
     (atom index, choice index), and structurally equal expansions are
-    emitted once.  Raises CapExceeded after visiting ``cap`` combinations.
+    emitted once.  With ``above=(atoms, z)`` only the combinations in
+    which at least one of those atom indices takes an exponent above z
+    are visited, in the same order.  Raises CapExceeded after visiting
+    ``cap`` combinations.
     """
     limit = caps.max_expansions if cap is None else cap
     q, choice_lists = _prepared_choices(q, dom, caps)
     variables = q.variables()
     seen = set()
     visited = 0
-    for combo in itertools.product(*choice_lists):
+    for combo in _combinations(choice_lists, above):
         visited += 1
         if visited > limit:
             raise CapExceeded(limit, "expansion enumeration over cap")
@@ -445,6 +445,29 @@ def enumerate_expansions(
         if scq not in seen:
             seen.add(scq)
             yield scq
+
+
+def _combinations(choice_lists, above):
+    """The product of the choice lists, pruned to ``above`` if given.
+
+    Lexicographic order is kept: each prefix up to the last listed atom
+    is followed by that atom's full choice list if the prefix already
+    exceeds z, and by its choices above z otherwise.
+    """
+    if above is None:
+        yield from itertools.product(*choice_lists)
+        return
+    atoms, z = above
+    if not atoms:
+        return
+    last = max(atoms)
+    earlier = [i for i in atoms if i < last]
+    high = [c for c in choice_lists[last] if c[1] > z]
+    tail = choice_lists[last + 1:]
+    for prefix in itertools.product(*choice_lists[:last]):
+        here = choice_lists[last] if any(prefix[i][1] > z for i in earlier) else high
+        for rest in itertools.product(here, *tail):
+            yield prefix + rest
 
 
 # -------------------------------------------------------------- materializing

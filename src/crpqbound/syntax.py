@@ -181,16 +181,6 @@ class FragmentClass(Enum):
     UNSUPPORTED = "unsupported"
 
 
-# Containment order within each chain; used by monotonicity tests.
-FRAGMENT_RANK = {
-    FragmentClass.A_SINGLETON: 0,
-    FragmentClass.W_SINGLETON: 1,
-    FragmentClass.SF: 2,
-    FragmentClass.SSF: 3,
-    FragmentClass.A_STAR: 0,
-    FragmentClass.W_STAR: 1,
-}
-
 _SSF_CLASSES = frozenset(
     {
         FragmentClass.A_SINGLETON,

@@ -9,6 +9,7 @@ from conftest import gen_random_crpq_astar
 from crpqbound.config import DEFAULT_CAPS
 from crpqbound.expansion import (
     ExponentDomain,
+    bound_letters,
     bound_query,
     enumerate_expansions,
     materialize,
@@ -24,7 +25,16 @@ from crpqbound.boundedness import (
     rewrite,
 )
 from crpqbound.oracle import eval_on_graph, graph_of_cq
-from crpqbound.syntax import alphabet, parse_ucrpq, star_letters
+from crpqbound.syntax import (
+    CRPQ,
+    UCRPQ,
+    EdgeAtom,
+    Star,
+    alphabet,
+    collapse,
+    parse_ucrpq,
+    star_letters,
+)
 
 TIGHT = replace(DEFAULT_CAPS, max_expansions=2000)
 
@@ -269,3 +279,88 @@ def test_verdicts_never_contradict_between_modes():
         }
         concrete = verdicts - {"inconclusive"}
         assert len(concrete) <= 1, q
+
+
+def test_star_free_cap_in_budget_count_is_inconclusive():
+    # the budget count lists the star-free language, which can hit a cap
+    q = parse_ucrpq("?x -[a^<=20 b^<=20 c]-> ?y, ?x -[c*]-> ?y")
+    caps = replace(DEFAULT_CAPS, max_expansions=100)
+    for report in (is_bounded(q, caps), is_bounded_in(q, {"c"}, caps)):
+        assert report.verdict == "inconclusive"
+        assert "concat language too large" in report.inconclusive_reason
+
+
+def _enumerate_then_skip(q, letters, z, probe, full):
+    """Reference loop: enumerate every combination, skip the trivial ones.
+
+    An expansion is trivial when every atom over a capped word has an
+    exponent of at most z.  Returns (verdict, witness, checks made).
+    """
+    qc = collapse(q)
+    rhs = bound_letters(qc, letters, z)
+    values = tuple(range(probe + 1)) if full else tuple(range(z + 1)) + (probe,)
+    checks = 0
+    for d in qc.disjuncts:
+        dom = ExponentDomain(
+            tuple(
+                (i, values)
+                for i, a in enumerate(d.edge_atoms)
+                if isinstance(a.label, Star)
+            )
+        )
+        for lam in enumerate_expansions(d, dom):
+            if all(
+                a.exponent <= z
+                for a in lam.atoms
+                if letters is None or (len(a.word) == 1 and a.word[0] in letters)
+            ):
+                continue
+            checks += 1
+            if isinstance(expansion_contained(lam, rhs), NotContained):
+                return "unbounded", lam, checks
+    return "bounded", None, checks
+
+
+def _some_stars_over_b(q, rng):
+    d = q.disjuncts[0]
+    atoms = tuple(
+        EdgeAtom(a.src, Star(("b",)), a.dst)
+        if isinstance(a.label, Star) and rng.random() < 0.5
+        else a
+        for a in d.atoms
+    )
+    return UCRPQ((CRPQ(atoms),))
+
+
+def test_probe_generator_matches_enumerate_then_skip():
+    rng = random.Random(31)
+    queries = [_some_stars_over_b(gen_random_crpq_astar(rng), rng) for _ in range(60)]
+    # one variable keeps Z small enough for two stars within the budget
+    queries += [
+        parse_ucrpq("?x -[a*]-> ?x, ?x -[b*]-> ?x, ?x -[c]-> ?x"),
+        parse_ucrpq("?x -[a*]-> ?x, ?x -[c]-> ?x, ?x -[b*]-> ?x"),
+    ]
+    seen = set()
+    for q in queries:
+        runs = [
+            (None, is_bounded(q, TIGHT)),
+            (None, is_bounded(q, TIGHT, full_enumeration=True)),
+        ]
+        for a in sorted(star_letters(q)):
+            runs.append((frozenset(a), is_bounded_in(q, {a}, TIGHT)))
+        for letters, report in runs:
+            if report.verdict == "inconclusive" or report.mode["shortcut"]:
+                continue
+            want = _enumerate_then_skip(
+                q,
+                letters,
+                report.mode["z"],
+                report.mode["probe"],
+                report.mode["full_enumeration_effective"],
+            )
+            got = (report.verdict, report.witness, report.stats.expansions_checked)
+            assert got == want, (q, letters)
+            full = report.mode["full_enumeration_effective"]
+            seen.add((letters is None, full, want[0]))
+    # restricted, full and single-letter runs, each with both verdicts
+    assert len(seen) == 6, seen

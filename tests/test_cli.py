@@ -74,6 +74,14 @@ def test_analyze_oracle_verify(qfile, capsys):
     assert "contradicted" not in captured.err
 
 
+def test_analyze_star_free_cap_is_inconclusive_json(qfile, capsys):
+    path = qfile("?x -[a^<=20 b^<=20 c]-> ?y, ?x -[c*]-> ?y\n")
+    assert main(["analyze", path, "--cap", "100", "--json"]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["verdict"] == "inconclusive"
+    assert "concat language too large" in report["mode"]["inconclusive_reason"]
+
+
 def test_missing_file_exit_64(capsys):
     assert main(["analyze", "/nonexistent/q.txt"]) == 64
     assert capsys.readouterr().err

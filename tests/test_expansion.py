@@ -1,5 +1,8 @@
 """Bounded queries, expansion enumeration, and materialization."""
 
+import tracemalloc
+from dataclasses import replace
+
 import pytest
 
 from crpqbound.config import DEFAULT_CAPS
@@ -13,11 +16,11 @@ from crpqbound.expansion import (
     atom_expansion,
     bound_letters,
     bound_query,
-    count_expansions,
     enumerate_expansions,
     materialize,
     normalize_succinct,
     render_succinct_cq,
+    ssf_words,
     star_free_choice_count,
 )
 from crpqbound.syntax import (
@@ -119,11 +122,30 @@ def test_enumerate_exponent_zero_collapses():
 def test_enumeration_is_lexicographic_and_counted():
     q = parse_ucrpq("?x -[a*]-> ?y, ?x -[b^<=1]-> ?z").disjuncts[0]
     dom = ExponentDomain(((0, (0, 1)),))
-    assert count_expansions(q, dom) == 4
     lams = list(enumerate_expansions(q, dom))
     assert len(lams) == 4
     exponents = [tuple(a.exponent for a in lam.atoms) for lam in lams]
     assert exponents == sorted(exponents)
+
+
+def test_enumerate_above_keeps_order_of_filtered_product():
+    # distinct words, so an atom of an expansion names its query atom
+    q = parse_ucrpq(
+        "?x -[a*]-> ?y, ?y -[b^<=1]-> ?z, ?z -[c*]-> ?w, ?w -[d*]-> ?x"
+    ).disjuncts[0]
+    values = (0, 1, 2, 5)
+    dom = ExponentDomain(tuple((i, values) for i in (0, 2, 3)))
+    everything = list(enumerate_expansions(q, dom))
+    for probed in ({0}, {2}, {0, 2}, {0, 3}, {0, 2, 3}, set()):
+        words = {q.atoms[i].label.word for i in probed}
+        for z in (0, 1, 2):
+            want = [
+                lam
+                for lam in everything
+                if any(a.exponent > z and a.word in words for a in lam.atoms)
+            ]
+            got = list(enumerate_expansions(q, dom, above=(probed, z)))
+            assert got == want, (probed, z)
 
 
 def test_enumerate_cap_raises():
@@ -187,7 +209,29 @@ def test_star_free_choice_count_matches_enumeration():
         q = parse_ucrpq(text).disjuncts[0]
         label = q.atoms[0].label
         assert star_free_choice_count(label) == want
-        assert count_expansions(q, ExponentDomain(())) == want
+        assert len(list(enumerate_expansions(q, ExponentDomain(())))) == want
+
+
+def test_concat_language_cap_fires_before_the_product_is_built():
+    # the full product holds 351^2 words of up to 701 letters
+    label = _single_label(parse_ucrpq("?x -[a^<=350 b^<=350 c]-> ?y"))
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceeded, match="concat language too large"):
+            ssf_words(label)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+
+
+def test_concat_word_length_cap():
+    label = _single_label(parse_ucrpq("?x -[a^6 b^5]-> ?y"))
+    with pytest.raises(CapExceeded, match="concat word too long"):
+        ssf_words(label, replace(DEFAULT_CAPS, max_word_len=10))
+    assert ssf_words(label, replace(DEFAULT_CAPS, max_word_len=11)) == [
+        ("a",) * 6 + ("b",) * 5
+    ]
 
 
 def test_bound_query_monotone_expansion_sets():
