@@ -2,8 +2,9 @@
 """Fuzz the succinct algorithms against their brute-force counterparts.
 
 Three rounds: NFA membership vs materialized membership, succinct CQ
-containment vs materialized homomorphism search, and boundedness verdicts
-cross-checked by oracle evaluation on witness databases or sampled
+containment (the reachability engine behind ``crpqbound contains`` and the
+boundedness checks) vs cq_hom on both materialized sides, and boundedness
+verdicts cross-checked by oracle evaluation on witness databases or sampled
 equivalence of rewritings, and against the full-enumeration verdict.  Any
 disagreement prints a replay line and the script exits nonzero.
 """

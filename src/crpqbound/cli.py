@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands: ``analyze`` (boundedness and letter analyses with optional
-JSON reports), ``contains`` (succinct CQ containment), ``member``
+JSON reports), ``contains`` (containment of a succinct CQ in a query,
+decided on the materialized left side), ``member``
 (succinct NFA membership), ``qbfgen`` (formula-to-query generator), and
 ``eval`` (query evaluation over a CSV edge list).
 
@@ -34,7 +35,10 @@ from crpqbound.expansion import (
     render_succinct_cq,
     succinct_cq_from_crpq,
 )
-from crpqbound.homomorphism import Contained, expansion_contained, succinct_containment
+from crpqbound.homomorphism import Contained, expansion_contained
+
+# unused here; kept importable because the benchmark's layer trace patches it
+from crpqbound.homomorphism import succinct_containment  # noqa: F401
 from crpqbound.oracle import (
     eval_on_graph,
     graph_of_cq,
@@ -94,7 +98,6 @@ def _caps_from(ns) -> Caps:
     for flag, field in (
         ("cap_atoms", "max_materialized_atoms"),
         ("cap_length", "max_length_dp"),
-        ("cap_positions", "max_positions"),
         ("cap_word_len", "max_word_len"),
         ("cap_semilinear", "max_semilinear"),
     ):
@@ -342,11 +345,7 @@ def cmd_contains(ns) -> int:
         raise UnsupportedFragment(
             "left side must be one conjunction of word and w^n atoms"
         )
-    rho = _as_succinct_cq(right)
-    if rho is not None:
-        contained = succinct_containment(lam, rho, caps)
-    else:
-        contained = isinstance(expansion_contained(lam, right, caps), Contained)
+    contained = isinstance(expansion_contained(lam, right, caps), Contained)
     verdict = "contained" if contained else "not-contained"
     if ns.json:
         _emit_json(_simple_json(verdict))
@@ -402,7 +401,6 @@ def _add_caps_flags(sub) -> None:
     sub.add_argument("--cap", type=int, help="expansion enumeration budget")
     sub.add_argument("--cap-atoms", type=int, help="materialized atom budget")
     sub.add_argument("--cap-length", type=int, help="length DP budget")
-    sub.add_argument("--cap-positions", type=int, help="containment position budget")
     sub.add_argument("--cap-word-len", type=int, help="materialized word length budget")
     sub.add_argument("--cap-semilinear", type=int, help="semilinear set size budget")
 
@@ -441,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_caps_flags(analyze)
     analyze.set_defaults(func=cmd_analyze)
 
-    contains = subs.add_parser("contains", help="succinct CQ containment")
+    contains = subs.add_parser("contains", help="succinct CQ containment in a query")
     contains.add_argument("left", help="contained query file")
     contains.add_argument("right", help="containing query file")
     contains.add_argument("--json", action="store_true")

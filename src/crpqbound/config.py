@@ -16,11 +16,10 @@ class Caps:
     max_expansions:
         Most expansions a single enumeration may visit.
     max_materialized_atoms:
-        Most edge atoms a materialized expansion may contain.
+        Most edge atoms a materialized expansion may contain; this bounds
+        the left side of every containment check.
     max_length_dp:
         Largest path-length target the reachability engines handle.
-    max_positions:
-        Most candidate positions the succinct containment check builds.
     max_word_len:
         Longest word allowed under a star or power when materializing.
     max_semilinear:
@@ -31,7 +30,6 @@ class Caps:
     max_expansions: int = 10**5
     max_materialized_atoms: int = 10**6
     max_length_dp: int = 10**6
-    max_positions: int = 10**4
     max_word_len: int = 10**4
     max_semilinear: int = 10**5
 

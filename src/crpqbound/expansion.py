@@ -159,38 +159,6 @@ def bound_letters(q: UCRPQ, letters, n: int) -> UCRPQ:
     return _map_labels(q, lambda e: _replace_stars(e, swap))
 
 
-# ------------------------------------------------------------- atom expansion
-
-
-def _fresh_prefix(taken, base="z"):
-    prefix = base
-    import re as _re
-
-    while any(_re.fullmatch(_re.escape(prefix) + r"[0-9]+", v) for v in taken):
-        prefix += base
-    return prefix
-
-
-def atom_expansion(atom: EdgeAtom, word):
-    """Replace one atom by a path spelling the given word.
-
-    Returns a list of CQAtoms, or an EqualityAtom when the word is empty.
-    The word is assumed to belong to the label's language; this function
-    only builds the path.
-    """
-    word = tuple(word)
-    if not word:
-        return EqualityAtom(atom.src, atom.dst)
-    prefix = _fresh_prefix({atom.src, atom.dst})
-    out = []
-    cur = atom.src
-    for k, sym in enumerate(word):
-        nxt = atom.dst if k == len(word) - 1 else f"{prefix}{k + 1}"
-        out.append(CQAtom(cur, sym, nxt))
-        cur = nxt
-    return out
-
-
 # -------------------------------------------------------------- SSF languages
 
 
@@ -198,52 +166,72 @@ def ssf_words(e: RegexExpr, caps: Caps = DEFAULT_CAPS):
     """The finite language of a star-free expression, as a word list.
 
     Order is deterministic (syntactic, left to right) and duplicates are
-    dropped keeping the first occurrence.
+    dropped keeping the first occurrence.  The caps are checked on the
+    language's size before any word is listed.
     """
-    words = _ssf_words(e, caps)
+    _ssf_size(e, caps)
     seen = set()
     out = []
-    for w in words:
+    for w in _ssf_words(e):
         if w not in seen:
             seen.add(w)
             out.append(w)
     return out
 
 
-def _ssf_words(e: RegexExpr, caps: Caps):
+def _ssf_size(e: RegexExpr, caps: Caps):
+    """(word count, longest word) of _ssf_words(e), computed without listing.
+
+    Raises the first cap that listing the language would exceed.
+    """
+    if isinstance(e, Epsilon):
+        return 1, 0
+    if isinstance(e, Letter):
+        return 1, 1
+    if isinstance(e, (Power, PowerLE)):
+        longest = len(e.word) * e.exponent
+        if longest > caps.max_word_len:
+            raise CapExceeded(caps.max_word_len, "materialized power too long")
+        return (1 if isinstance(e, Power) else e.exponent + 1), longest
+    if isinstance(e, Union):
+        count = longest = 0
+        for p in e.parts:
+            c, m = _ssf_size(p, caps)
+            count, longest = count + c, max(longest, m)
+            if count > caps.max_expansions:
+                raise CapExceeded(caps.max_expansions, "union language too large")
+        return count, longest
+    if isinstance(e, Concat):
+        count, longest = 1, 0
+        for p in e.parts:
+            c, m = _ssf_size(p, caps)
+            if count * c > caps.max_expansions:
+                raise CapExceeded(caps.max_expansions, "concat language too large")
+            if longest + m > caps.max_word_len:
+                raise CapExceeded(caps.max_word_len, "concat word too long")
+            count, longest = count * c, longest + m
+        return count, longest
+    if isinstance(e, Star):
+        raise UnsupportedFragment("a starred expression has no finite language")
+    raise TypeError(f"not a regex: {e!r}")
+
+
+def _ssf_words(e: RegexExpr):
     if isinstance(e, Epsilon):
         return [()]
     if isinstance(e, Letter):
         return [(e.symbol,)]
     if isinstance(e, Power):
-        if len(e.word) * e.exponent > caps.max_word_len:
-            raise CapExceeded(caps.max_word_len, "materialized power too long")
         return [e.word * e.exponent]
     if isinstance(e, PowerLE):
-        if len(e.word) * e.exponent > caps.max_word_len:
-            raise CapExceeded(caps.max_word_len, "materialized power too long")
         return [e.word * k for k in range(e.exponent + 1)]
     if isinstance(e, Union):
-        out = []
-        for p in e.parts:
-            out.extend(_ssf_words(p, caps))
-            if len(out) > caps.max_expansions:
-                raise CapExceeded(caps.max_expansions, "union language too large")
-        return out
-    if isinstance(e, Concat):
-        out = [()]
-        for p in e.parts:
-            tails = _ssf_words(p, caps)
-            # check the product before building it
-            if len(out) * len(tails) > caps.max_expansions:
-                raise CapExceeded(caps.max_expansions, "concat language too large")
-            if max(map(len, out)) + max(map(len, tails), default=0) > caps.max_word_len:
-                raise CapExceeded(caps.max_word_len, "concat word too long")
-            out = [w + t for w in out for t in tails]
-        return out
-    if isinstance(e, Star):
-        raise UnsupportedFragment("a starred expression has no finite language")
-    raise TypeError(f"not a regex: {e!r}")
+        return [w for p in e.parts for w in _ssf_words(p)]
+    out = [()]
+    for p in e.parts:
+        tails = _ssf_words(p)
+        out = [w + t for w in out for t in tails]
+    return out
 
 
 def max_word_len(e: RegexExpr) -> int:
@@ -471,6 +459,15 @@ def _combinations(choice_lists, above):
 
 
 # -------------------------------------------------------------- materializing
+
+
+def _fresh_prefix(taken, base="z"):
+    prefix = base
+    import re as _re
+
+    while any(_re.fullmatch(_re.escape(prefix) + r"[0-9]+", v) for v in taken):
+        prefix += base
+    return prefix
 
 
 def materialize(scq: SuccinctCQ, cap: int | None = None, caps: Caps = DEFAULT_CAPS) -> CQ:

@@ -1,13 +1,13 @@
 """Homomorphism search and containment checks.
 
-Three levels of the same question live here.  cq_hom finds a plain
-homomorphism between materialized conjunctive queries.  succinct_containment
-answers hom existence between succinct CQs without materializing the right
-side's exponents, by mapping variables onto positions inside the left side's
-word powers and deciding each atom constraint with a succinct-NFA membership
-test.  expansion_contained asks whether a single expansion is subsumed by a
-star-free (or letter-restricted) union query, interleaving the right side's
-branch and exponent choices with the variable assignment search.
+cq_hom finds a plain homomorphism between materialized conjunctive
+queries; it is the reference the containment engine is tested against.
+expansion_contained is the containment engine: it materializes the left
+expansion (within ``max_materialized_atoms``) and asks whether some
+expansion of a star-free (or letter-restricted) union query maps into it,
+interleaving the right side's branch and exponent choices with the
+variable assignment search by memoized regex reachability.
+succinct_containment poses succinct CQ containment to that same engine.
 """
 
 from __future__ import annotations
@@ -15,19 +15,23 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from crpqbound.config import DEFAULT_CAPS, Caps
-from crpqbound.errors import CapExceeded
 from crpqbound.expansion import (
     CQ,
     SuccinctAtom,
     SuccinctCQ,
     materialize,
     normalize_succinct,
+    nullable,
     ssf_words,
 )
-from crpqbound.succinct_nfa import SNFATransition, SuccinctNFA, membership
+
+# unused here; kept importable because the benchmark's layer trace patches it
+from crpqbound.succinct_nfa import membership  # noqa: F401
 from crpqbound.syntax import (
+    CRPQ,
     UCRPQ,
     Concat,
+    EdgeAtom,
     Epsilon,
     Letter,
     Power,
@@ -117,231 +121,6 @@ def cq_hom(src: CQ, dst: CQ):
     if any(not d for d in dom.values()):
         return None
     return search(dom)
-
-
-# --------------------------------------------------------------- breakings
-
-
-@dataclass(frozen=True)
-class AtomBreaking:
-    """A split of one succinct atom's word power into succinct segments.
-
-    Offsets are the materialized positions (strictly increasing, interior)
-    where fresh cut variables are placed.  Each gap between consecutive cuts
-    becomes at most three segments: the tail of the current copy of the
-    word, a block of full copies, and a prefix of the next copy.
-    """
-
-    atom: SuccinctAtom
-    offsets: tuple
-    prefix: str = "brk"
-
-    def __post_init__(self):
-        total = self.atom.length
-        last = 0
-        for o in self.offsets:
-            if not (0 < o < total) or o <= last:
-                raise ValueError("offsets must be strictly increasing and interior")
-            last = o
-
-    @property
-    def cut_variables(self) -> tuple:
-        return tuple(f"{self.prefix}{k + 1}" for k in range(len(self.offsets)))
-
-    def segments(self) -> tuple:
-        """The (word, exponent) pieces whose product spells the original."""
-        w = self.atom.word
-        lw = len(w)
-        cuts = (0, *self.offsets, self.atom.length)
-        pieces = []
-        for c0, c1 in zip(cuts, cuts[1:]):
-            b0, r0 = divmod(c0, lw)
-            b1, r1 = divmod(c1, lw)
-            if b0 == b1:
-                pieces.append((w[r0:r1], 1))
-            elif r0 == 0:
-                pieces.append((w, b1 - b0))
-                pieces.append((w[:r1], 1))
-            else:
-                pieces.append((w[r0:], 1))
-                pieces.append((w, b1 - b0 - 1))
-                pieces.append((w[:r1], 1))
-        return tuple((p, e) for p, e in pieces if e > 0 and p)
-
-    def verify(self, caps: Caps = DEFAULT_CAPS) -> bool:
-        """Check the segment words multiply back to the original power.
-
-        Built as a chain automaton reading the segments in order; the
-        breaking is valid iff the chain accepts the original word power.
-        """
-        segs = self.segments()
-        states = tuple(f"p{k}" for k in range(len(segs) + 1))
-        transitions = tuple(
-            SNFATransition(f"p{k}", word, exp, f"p{k + 1}")
-            for k, (word, exp) in enumerate(segs)
-        )
-        chain = SuccinctNFA(states, transitions, "p0", (states[-1],))
-        return membership(chain, self.atom.word, self.atom.exponent, caps)
-
-
-# ------------------------------------------------- succinct CQ containment
-
-
-def _positions_of(scq: SuccinctCQ, caps: Caps):
-    positions = [("var", v) for v in scq.variables]
-    budget = caps.max_positions
-    for i, a in enumerate(scq.atoms):
-        interior = a.length - 1
-        if len(positions) + interior > budget:
-            raise CapExceeded(caps.max_positions, "position space too large")
-        positions.extend(("in", i, t) for t in range(1, a.length))
-    return positions
-
-
-def _first_letters_out(scq: SuccinctCQ, pos) -> set:
-    if pos[0] == "var":
-        return {a.word[0] for a in scq.atoms if a.src == pos[1]}
-    _, i, t = pos
-    w = scq.atoms[i].word
-    return {w[t % len(w)]}
-
-
-def _last_letters_in(scq: SuccinctCQ, pos) -> set:
-    if pos[0] == "var":
-        return {a.word[-1] for a in scq.atoms if a.dst == pos[1]}
-    _, i, t = pos
-    w = scq.atoms[i].word
-    return {w[(t - 1) % len(w)]}
-
-
-def _chain_nfa(scq: SuccinctCQ, p1, p2) -> SuccinctNFA:
-    """The walk automaton of scq from position p1 to position p2.
-
-    Interior positions can only continue forward along their atom's chain
-    (exit piece) or be reached from the atom's source (entry piece); when
-    both positions sit on the same atom in order, the in-chain walk between
-    them is added directly.
-    """
-    states = {f"v:{v}" for v in scq.variables}
-    transitions = [
-        SNFATransition(f"v:{a.src}", a.word, a.exponent, f"v:{a.dst}")
-        for a in scq.atoms
-    ]
-
-    def add(src, word, exp, dst):
-        states.update((src, dst))
-        transitions.append(SNFATransition(src, tuple(word), exp, dst))
-
-    if p1[0] == "var":
-        initial = f"v:{p1[1]}"
-        states.add(initial)
-    else:
-        initial = "@S"
-        states.add(initial)
-        _, i, t1 = p1
-        a = scq.atoms[i]
-        b1, r1 = divmod(t1, len(a.word))
-        if r1 == 0:
-            add("@S", a.word, a.exponent - b1, f"v:{a.dst}")
-        else:
-            add("@S", a.word[r1:], 1, "@x")
-            add("@x", a.word, a.exponent - b1 - 1, f"v:{a.dst}")
-
-    if p2[0] == "var":
-        final = f"v:{p2[1]}"
-        states.add(final)
-    else:
-        final = "@E"
-        states.add(final)
-        _, j, t2 = p2
-        a = scq.atoms[j]
-        b2, r2 = divmod(t2, len(a.word))
-        if r2 == 0:
-            add(f"v:{a.src}", a.word, b2, "@E")
-        else:
-            add(f"v:{a.src}", a.word, b2, "@y")
-            add("@y", a.word[:r2], 1, "@E")
-
-    if p1[0] == "in" and p2[0] == "in" and p1[1] == p2[1] and p1[2] < p2[2]:
-        a = scq.atoms[p1[1]]
-        lw = len(a.word)
-        b1, r1 = divmod(p1[2], lw)
-        b2, r2 = divmod(p2[2], lw)
-        if b1 == b2:
-            add("@S", a.word[r1:r2], 1, "@E")
-        else:
-            add("@S", a.word[r1:], 1, "@d")
-            if r2 == 0:
-                add("@d", a.word, b2 - b1 - 1, "@E")
-            else:
-                add("@d", a.word, b2 - b1 - 1, "@d2")
-                add("@d2", a.word[:r2], 1, "@E")
-
-    return SuccinctNFA(tuple(sorted(states)), tuple(transitions), initial, (final,))
-
-
-def succinct_containment(
-    left: SuccinctCQ, right: SuccinctCQ, caps: Caps = DEFAULT_CAPS
-) -> bool:
-    """True iff the right CQ maps homomorphically into the left one.
-
-    Right variables are assigned to left positions (variables or interior
-    points of word powers); each right atom then demands a walk reading its
-    word power between the two assigned positions, decided succinctly.
-    """
-    left = normalize_succinct(left)
-    right = normalize_succinct(right)
-    positions = _positions_of(left, caps)
-    out_first = {p: _first_letters_out(left, p) for p in positions}
-    in_last = {p: _last_letters_in(left, p) for p in positions}
-
-    memo = {}
-
-    def path_ok(p1, p2, word, exp):
-        key = (p1, p2, word, exp)
-        if key not in memo:
-            memo[key] = membership(_chain_nfa(left, p1, p2), word, exp, caps)
-        return memo[key]
-
-    by_var = {v: [] for v in right.variables}
-    for a in right.atoms:
-        by_var[a.src].append(a)
-        if a.dst != a.src:
-            by_var[a.dst].append(a)
-    order = sorted(right.variables, key=lambda v: (-len(by_var[v]), v))
-
-    assign = {}
-
-    def feasible(v, p):
-        for a in by_var[v]:
-            if a.src == v:
-                if a.word[0] not in out_first[p]:
-                    return False
-                other = assign.get(a.dst) if a.dst != v else p
-                if other is not None and not path_ok(p, other, a.word, a.exponent):
-                    return False
-            if a.dst == v:
-                if a.word[-1] not in in_last[p]:
-                    return False
-                if a.src != v:
-                    other = assign.get(a.src)
-                    if other is not None and not path_ok(other, p, a.word, a.exponent):
-                        return False
-        return True
-
-    def solve(k):
-        if k == len(order):
-            return True
-        v = order[k]
-        for p in positions:
-            if feasible(v, p):
-                assign[v] = p
-                if solve(k + 1):
-                    return True
-                del assign[v]
-        return False
-
-    return solve(0)
 
 
 # ------------------------------------------------- expansion vs star-free q
@@ -538,6 +317,25 @@ def expansion_contained(
     return NotContained(lam_n)
 
 
+def succinct_containment(
+    left: SuccinctCQ, right: SuccinctCQ, caps: Caps = DEFAULT_CAPS
+) -> bool:
+    """True iff the right CQ maps homomorphically into the left one.
+
+    The right CQ is read as a one-disjunct query of w^n atoms and decided
+    by expansion_contained, so the left side is materialized within
+    ``max_materialized_atoms``.
+    """
+    right = normalize_succinct(right)
+    if not right.atoms:
+        return True
+    atoms = tuple(
+        EdgeAtom(a.src, Power(a.word, a.exponent), a.dst) for a in right.atoms
+    )
+    query = UCRPQ((CRPQ(atoms),))
+    return isinstance(expansion_contained(left, query, caps), Contained)
+
+
 def _disjunct_hom(d, vertices, fwd: _PathIndex, bwd: _PathIndex):
     by_var = {v: [] for v in d.variables()}
     for a in d.edge_atoms:
@@ -551,6 +349,8 @@ def _disjunct_hom(d, vertices, fwd: _PathIndex, bwd: _PathIndex):
         cands = None
         for a in by_var[v]:
             if a.src == v and a.dst == v:
+                if nullable(a.label):
+                    continue  # the empty path loops at every vertex
                 pool = vertices if cands is None else cands
                 cands = {u for u in pool if u in fwd.reach(a.label, u)}
             elif a.src == v and a.dst in assign:

@@ -100,74 +100,6 @@ def normalize(nfa: SuccinctNFA) -> SuccinctNFA:
     )
 
 
-def factor(w, i: int, j: int):
-    """The subword of w strictly between positions i and j; empty if j <= i."""
-    w = tuple(w)
-    if not (0 <= i <= len(w)) or not (0 <= j <= len(w)):
-        raise IndexError("factor index out of range")
-    return w[i:j] if j > i else ()
-
-
-def from_succinct_cq_path(scq, src: str, dst: str) -> SuccinctNFA:
-    """View a succinct CQ as an automaton from one variable to another."""
-    if src not in scq.variables or dst not in scq.variables:
-        raise ValueError("unknown variable")
-    transitions = tuple(
-        SNFATransition(a.src, a.word, a.exponent, a.dst) for a in scq.atoms
-    )
-    return SuccinctNFA(tuple(sorted(scq.variables)), transitions, src, (dst,))
-
-
-# ------------------------------------------------------------ position graph
-
-
-@dataclass(frozen=True)
-class PositionGraphEdge:
-    i: int
-    j: int
-    direct: bool
-    residues: tuple
-
-
-@dataclass(frozen=True)
-class PositionGraph:
-    """Which v-positions a single w^n transition can connect.
-
-    Vertices are 0..|v|.  An edge (i, j) means w^n equals the factor of v
-    from i to j (direct), or the factor from i to the end, then some
-    number of full copies of v (the residues), then the prefix up to j.
-    """
-
-    vertices: tuple
-    edges: tuple
-
-
-def _stream_matches(w, n: int, v, start: int) -> bool:
-    total = len(w) * n
-    lv = len(v)
-    return all(w[t % len(w)] == v[(start + t) % lv] for t in range(total))
-
-
-def position_graph(w, n: int, v, caps: Caps = DEFAULT_CAPS) -> PositionGraph:
-    w, v = tuple(w), tuple(v)
-    lv, total = len(v), len(w) * n
-    if total > caps.max_length_dp:
-        raise CapExceeded(caps.max_length_dp, "position graph label too long")
-    edges = []
-    for i in range(lv + 1):
-        for j in range(lv + 1):
-            direct = total == j - i and w * n == factor(v, i, j)
-            residues = []
-            remainder = total - (lv - i) - j
-            if remainder >= 0 and remainder % lv == 0 and i < lv:
-                ell = remainder // lv
-                if _stream_matches(w, n, v, i):
-                    residues.append(ell)
-            if direct or residues:
-                edges.append(PositionGraphEdge(i, j, direct, tuple(residues)))
-    return PositionGraph(tuple(range(lv + 1)), tuple(edges))
-
-
 # -------------------------------------------------------------- product build
 
 

@@ -5,6 +5,8 @@ import json
 import pytest
 
 from crpqbound.cli import main
+from crpqbound.expansion import materialize, succinct_cq_from_crpq
+from crpqbound.homomorphism import cq_hom
 from crpqbound.qbfgen import parse_qbf
 from crpqbound.syntax import parse_ucrpq
 
@@ -103,6 +105,19 @@ def test_contains_directions(qfile, capsys):
     narrow = qfile("?x -[a^3]-> ?y\n", "r2.txt")
     assert main(["contains", left, wide]) == 0
     assert main(["contains", left, narrow]) == 1
+    capsys.readouterr()
+
+
+def test_contains_materializes_a_long_left_side(qfile, capsys):
+    # 12,000 letters: decided within --cap-atoms, agreeing with cq_hom
+    text = "?x -[(ab)^6000]-> ?y\n"
+    left = qfile(text, "l.txt")
+    lam = materialize(succinct_cq_from_crpq(parse_ucrpq(text).disjuncts[0]))
+    for right_text, code in (("?u -[(ab)^2]-> ?v\n", 0), ("?u -[aa]-> ?v\n", 1)):
+        right = qfile(right_text, "r.txt")
+        rho = materialize(succinct_cq_from_crpq(parse_ucrpq(right_text).disjuncts[0]))
+        assert main(["contains", left, right]) == code
+        assert (cq_hom(rho, lam) is not None) == (code == 0)
     capsys.readouterr()
 
 

@@ -2,8 +2,6 @@
 
 import random
 
-import pytest
-
 from conftest import gen_random_succinct_cq
 from crpqbound.expansion import (
     ExponentDomain,
@@ -14,7 +12,6 @@ from crpqbound.expansion import (
     materialize,
 )
 from crpqbound.homomorphism import (
-    AtomBreaking,
     Contained,
     NotContained,
     cq_hom,
@@ -109,6 +106,15 @@ def test_succinct_containment_reflexive_transitive_sampled():
             found_chain += 1
             assert succinct_containment(a, c)
     assert found_chain > 0
+
+
+def test_expansion_contained_nullable_self_loop_needs_no_loop():
+    q = parse_ucrpq("?x -[a*]-> ?x, ?x -[b]-> ?y")
+    lam = SuccinctCQ(("u", "v"), (SuccinctAtom("u", ("b",), 1, "v"),))
+    result = expansion_contained(lam, bound_query(q, 2))
+    assert isinstance(result, Contained)
+    assert result.hom == {"x": "u", "y": "v"}
+    assert cq_hom(materialize(result.expansion), materialize(lam)) is not None
 
 
 def test_hom_composition():
@@ -208,39 +214,6 @@ def test_expansion_contained_against_starful_right_side():
     rhs = bound_letters(q, {"c"}, 2)
     assert isinstance(expansion_contained(lam, rhs), Contained)
 
-
-def test_atom_breaking_segments_spell_the_power():
-    atom = SuccinctAtom("x", ("a", "b"), 4, "y")
-    breaking = AtomBreaking(atom, (3, 5))
-    segs = breaking.segments()
-    spelled = []
-    for word, exp in segs:
-        spelled.extend(word * exp)
-    assert tuple(spelled) == ("a", "b") * 4
-    assert breaking.cut_variables == ("brk1", "brk2")
-    assert breaking.verify()
-
-
-def test_atom_breaking_rejects_bad_offsets():
-    atom = SuccinctAtom("x", ("a",), 3, "y")
-    with pytest.raises(ValueError):
-        AtomBreaking(atom, (0,))
-    with pytest.raises(ValueError):
-        AtomBreaking(atom, (2, 2))
-    with pytest.raises(ValueError):
-        AtomBreaking(atom, (3,))
-
-
-def test_atom_breaking_verify_random():
-    rng = random.Random(3)
-    for _ in range(60):
-        word = tuple(rng.choice("ab") for _ in range(rng.randint(1, 3)))
-        exponent = rng.randint(1, 6)
-        atom = SuccinctAtom("x", word, exponent, "y")
-        total = atom.length
-        interior = sorted(rng.sample(range(1, total), min(2, total - 1))) if total > 1 else []
-        breaking = AtomBreaking(atom, tuple(interior))
-        assert breaking.verify(), (word, exponent, interior)
 
 
 def test_expansion_contained_yields_expansion_of_rhs():

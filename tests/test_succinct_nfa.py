@@ -1,27 +1,22 @@
-"""Succinct automata: factors, products, length reachability, membership."""
+"""Succinct automata: products, length reachability, membership."""
 
 import random
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import gen_random_snfa, gen_random_word
 from crpqbound.errors import CapExceeded
-from crpqbound.expansion import SuccinctAtom, SuccinctCQ
 from crpqbound.oracle import nfa_membership_brute
 from crpqbound.succinct_nfa import (
     SNFATransition,
     SuccinctNFA,
     build_product,
-    factor,
-    from_succinct_cq_path,
     length_reach,
     length_set,
     membership,
     normalize,
     parse_nfa,
-    position_graph,
     render_nfa,
     semigroup,
 )
@@ -38,48 +33,6 @@ def _nfa(transitions, initial, finals, states=None):
         )
     return SuccinctNFA(tuple(states), tuple(transitions), initial, tuple(finals))
 
-
-def test_factor_examples():
-    assert factor(tuple("abcde"), 1, 3) == ("b", "c")
-    assert factor(tuple("abc"), 2, 2) == ()
-    assert factor(tuple("abc"), 0, 3) == ("a", "b", "c")
-
-
-def test_factor_out_of_range():
-    with pytest.raises(IndexError):
-        factor(tuple("ab"), 0, 3)
-
-
-def test_from_succinct_cq_path_single_atom():
-    lam = SuccinctCQ(("x", "y"), (SuccinctAtom("x", ("a", "b"), 3, "y"),))
-    nfa = from_succinct_cq_path(lam, "x", "y")
-    assert set(nfa.states) == {"x", "y"}
-    assert len(nfa.transitions) == 1
-    assert membership(nfa, ("a", "b"), 3)
-    assert not membership(nfa, ("a", "b"), 2)
-
-
-def test_from_succinct_cq_path_isolated_accepts_epsilon():
-    lam = SuccinctCQ(("x",), ())
-    nfa = from_succinct_cq_path(lam, "x", "x")
-    assert membership(nfa, ("a",), 0)
-    assert not membership(nfa, ("a",), 1)
-
-
-def test_from_succinct_cq_path_chain_language():
-    lam = SuccinctCQ(
-        ("x", "y", "z"),
-        (SuccinctAtom("x", ("a",), 2, "y"), SuccinctAtom("y", ("b",), 1, "z")),
-    )
-    nfa = from_succinct_cq_path(lam, "x", "z")
-    assert nfa_membership_brute(nfa, ("a", "a", "b"), 1)
-    assert not nfa_membership_brute(nfa, ("a", "b"), 1)
-
-
-def test_from_succinct_cq_path_unknown_variable():
-    lam = SuccinctCQ(("x",), ())
-    with pytest.raises(ValueError):
-        from_succinct_cq_path(lam, "x", "nope")
 
 
 def test_build_product_exact_match():
@@ -197,27 +150,6 @@ def test_semigroup_membership_is_sound(gens, target):
         sums |= new
     assert ls.contains(target) == (target in sums)
 
-
-def test_position_graph_against_brute_force():
-    rng = random.Random(9)
-    for _ in range(120):
-        w = gen_random_word(rng, max_len=2)
-        v = gen_random_word(rng, max_len=3)
-        n = rng.randint(1, 4)
-        s = w * n
-        graph = position_graph(w, n, v)
-        lv = len(v)
-        want_edges = set()
-        for i in range(lv + 1):
-            for j in range(lv + 1):
-                if s == factor(v, i, j):
-                    want_edges.add((i, j))
-                if i < lv:
-                    for ell in range(0, len(s) // lv + 1):
-                        if s == factor(v, i, lv) + v * ell + factor(v, 0, j):
-                            want_edges.add((i, j))
-        got_edges = {(e.i, e.j) for e in graph.edges}
-        assert got_edges == want_edges, (w, n, v)
 
 
 def test_normalize_removes_zero_transitions():
