@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """Fuzz the succinct algorithms against their brute-force counterparts.
 
-Three rounds: NFA membership vs materialized membership, succinct CQ
+Four rounds: NFA membership vs materialized membership, succinct CQ
 containment (the reachability engine behind ``crpqbound contains`` and the
-boundedness checks) vs cq_hom on both materialized sides, and boundedness
+boundedness checks) vs cq_hom on both materialized sides, probe expansions
+of random a-star queries against their bounded right sides (some stars
+left whole) vs evaluation on the materialized probe, and boundedness
 verdicts cross-checked by oracle evaluation on witness databases or sampled
 equivalence of rewritings, and against the full-enumeration verdict.  Any
 disagreement prints a replay line and the script exits nonzero.
@@ -23,16 +25,23 @@ from conftest import (  # noqa: E402
     gen_random_snfa,
     gen_random_succinct_cq,
     gen_random_word,
+    some_stars_over_b,
 )
-from crpqbound.boundedness import is_bounded  # noqa: E402
+from crpqbound.boundedness import compute_bounds, is_bounded  # noqa: E402
 from crpqbound.config import DEFAULT_CAPS  # noqa: E402
 from crpqbound.expansion import (  # noqa: E402
     ExponentDomain,
+    bound_letters,
     bound_query,
     enumerate_expansions,
     materialize,
 )
-from crpqbound.homomorphism import cq_hom, succinct_containment  # noqa: E402
+from crpqbound.homomorphism import (  # noqa: E402
+    Contained,
+    cq_hom,
+    expansion_contained,
+    succinct_containment,
+)
 from crpqbound.oracle import (  # noqa: E402
     eval_on_graph,
     graph_of_cq,
@@ -47,6 +56,7 @@ class FuzzConfig:
     seed: int = 0
     nfa_trials: int = 2000
     containment_pairs: int = 1000
+    probe_queries: int = 300
     boundedness_queries: int = 100
 
 
@@ -73,6 +83,37 @@ def fuzz_containment(cfg: FuzzConfig) -> int:
         if succinct_containment(left, right) != want:
             bad += 1
             print(f"  containment mismatch at pair {i}: {left} vs {right}")
+    return bad
+
+
+def fuzz_probes(cfg: FuzzConfig) -> int:
+    """Probe expansions against q(z), as the boundedness checks pose them.
+
+    Each query's stars get exponents around z (at least one above it);
+    the right side caps every star, or only the a-stars so that b-stars
+    stay whole-label stars.  The engine's answer must match evaluating
+    the right side on the materialized probe.
+    """
+    rng = random.Random(cfg.seed + 3)
+    bad = pairs = 0
+    for i in range(cfg.probe_queries):
+        q = some_stars_over_b(gen_random_crpq_astar(rng), rng)
+        z = compute_bounds(q).z
+        rhs = bound_query(q, z) if rng.random() < 0.5 else bound_letters(q, {"a"}, z)
+        d = q.disjuncts[0]
+        stars = [j for j, a in enumerate(d.edge_atoms) if isinstance(a.label, Star)]
+        for _ in range(4 if stars else 1):
+            values = [rng.choice((0, 1, 2, z, z + 1, 2 * z + 1)) for _ in stars]
+            if stars and max(values) <= z:
+                values[rng.randrange(len(values))] = z + 1
+            dom = ExponentDomain(tuple((j, (v,)) for j, v in zip(stars, values)))
+            for lam in enumerate_expansions(d, dom):
+                pairs += 1
+                got = isinstance(expansion_contained(lam, rhs), Contained)
+                if got != eval_on_graph(rhs, graph_of_cq(materialize(lam))):
+                    bad += 1
+                    print(f"  probe mismatch at query {i}: {lam} vs {rhs}")
+    print(f"  ({pairs} probe pairs)")
     return bad
 
 
@@ -128,12 +169,14 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--nfa-trials", type=int, default=2000)
     parser.add_argument("--containment-pairs", type=int, default=1000)
+    parser.add_argument("--probe-queries", type=int, default=300)
     parser.add_argument("--boundedness-queries", type=int, default=100)
     args = parser.parse_args()
     cfg = FuzzConfig(
         seed=args.seed,
         nfa_trials=args.nfa_trials,
         containment_pairs=args.containment_pairs,
+        probe_queries=args.probe_queries,
         boundedness_queries=args.boundedness_queries,
     )
 
@@ -141,6 +184,7 @@ def main() -> int:
     for name, round_fn, count in (
         ("membership", fuzz_membership, cfg.nfa_trials),
         ("containment", fuzz_containment, cfg.containment_pairs),
+        ("probes", fuzz_probes, cfg.probe_queries),
         ("boundedness", fuzz_boundedness, cfg.boundedness_queries),
     ):
         t0 = time.monotonic()

@@ -2,9 +2,9 @@
 
 Subcommands: ``analyze`` (boundedness and letter analyses with optional
 JSON reports), ``contains`` (containment of a succinct CQ in a query,
-decided on the materialized left side), ``member``
-(succinct NFA membership), ``qbfgen`` (formula-to-query generator), and
-``eval`` (query evaluation over a CSV edge list).
+decided on the left side's canonical database, indexed by positions),
+``member`` (succinct NFA membership), ``qbfgen`` (formula-to-query
+generator), and ``eval`` (query evaluation over a CSV edge list).
 
 Exit codes: 0 yes / bounded / contained / member / satisfied, 1 the
 negative counterpart, 2 inconclusive under the configured caps, 64 usage
@@ -399,7 +399,9 @@ def cmd_eval(ns) -> int:
 
 def _add_caps_flags(sub) -> None:
     sub.add_argument("--cap", type=int, help="expansion enumeration budget")
-    sub.add_argument("--cap-atoms", type=int, help="materialized atom budget")
+    sub.add_argument(
+        "--cap-atoms", type=int, help="longest expansion (letters) checked or materialized"
+    )
     sub.add_argument("--cap-length", type=int, help="length DP budget")
     sub.add_argument("--cap-word-len", type=int, help="materialized word length budget")
     sub.add_argument("--cap-semilinear", type=int, help="semilinear set size budget")

@@ -16,8 +16,9 @@ class Caps:
     max_expansions:
         Most expansions a single enumeration may visit.
     max_materialized_atoms:
-        Most edge atoms a materialized expansion may contain; this bounds
-        the left side of every containment check.
+        Longest expansion, the sum of |w|*n over its atoms, that a
+        containment check indexes as its left side or that materialize
+        unrolls.
     max_length_dp:
         Largest path-length target the reachability engines handle.
     max_word_len:

@@ -461,7 +461,15 @@ def _combinations(choice_lists, above):
 # -------------------------------------------------------------- materializing
 
 
-def _fresh_prefix(taken, base="z"):
+def check_length(scq: SuccinctCQ, limit: int) -> None:
+    """Refuse an expansion longer than limit letters, the sum of |w|*n."""
+    total = sum(a.length for a in scq.atoms)
+    if total > limit:
+        raise CapExceeded(limit, f"materialization needs {total} atoms")
+
+
+def fresh_prefix(taken, base="z"):
+    """The shortest repetition of base that no name in taken extends by digits."""
     prefix = base
     import re as _re
 
@@ -478,10 +486,8 @@ def materialize(scq: SuccinctCQ, cap: int | None = None, caps: Caps = DEFAULT_CA
     """
     limit = caps.max_materialized_atoms if cap is None else cap
     scq = normalize_succinct(scq)
-    total = sum(a.length for a in scq.atoms)
-    if total > limit:
-        raise CapExceeded(limit, f"materialization needs {total} atoms")
-    prefix = _fresh_prefix(set(scq.variables))
+    check_length(scq, limit)
+    prefix = fresh_prefix(set(scq.variables))
     counter = 0
     atoms = []
     variables = list(scq.variables)

@@ -2,8 +2,10 @@
 
 cq_hom finds a plain homomorphism between materialized conjunctive
 queries; it is the reference the containment engine is tested against.
-expansion_contained is the containment engine: it materializes the left
-expansion (within ``max_materialized_atoms``) and asks whether some
+expansion_contained is the containment engine: it indexes the left
+expansion's canonical database by positions (variables, then the
+interior positions of each w^n atom, whose length ``max_materialized_atoms``
+bounds) instead of unrolling it into a CQ, and asks whether some
 expansion of a star-free (or letter-restricted) union query maps into it,
 interleaving the right side's branch and exponent choices with the
 variable assignment search by memoized regex reachability.
@@ -13,17 +15,24 @@ succinct_containment poses succinct CQ containment to that same engine.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain, compress, count, repeat
+from operator import eq
 
 from crpqbound.config import DEFAULT_CAPS, Caps
 from crpqbound.expansion import (
     CQ,
     SuccinctAtom,
     SuccinctCQ,
-    materialize,
+    check_length,
+    fresh_prefix,
     normalize_succinct,
     nullable,
     ssf_words,
 )
+
+# unused here; kept importable because the benchmark's layer trace patches it
+from crpqbound.expansion import materialize  # noqa: F401
 
 # unused here; kept importable because the benchmark's layer trace patches it
 from crpqbound.succinct_nfa import membership  # noqa: F401
@@ -126,10 +135,32 @@ def cq_hom(src: CQ, dst: CQ):
 # ------------------------------------------------- expansion vs star-free q
 
 
-@dataclass(frozen=True)
 class Contained:
-    expansion: SuccinctCQ
-    hom: dict
+    """Some expansion of the right side maps into lam's canonical database.
+
+    The search finds an assignment of the disjunct's variables to integer
+    vertices; ``hom`` (under the names materialize gives those vertices)
+    and the right-side ``expansion`` that assignment realizes are
+    recovered only when first read.
+    """
+
+    def __init__(self, disjunct: CRPQ, assignment: dict, db: _CanonicalDB):
+        self._disjunct = disjunct
+        self._assignment = assignment
+        self._db = db
+
+    @cached_property
+    def hom(self) -> dict:
+        return {v: self._db.name(u) for v, u in self._assignment.items()}
+
+    @cached_property
+    def expansion(self) -> SuccinctCQ:
+        h = self._assignment
+        atoms = []
+        for a in self._disjunct.edge_atoms:
+            word, exp = _witness_atom(self._db.fwd, a.label, h[a.src], h[a.dst])
+            atoms.append(SuccinctAtom(a.src, word, exp, a.dst))
+        return SuccinctCQ(self._disjunct.variables(), tuple(atoms))
 
 
 @dataclass(frozen=True)
@@ -153,18 +184,73 @@ def _reverse_expr(e):
     raise TypeError(f"unknown expression: {e!r}")
 
 
-class _PathIndex:
-    """Memoized reachability along regex labels over a fixed edge set."""
+def _first_letters(e) -> frozenset:
+    """The letters that begin a non-empty word of e."""
+    if isinstance(e, Epsilon):
+        return frozenset()
+    if isinstance(e, Letter):
+        return frozenset((e.symbol,))
+    if isinstance(e, Concat):
+        out = set()
+        for part in e.parts:
+            out |= _first_letters(part)
+            if not nullable(part):
+                break
+        return frozenset(out)
+    if isinstance(e, Union):
+        return frozenset().union(*(_first_letters(p) for p in e.parts))
+    if isinstance(e, (Power, PowerLE)):
+        return frozenset((e.word[0],)) if e.exponent else frozenset()
+    if isinstance(e, Star):
+        return frozenset((e.word[0],))
+    raise TypeError(f"unknown expression: {e!r}")
 
-    def __init__(self, adjacency):
-        self.adj = adjacency
+
+class _PathIndex:
+    """Memoized reachability along regex labels, in one direction.
+
+    Vertices below ``nvars`` are variables, whose edges are listed in
+    ``adj`` by (vertex, letter).  Every other vertex p is an interior
+    position of one atom with exactly one edge: it reads ``letters[p]``
+    and leads to ``ends[p]`` at the atom's end, else to ``p + delta``.
+    """
+
+    def __init__(self, nvars, adj, letters, ends, delta):
+        self.nvars = nvars
+        self.adj = adj
+        self.letters = letters
+        self.ends = ends
+        self.delta = delta
         self.memo = {}
+        self._having = {}
+
+    def having(self, symbols) -> frozenset:
+        """The vertices with an edge reading one of symbols."""
+        found = []
+        for s in symbols:
+            got = self._having.get(s)
+            if got is None:
+                # the None letters of the variables never equal s
+                got = self._having[s] = frozenset(
+                    chain(
+                        (u for u, t in self.adj if t == s),
+                        compress(count(), map(eq, self.letters, repeat(s))),
+                    )
+                )
+            found.append(got)
+        return found[0] if len(found) == 1 else frozenset().union(*found)
 
     def walk_word(self, frontier, word):
+        nvars, adj, letters, ends, delta = (
+            self.nvars, self.adj, self.letters, self.ends, self.delta
+        )
         for s in word:
             nxt = set()
             for u in frontier:
-                nxt.update(self.adj.get((u, s), ()))
+                if u < nvars:
+                    nxt.update(adj.get((u, s), ()))
+                elif letters[u] == s:
+                    nxt.add(ends.get(u, u + delta))
             frontier = nxt
             if not frontier:
                 break
@@ -188,7 +274,7 @@ class _PathIndex:
         if isinstance(e, Epsilon):
             return frozenset((u,))
         if isinstance(e, Letter):
-            return frozenset(self.adj.get((u, e.symbol), ()))
+            return self.walk_word((u,), (e.symbol,))
         if isinstance(e, Concat):
             frontier = frozenset((u,))
             for part in e.parts:
@@ -253,13 +339,49 @@ class _PathIndex:
         return None
 
 
-def _adjacencies(cq: CQ):
-    out_adj = {}
-    in_adj = {}
-    for a in cq.atoms:
-        out_adj.setdefault((a.src, a.symbol), set()).add(a.dst)
-        in_adj.setdefault((a.dst, a.symbol), set()).add(a.src)
-    return out_adj, in_adj
+class _CanonicalDB:
+    """The canonical database of a normalized succinct CQ, by positions.
+
+    Variables are vertices 0..V-1 in the CQ's order; the |w|*n - 1
+    interior positions of each atom follow in atom order, so vertex
+    V + k - 1 is the one materialize names with suffix k.  Each atom adds
+    one adjacency entry per direction and one letter per interior
+    position; nothing is unrolled into named atoms.
+    """
+
+    def __init__(self, lam: SuccinctCQ):
+        self.variables = lam.variables
+        nvars = len(lam.variables)
+        index = {v: i for i, v in enumerate(lam.variables)}
+        out_adj, in_adj = {}, {}
+        # letters read leaving / entering each vertex; variables use the adjacency
+        out_letters = [None] * nvars
+        in_letters = [None] * nvars
+        last, first = {}, {}
+        for a in lam.atoms:
+            src, dst = index[a.src], index[a.dst]
+            path = a.word * a.exponent
+            if len(path) == 1:
+                head, tail = dst, src
+            else:
+                head = len(out_letters)
+                tail = head + len(path) - 2
+                out_letters.extend(path[1:])
+                in_letters.extend(path[:-1])
+                last[tail] = dst
+                first[head] = src
+            out_adj.setdefault((src, path[0]), set()).add(head)
+            in_adj.setdefault((dst, path[-1]), set()).add(tail)
+        self.vertices = range(len(out_letters))
+        self.fwd = _PathIndex(nvars, out_adj, out_letters, last, 1)
+        self.bwd = _PathIndex(nvars, in_adj, in_letters, first, -1)
+
+    def name(self, u) -> str:
+        """The name materialize gives vertex u."""
+        nvars = len(self.variables)
+        if u < nvars:
+            return self.variables[u]
+        return f"{fresh_prefix(set(self.variables))}{u - nvars + 1}"
 
 
 def _witness_atom(fwd, e, hu, hv):
@@ -292,28 +414,19 @@ def expansion_contained(
     """Is the expansion lam subsumed by some expansion of bounded_q?
 
     bounded_q must be star-free apart from whole-label stars, which the
-    reachability engine evaluates natively.  Returns Contained with the
-    chosen right-side expansion and homomorphism, or NotContained carrying
-    lam itself.
+    reachability engine evaluates natively.  lam is indexed by positions
+    (see _CanonicalDB), not unrolled into a CQ; its length, the sum of
+    |w|*n over its atoms, is bounded by ``max_materialized_atoms``.
+    Returns Contained, which recovers the chosen right-side expansion and
+    homomorphism on demand, or NotContained carrying lam itself.
     """
     lam_n = normalize_succinct(lam)
-    cq = materialize(lam_n, caps=caps)
-    out_adj, in_adj = _adjacencies(cq)
-    vertices = set(cq.variables)
-    fwd = _PathIndex(out_adj)
-    bwd = _PathIndex(in_adj)
-
-    q = collapse(bounded_q)
-    for d in q.disjuncts:
-        h = _disjunct_hom(d, vertices, fwd, bwd)
-        if h is None:
-            continue
-        atoms = []
-        for a in d.edge_atoms:
-            word, exp = _witness_atom(fwd, a.label, h[a.src], h[a.dst])
-            atoms.append(SuccinctAtom(a.src, word, exp, a.dst))
-        expansion = SuccinctCQ(d.variables(), tuple(atoms))
-        return Contained(expansion, dict(h))
+    check_length(lam_n, caps.max_materialized_atoms)
+    db = _CanonicalDB(lam_n)
+    for d in collapse(bounded_q).disjuncts:
+        h = _disjunct_hom(d, db)
+        if h is not None:
+            return Contained(d, h, db)
     return NotContained(lam_n)
 
 
@@ -323,7 +436,7 @@ def succinct_containment(
     """True iff the right CQ maps homomorphically into the left one.
 
     The right CQ is read as a one-disjunct query of w^n atoms and decided
-    by expansion_contained, so the left side is materialized within
+    by expansion_contained, so the left side's length is bounded by
     ``max_materialized_atoms``.
     """
     right = normalize_succinct(right)
@@ -336,45 +449,69 @@ def succinct_containment(
     return isinstance(expansion_contained(left, query, caps), Contained)
 
 
-def _disjunct_hom(d, vertices, fwd: _PathIndex, bwd: _PathIndex):
+def _unary_domains(d, fwd: _PathIndex, bwd: _PathIndex):
+    """Candidate sets that need no other variable's value.
+
+    A non-nullable atom's source must have an edge out on one of the
+    label's first letters and its target an edge in on one of its last
+    letters; a non-nullable self-loop's variable must reach itself.  A
+    nullable label constrains nothing (the empty path joins every vertex
+    to itself), and variables left out are unconstrained.
+    """
+    dom = {}
+
+    def restrict(v, allowed):
+        dom[v] = allowed if v not in dom else dom[v] & allowed
+
+    solid = [a for a in d.edge_atoms if not nullable(a.label)]
+    for a in solid:
+        restrict(a.src, fwd.having(_first_letters(a.label)))
+        restrict(a.dst, bwd.having(_first_letters(_reverse_expr(a.label))))
+    for a in solid:
+        if a.src == a.dst:
+            dom[a.src] = {u for u in dom[a.src] if u in fwd.reach(a.label, u)}
+    return dom
+
+
+def _disjunct_hom(d, db: _CanonicalDB):
+    fwd, bwd = db.fwd, db.bwd
     by_var = {v: [] for v in d.variables()}
     for a in d.edge_atoms:
         by_var[a.src].append(a)
         if a.dst != a.src:
             by_var[a.dst].append(a)
     order = sorted(d.variables(), key=lambda v: (-len(by_var[v]), v))
+    rank = {v: i for i, v in enumerate(order)}
+    dom = _unary_domains(d, fwd, bwd)
     assign = {}
 
     def candidates(v):
-        cands = None
+        cands = dom.get(v)
         for a in by_var[v]:
-            if a.src == v and a.dst == v:
-                if nullable(a.label):
-                    continue  # the empty path loops at every vertex
-                pool = vertices if cands is None else cands
-                cands = {u for u in pool if u in fwd.reach(a.label, u)}
-            elif a.src == v and a.dst in assign:
+            if a.src == v and a.dst in assign:
                 s = bwd.reach(_reverse_expr(a.label), assign[a.dst])
-                cands = set(s) if cands is None else cands & s
             elif a.dst == v and a.src in assign:
                 s = fwd.reach(a.label, assign[a.src])
-                cands = set(s) if cands is None else cands & s
-            if cands is not None and not cands:
-                return cands
-        return vertices if cands is None else cands
+            else:
+                continue
+            cands = s if cands is None else cands & s
+            if not cands:
+                break
+        return db.vertices if cands is None else cands
 
     def solve(todo):
         if not todo:
             return True
-        v = min(todo, key=lambda u: (len(candidates(u)), order.index(u)))
+        cands = {u: candidates(u) for u in todo}
+        v = min(todo, key=lambda u: (len(cands[u]), rank[u]))
         rest = [u for u in todo if u != v]
-        for u in sorted(candidates(v)):
+        for u in sorted(cands[v]):
             assign[v] = u
             if solve(rest):
                 return True
             del assign[v]
         return False
 
-    if solve(list(order)):
+    if solve(order):
         return dict(assign)
     return None

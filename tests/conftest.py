@@ -62,6 +62,17 @@ def gen_random_crpq_astar(rng: random.Random, max_atoms=3, star_prob=0.4) -> UCR
     return UCRPQ((CRPQ(tuple(atoms)),))
 
 
+def some_stars_over_b(q: UCRPQ, rng: random.Random) -> UCRPQ:
+    """The first disjunct of q with each star renamed to b* at even odds."""
+    atoms = tuple(
+        EdgeAtom(a.src, Star(("b",)), a.dst)
+        if isinstance(a.label, Star) and rng.random() < 0.5
+        else a
+        for a in q.disjuncts[0].atoms
+    )
+    return UCRPQ((CRPQ(atoms),))
+
+
 _CORPUS_SHAPES = (
     "?x -[{p}]-> ?y",
     "?x -[{p}]-> ?y, ?y -[{q}]-> ?z",

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import gen_random_crpq_astar
+from conftest import gen_random_crpq_astar, some_stars_over_b
 from crpqbound.config import DEFAULT_CAPS
 from crpqbound.expansion import (
     ExponentDomain,
@@ -26,9 +26,6 @@ from crpqbound.boundedness import (
 )
 from crpqbound.oracle import eval_on_graph, graph_of_cq
 from crpqbound.syntax import (
-    CRPQ,
-    UCRPQ,
-    EdgeAtom,
     Star,
     alphabet,
     collapse,
@@ -321,20 +318,9 @@ def _enumerate_then_skip(q, letters, z, probe, full):
     return "bounded", None, checks
 
 
-def _some_stars_over_b(q, rng):
-    d = q.disjuncts[0]
-    atoms = tuple(
-        EdgeAtom(a.src, Star(("b",)), a.dst)
-        if isinstance(a.label, Star) and rng.random() < 0.5
-        else a
-        for a in d.atoms
-    )
-    return UCRPQ((CRPQ(atoms),))
-
-
 def test_probe_generator_matches_enumerate_then_skip():
     rng = random.Random(31)
-    queries = [_some_stars_over_b(gen_random_crpq_astar(rng), rng) for _ in range(60)]
+    queries = [some_stars_over_b(gen_random_crpq_astar(rng), rng) for _ in range(60)]
     # one variable keeps Z small enough for two stars within the budget
     queries += [
         parse_ucrpq("?x -[a*]-> ?x, ?x -[b*]-> ?x, ?x -[c]-> ?x"),

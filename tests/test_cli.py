@@ -1,6 +1,7 @@
 """End-to-end command behaviour: exit codes, JSON shape, determinism."""
 
 import json
+import tracemalloc
 
 import pytest
 
@@ -118,6 +119,20 @@ def test_contains_materializes_a_long_left_side(qfile, capsys):
         rho = materialize(succinct_cq_from_crpq(parse_ucrpq(right_text).disjuncts[0]))
         assert main(["contains", left, right]) == code
         assert (cq_hom(rho, lam) is not None) == (code == 0)
+    capsys.readouterr()
+
+
+def test_contains_long_left_side_stays_small(qfile, capsys):
+    # the left side is indexed by positions, not unrolled into named atoms
+    left = qfile("?x -[a^100000]-> ?y\n", "l.txt")
+    right = qfile("?u -[a^2]-> ?t\n", "r.txt")
+    tracemalloc.start()
+    try:
+        assert main(["contains", left, right]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
     capsys.readouterr()
 
 

@@ -18,7 +18,21 @@ from crpqbound.homomorphism import (
     expansion_contained,
     succinct_containment,
 )
-from crpqbound.syntax import parse_ucrpq
+from crpqbound.oracle import eval_on_graph, graph_of_cq
+from crpqbound.syntax import (
+    CRPQ,
+    UCRPQ,
+    EdgeAtom,
+    Epsilon,
+    EqualityAtom,
+    Letter,
+    Power,
+    PowerLE,
+    Star,
+    concat,
+    parse_ucrpq,
+    union,
+)
 
 
 def _path_cq(symbols, prefix="p"):
@@ -234,3 +248,82 @@ def test_expansion_contained_yields_expansion_of_rhs():
         sorted((a.src, "".join(a.word), a.exponent, a.dst) for a in result.expansion.atoms)
     )
     assert found in rendered
+
+
+def _random_label(rng, depth=0):
+    word = tuple(rng.choice("ab") for _ in range(rng.randint(1, 2)))
+    kinds = ["letter", "power", "powerle", "eps"]
+    if depth == 0:
+        kinds += ["union", "concat", "star", "star"]
+    kind = rng.choice(kinds)
+    if kind == "letter":
+        return Letter(rng.choice("ab"))
+    if kind == "power":
+        return Power(word, rng.randint(0, 4))
+    if kind == "powerle":
+        return PowerLE(word, rng.randint(0, 3))
+    if kind == "eps":
+        return Epsilon()
+    if kind == "star":
+        return Star(word)
+    parts = tuple(_random_label(rng, depth + 1) for _ in range(rng.randint(2, 3)))
+    return union(parts) if kind == "union" else concat(parts)
+
+
+def _random_right_side(rng):
+    disjuncts = []
+    for _ in range(rng.randint(1, 2)):
+        pool = ("u", "v", "t")[: rng.randint(2, 3)]
+        atoms = [
+            EdgeAtom(rng.choice(pool), _random_label(rng), rng.choice(pool))
+            for _ in range(rng.randint(1, 3))
+        ]
+        if rng.random() < 0.15:
+            atoms.append(EqualityAtom(pool[0], pool[1]))
+        disjuncts.append(CRPQ(tuple(atoms)))
+    return UCRPQ(tuple(disjuncts))
+
+
+def _realizes(result, canonical):
+    """Each atom of the recovered expansion is a path between the images
+    that Contained.hom names in the materialized canonical database."""
+    out = {}
+    for a in canonical.atoms:
+        out.setdefault((a.src, a.symbol), set()).add(a.dst)
+    for a in result.expansion.atoms:
+        frontier = {result.hom[a.src]}
+        for s in a.word * a.exponent:
+            frontier = set().union(*(out.get((u, s), ()) for u in frontier))
+        if result.hom[a.dst] not in frontier:
+            return False
+    return True
+
+
+def test_expansion_contained_matches_evaluation_on_materialized_left():
+    # left sides have 1-4 atoms over 2-4 variables and exponents 0-5, so
+    # length-1 atoms, self-loops, parallel and exponent-0 atoms all occur
+    rng = random.Random(5)
+    seen = {True: 0, False: 0}
+    for i in range(400):
+        lam = gen_random_succinct_cq(rng, max_exp=5)
+        q = _random_right_side(rng)
+        canonical = materialize(lam)
+        want = eval_on_graph(q, graph_of_cq(canonical))
+        result = expansion_contained(lam, q)
+        assert isinstance(result, Contained) == want, (i, lam, q)
+        if want:
+            assert set(result.hom.values()) <= set(canonical.variables), (i, lam, q)
+            assert _realizes(result, canonical), (i, lam, q)
+        seen[want] += 1
+    assert min(seen.values()) > 100
+
+
+def test_contained_hom_names_interior_positions_as_materialize_does():
+    q = parse_ucrpq("?u -[a^3]-> ?v, ?u -[a^4]-> ?w")
+    lam = SuccinctCQ(("x", "y"), (SuccinctAtom("x", ("a",), 4, "y"),))
+    assert expansion_contained(lam, q).hom == {"u": "x", "v": "z3", "w": "y"}
+    # a variable that looks like a midpoint name lengthens the prefix
+    lam = SuccinctCQ(("y", "z1"), (SuccinctAtom("z1", ("a",), 4, "y"),))
+    result = expansion_contained(lam, q)
+    assert result.hom == {"u": "z1", "v": "zz3", "w": "y"}
+    assert "zz3" in materialize(lam).variables
