@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Fuzz the succinct algorithms against their brute-force counterparts.
 
-Four rounds: NFA membership vs materialized membership, succinct CQ
-containment (the reachability engine behind ``crpqbound contains`` and the
-boundedness checks) vs cq_hom on both materialized sides, probe expansions
+Four rounds: NFA membership (small exponents and exponents up to 10^4)
+vs materialized membership, succinct CQ containment (the reachability
+engine behind ``crpqbound contains`` and the boundedness checks) vs
+cq_hom on both materialized sides, probe expansions
 of random a-star queries against their bounded right sides (some stars
 left whole) vs evaluation on the materialized probe, and boundedness
 verdicts cross-checked by oracle evaluation on witness databases or sampled
@@ -61,15 +62,16 @@ class FuzzConfig:
 
 
 def fuzz_membership(cfg: FuzzConfig) -> int:
+    """Each automaton is asked about a small m and about an m up to 10^4."""
     rng = random.Random(cfg.seed)
     bad = 0
     for i in range(cfg.nfa_trials):
         nfa = gen_random_snfa(rng)
         v = gen_random_word(rng)
-        m = rng.randint(0, 16)
-        if membership(nfa, v, m) != nfa_membership_brute(nfa, v, m):
-            bad += 1
-            print(f"  membership mismatch at trial {i}: v={v} m={m} nfa={nfa}")
+        for m in (rng.randint(0, 16), rng.randint(0, 10**4)):
+            if membership(nfa, v, m) != nfa_membership_brute(nfa, v, m):
+                bad += 1
+                print(f"  membership mismatch at trial {i}: v={v} m={m} nfa={nfa}")
     return bad
 
 

@@ -295,19 +295,6 @@ def is_bounded(
     return _analyze(q, None, caps, full_enumeration, zplus_mode)
 
 
-def rewrite(
-    q: UCRPQ,
-    caps: Caps = DEFAULT_CAPS,
-    full_enumeration: bool = False,
-    zplus_mode: str = "paper",
-) -> UCRPQ:
-    """The star-free equivalent q(Z); an error unless q is bounded."""
-    report = is_bounded(q, caps, full_enumeration, zplus_mode)
-    if report.verdict != "bounded":
-        raise ValueError(f"query is not provably bounded ({report.verdict})")
-    return report.rewriting
-
-
 def is_bounded_in(
     q: UCRPQ,
     letters,

@@ -15,6 +15,7 @@ verdict.  Reports with the same inputs and seed are byte-identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -402,12 +403,22 @@ def _add_caps_flags(sub) -> None:
     sub.add_argument(
         "--cap-atoms", type=int, help="longest expansion (letters) checked or materialized"
     )
-    sub.add_argument("--cap-length", type=int, help="length DP budget")
+    sub.add_argument(
+        "--cap-length",
+        type=int,
+        help="residues per state in member's length search; longest word the oracles unroll",
+    )
     sub.add_argument("--cap-word-len", type=int, help="materialized word length budget")
-    sub.add_argument("--cap-semilinear", type=int, help="semilinear set size budget")
+    sub.add_argument(
+        "--cap-semilinear",
+        type=int,
+        help="lengths per state in member's acyclic length search",
+    )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process."""
     parser = _Parser(
         prog="crpqbound",
         description="Boundedness analysis for recursive graph queries.",
@@ -439,14 +450,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     analyze.add_argument("--seed", type=int, help="sampling seed (or CRPQ_BOUND_SEED)")
     _add_caps_flags(analyze)
-    analyze.set_defaults(func=cmd_analyze)
 
     contains = subs.add_parser("contains", help="succinct CQ containment in a query")
     contains.add_argument("left", help="contained query file")
     contains.add_argument("right", help="containing query file")
     contains.add_argument("--json", action="store_true")
     _add_caps_flags(contains)
-    contains.set_defaults(func=cmd_contains)
 
     member = subs.add_parser("member", help="succinct NFA membership of v^m")
     member.add_argument("automaton", help="automaton file ('-' for stdin)")
@@ -454,28 +463,32 @@ def build_parser() -> argparse.ArgumentParser:
     member.add_argument("exponent", type=int, help="exponent m")
     member.add_argument("--json", action="store_true")
     _add_caps_flags(member)
-    member.set_defaults(func=cmd_member)
 
     qbfgen = subs.add_parser("qbfgen", help="emit the query reduction of a formula")
     qbfgen.add_argument("qbf", help="formula file ('-' for stdin)")
     qbfgen.add_argument("--emit", choices=("q", "q1", "q2"), default="q")
-    qbfgen.set_defaults(func=cmd_qbfgen)
 
     evaluate = subs.add_parser("eval", help="evaluate a query over a CSV edge list")
     evaluate.add_argument("--graph", required=True, help="CSV file of src,label,dst rows")
     evaluate.add_argument("--query", required=True, help="query file ('-' for stdin)")
     evaluate.add_argument("--json", action="store_true")
     _add_caps_flags(evaluate)
-    evaluate.set_defaults(func=cmd_eval)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
-        return ns.func(ns)
+        ns = build_parser().parse_args(argv)
+        # looked up per call, so a handler replaced on the module is the one run
+        handler = {
+            "analyze": cmd_analyze,
+            "contains": cmd_contains,
+            "member": cmd_member,
+            "qbfgen": cmd_qbfgen,
+            "eval": cmd_eval,
+        }[ns.command]
+        return handler(ns)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EX_USAGE

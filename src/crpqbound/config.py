@@ -20,12 +20,14 @@ class Caps:
         containment check indexes as its left side or that materialize
         unrolls.
     max_length_dp:
-        Largest path-length target the reachability engines handle.
+        Most residues one state holds, per pivot, in the exact length
+        search behind succinct-NFA membership; also the longest word,
+        transition or power the brute-force oracles unroll.
     max_word_len:
         Longest word allowed under a star or power when materializing.
     max_semilinear:
-        Most residues tracked per strongly connected component in the
-        exact length-set route.
+        Most lengths one state holds once the length search has cut
+        every cycle and propagates length sets over the acyclic rest.
     """
 
     max_expansions: int = 10**5

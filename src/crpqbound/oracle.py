@@ -74,14 +74,6 @@ def load_graph_csv(path) -> GraphDB:
     return GraphDB(tuple(vertices), tuple(sorted(set(edges))))
 
 
-def save_graph_csv(db: GraphDB, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("src", "label", "dst"))
-        for edge in db.edges:
-            writer.writerow(edge)
-
-
 # ------------------------------------------------- materialized NFA oracles
 
 
@@ -224,38 +216,38 @@ def _atom_relation(label, db: GraphDB, caps: Caps):
         if sym is None:
             eps_adj.setdefault(s, set()).add(d)
         else:
-            sym_adj.setdefault((s, sym), set()).add(d)
+            sym_adj.setdefault(s, set()).add((sym, d))
     graph_adj = {}
     for u, sym, v in db.edges:
         graph_adj.setdefault((u, sym), set()).add(v)
 
-    def closure(pairs):
-        out = set(pairs)
-        stack = list(pairs)
-        while stack:
-            u, q = stack.pop()
-            for q2 in eps_adj.get(q, ()):
-                if (u, q2) not in out:
-                    out.add((u, q2))
-                    stack.append((u, q2))
-        return out
+    closed = {}
+
+    def closure(q):
+        """The automaton states epsilon-reachable from q, found once per state."""
+        if q not in closed:
+            out = {q}
+            stack = [q]
+            while stack:
+                for q2 in eps_adj.get(stack.pop(), ()):
+                    if q2 not in out:
+                        out.add(q2)
+                        stack.append(q2)
+            closed[q] = out
+        return closed[q]
 
     relation = {}
     for u0 in db.vertices:
-        current = closure({(u0, start)})
-        seen = set(current)
-        stack = list(current)
+        seen = {(u0, q) for q in closure(start)}
+        stack = list(seen)
         while stack:
             u, q = stack.pop()
-            for (qq, sym), q2s in sym_adj.items():
-                if qq != q:
-                    continue
+            for sym, q2 in sym_adj.get(q, ()):
                 for v in graph_adj.get((u, sym), ()):
-                    for q2 in q2s:
-                        for pair in closure({(v, q2)}):
-                            if pair not in seen:
-                                seen.add(pair)
-                                stack.append(pair)
+                    for q3 in closure(q2):
+                        if (v, q3) not in seen:
+                            seen.add((v, q3))
+                            stack.append((v, q3))
         targets = {u for (u, q) in seen if q == end}
         if targets:
             relation[u0] = targets

@@ -101,13 +101,6 @@ def parse_qbf(text: str) -> QBF:
     return QBF(n, l, tuple(clauses))
 
 
-def render_qbf(phi: QBF) -> str:
-    lines = [f"forall 1..{phi.n}", f"exists {phi.n + 1}..{phi.n + phi.l}"]
-    for clause in phi.clauses:
-        lines.append(" ".join(str(i) for i in clause) + " 0")
-    return "\n".join(lines) + "\n"
-
-
 # ------------------------------------------------------------------- gadgets
 
 

@@ -4,13 +4,16 @@ The central question answered here is membership of v^m (m in binary) in
 the language of such an automaton.  The decision runs in three stages:
 normalize away zero-length transitions, build a product automaton whose
 accepted words are exactly the accepted powers of v, then ask whether the
-product accepts a word of length m*|v|.  The length question is solved
-exactly with semilinear length sets when the loop structure allows, and
-by a bounded dynamic program otherwise.
+product accepts a word of length m*|v|.  The length question has one
+exact route for every automaton: each cycle is cut at a pivot state whose
+walks are counted by residues modulo its shortest closed walk, and the
+acyclic rest propagates finite length sets.  The work is bounded by the
+pivots' shortest closed walks rather than by m.
 """
 
 from __future__ import annotations
 
+import heapq
 import re
 from dataclasses import dataclass
 from graphlib import CycleError, TopologicalSorter
@@ -18,7 +21,7 @@ from math import gcd
 
 from crpqbound.config import DEFAULT_CAPS, Caps
 from crpqbound.errors import CapExceeded, ParseError
-from crpqbound.syntax import Epsilon, Power, as_word, parse_regex, render_regex, word_expr
+from crpqbound.syntax import Epsilon, Power, as_word, parse_regex
 
 # ----------------------------------------------------------------- structure
 
@@ -145,219 +148,116 @@ def build_product(nfa: SuccinctNFA, v) -> SuccinctNFA:
     return SuccinctNFA(states, tuple(transitions), f"{nfa.initial}@0", finals)
 
 
-# ----------------------------------------------------------------- length sets
-
-
-@dataclass(frozen=True)
-class LengthSet:
-    """A set of naturals: finitely many points plus arithmetic progressions.
-
-    Each progression (base, period) denotes {base + k*period : k >= 0}.
-    """
-
-    finite: frozenset
-    progressions: tuple
-
-    EMPTY = None  # set below
-
-    def is_empty(self) -> bool:
-        return not self.finite and not self.progressions
-
-    def contains(self, x: int) -> bool:
-        if x in self.finite:
-            return True
-        return any(x >= b and (x - b) % p == 0 for b, p in self.progressions)
-
-    def shift(self, d: int) -> "LengthSet":
-        return LengthSet(
-            frozenset(x + d for x in self.finite),
-            tuple((b + d, p) for b, p in self.progressions),
-        )
-
-    def union(self, other: "LengthSet", caps: Caps = DEFAULT_CAPS) -> "LengthSet":
-        return _normalize_ls(
-            self.finite | other.finite,
-            self.progressions + other.progressions,
-            caps,
-        )
-
-    def minkowski(self, other: "LengthSet", caps: Caps = DEFAULT_CAPS) -> "LengthSet":
-        """Pointwise sum of two length sets, kept exact."""
-        if self.is_empty() or other.is_empty():
-            return LengthSet.EMPTY
-        finite = frozenset(a + b for a in self.finite for b in other.finite)
-        progs = []
-        for f in self.finite:
-            progs.extend((b + f, p) for b, p in other.progressions)
-        for f in other.finite:
-            progs.extend((b + f, p) for b, p in self.progressions)
-        for b1, p1 in self.progressions:
-            for b2, p2 in other.progressions:
-                sg = semigroup((p1, p2), caps).shift(b1 + b2)
-                finite = finite | sg.finite
-                progs.extend(sg.progressions)
-        return _normalize_ls(finite, tuple(progs), caps)
-
-
-LengthSet.EMPTY = LengthSet(frozenset(), ())
-
-
-def length_set(values=(), progressions=()) -> LengthSet:
-    return _normalize_ls(frozenset(values), tuple(progressions), DEFAULT_CAPS)
-
-
-def _normalize_ls(finite, progs, caps: Caps) -> LengthSet:
-    kept = []
-    for b, p in sorted(set(progs)):
-        covered = any(
-            p % p2 == 0 and b >= b2 and (b - b2) % p2 == 0 for b2, p2 in kept
-        )
-        if not covered:
-            kept.append((b, p))
-    fin = frozenset(
-        x for x in finite if not any(x >= b and (x - b) % p == 0 for b, p in kept)
-    )
-    if len(fin) + len(kept) > caps.max_semilinear:
-        raise CapExceeded(caps.max_semilinear, "length set too large")
-    return LengthSet(fin, tuple(kept))
-
-
-def semigroup(generators, caps: Caps = DEFAULT_CAPS) -> LengthSet:
-    """All sums of the generators (with repetition, including the empty sum).
-
-    Exact: shortest-path over residues modulo the smallest generator gives,
-    per residue class, the least representable value; everything congruent
-    above it is representable too.
-    """
-    gens = sorted({g for g in generators if g > 0})
-    if not gens:
-        return length_set(values=[0])
-    g0 = gens[0]
-    if g0 > caps.max_semilinear:
-        raise CapExceeded(caps.max_semilinear, "semigroup modulus too large")
-    import heapq
-
-    dist = {0: 0}
-    heap = [(0, 0)]
-    while heap:
-        d, r = heapq.heappop(heap)
-        if dist.get(r, None) != d:
-            continue
-        for g in gens[1:]:
-            nd, nr = d + g, (r + g) % g0
-            if nd < dist.get(nr, nd + 1):
-                dist[nr] = nd
-                heapq.heappush(heap, (nd, nr))
-    return _normalize_ls(
-        frozenset(), tuple((dist[r], g0) for r in sorted(dist)), caps
-    )
-
-
 # --------------------------------------------------------------- length reach
 
 
-def _weighted_graph(nfa: SuccinctNFA):
-    edges = {}
-    loops = {}
-    for t in nfa.transitions:
-        w = t.length
-        if t.src == t.dst:
-            loops.setdefault(t.src, set()).add(w)
-        else:
-            edges.setdefault((t.src, t.dst), set()).add(w)
-    return edges, loops
+def _dijkstra(start, step, limit):
+    """Yield (distance, node) in settling order, ignoring distances above limit.
+
+    ``step(node)`` yields (successor, edge length) pairs.
+    """
+    dist = {start: 0}
+    heap = [(0, start)]
+    while heap:
+        d, node = heapq.heappop(heap)
+        if d > dist[node]:
+            continue
+        yield d, node
+        for nxt, w in step(node):
+            nd = d + w
+            if nd <= limit and nd < dist.get(nxt, nd + 1):
+                dist[nxt] = nd
+                heapq.heappush(heap, (nd, nxt))
+
+
+def _reachable(starts, adj, live) -> set:
+    seen = {q for q in starts if q in live}
+    stack = list(seen)
+    while stack:
+        for nxt, _ in adj[stack.pop()]:
+            if nxt in live and nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    return seen
+
+
+def _through_pivot(p, out, live, initial, finals, target, caps) -> bool:
+    """Is there an initial-to-final walk of length target that visits p?
+
+    With c the length of a closed walk through p, the walks through p have
+    exactly the lengths l_r + k*c (k >= 0), where l_r is the shortest of
+    them with length r modulo c.  One Dijkstra over (state, residue,
+    visited p) finds l_r for the residue of the target.
+    """
+
+    def step(q):
+        return ((v, w) for v, w in out[q] if v in live)
+
+    # any closed walk longer than the target answers like one of length target+1
+    c = min(
+        (d + w for d, q in _dijkstra(p, step, target) for v, w in step(q) if v == p),
+        default=target + 1,
+    )
+    goal = target % c
+
+    def residue_step(node):
+        q, r, through = node
+        return (((v, (r + w) % c, through or v == p), w) for v, w in step(q))
+
+    held = {}
+    for _, (q, r, through) in _dijkstra((initial, 0, initial == p), residue_step, target):
+        if through and r == goal and q in finals:
+            return True
+        held[q, through] = held.get((q, through), 0) + 1
+        if held[q, through] > caps.max_length_dp:
+            raise CapExceeded(caps.max_length_dp, "residue table too large")
+    return False
 
 
 def length_reach(nfa: SuccinctNFA, target_length: int, caps: Caps = DEFAULT_CAPS) -> bool:
     """Is there an initial-to-final path of total label length target_length?
 
-    Transitions count as their materialized length |w|*n.  Tries the exact
-    semilinear route first (valid whenever the graph without self-loops is
-    acyclic); falls back to a bitset dynamic program up to the length cap.
+    Transitions count as their materialized length |w|*n.  While the
+    useful states (reachable from the initial state and reaching a final)
+    contain a cycle, one state p of it is a pivot: the walks through p are
+    decided by residues modulo p's shortest closed walk, and p is deleted.
+    The acyclic rest propagates the finite sets of lengths up to the
+    target in topological order.  Exact; a pivot's table holds at most
+    min(c, target_length + 1) residues per state, for c its shortest
+    closed walk, so the work does not grow with target_length beyond c.
     """
     if target_length < 0:
         return False
     nfa = normalize(nfa)
     if target_length == 0:
         return nfa.initial in nfa.finals
-    edges, loops = _weighted_graph(nfa)
-    try:
-        return _reach_semilinear(nfa, edges, loops, target_length, caps)
-    except _NotADag:
-        pass
-    except CapExceeded:
-        pass
-    if target_length > caps.max_length_dp:
-        raise CapExceeded(
-            caps.max_length_dp, "length target too large for cyclic automaton"
-        )
-    return _reach_bitset(nfa, edges, loops, target_length)
-
-
-class _NotADag(Exception):
-    pass
-
-
-def _reach_semilinear(nfa, edges, loops, target, caps) -> bool:
-    graph = {q: set() for q in nfa.states}
-    for (u, v) in edges:
-        graph[v].add(u)  # TopologicalSorter wants predecessor sets
-    try:
-        order = list(TopologicalSorter(graph).static_order())
-    except CycleError:
-        raise _NotADag()
-    incoming = {}
-    for (u, v), ws in edges.items():
-        incoming.setdefault(v, []).append((u, ws))
+    out = {q: [] for q in nfa.states}
+    into = {q: [] for q in nfa.states}
+    for t in nfa.transitions:
+        out[t.src].append((t.dst, t.length))
+        into[t.dst].append((t.src, t.length))
+    finals = set(nfa.finals)
+    live = set(nfa.states)
+    while True:
+        live = _reachable([nfa.initial], out, live) & _reachable(finals, into, live)
+        graph = {q: {u for u, _ in into[q] if u in live} for q in live}
+        try:
+            order = list(TopologicalSorter(graph).static_order())
+            break
+        except CycleError as exc:
+            p = exc.args[1][0]
+        if _through_pivot(p, out, live, nfa.initial, finals, target_length, caps):
+            return True
+        live.discard(p)
     reach = {}
     for q in order:
-        base = LengthSet.EMPTY
-        if q == nfa.initial:
-            base = base.union(length_set(values=[0]), caps)
-        for u, ws in incoming.get(q, ()):
-            r = reach.get(u)
-            if r is None or r.is_empty():
-                continue
-            for w in ws:
-                base = base.union(r.shift(w), caps)
-        if base.is_empty():
-            continue
-        if q in loops:
-            base = base.minkowski(semigroup(loops[q], caps), caps)
-        reach[q] = base
-    return any(
-        f in reach and reach[f].contains(target) for f in nfa.finals
-    )
-
-
-def _reach_bitset(nfa, edges, loops, target) -> bool:
-    mask = (1 << (target + 1)) - 1
-    bits = {q: 0 for q in nfa.states}
-    bits[nfa.initial] = 1
-    out = {}
-    for (u, v), ws in edges.items():
-        out.setdefault(u, []).append((v, ws))
-    for u, ws in loops.items():
-        out.setdefault(u, []).append((u, ws))
-    from collections import deque
-
-    queue = deque([nfa.initial])
-    queued = {nfa.initial}
-    while queue:
-        u = queue.popleft()
-        queued.discard(u)
-        bu = bits[u]
-        for v, ws in out.get(u, ()):
-            add = 0
-            for w in ws:
-                add |= (bu << w) & mask
-            if add | bits[v] != bits[v]:
-                bits[v] |= add
-                if v not in queued:
-                    queued.add(v)
-                    queue.append(v)
-    probe = 1 << target
-    return any(bits[f] & probe for f in nfa.finals)
+        lengths = {0} if q == nfa.initial else set()
+        for u, w in into[q]:
+            lengths.update(x + w for x in reach.get(u, ()) if x + w <= target_length)
+        if len(lengths) > caps.max_semilinear:
+            raise CapExceeded(caps.max_semilinear, "length set too large")
+        reach[q] = lengths
+    return any(target_length in reach.get(f, ()) for f in finals)
 
 
 # ----------------------------------------------------------------- membership
@@ -427,15 +327,3 @@ def parse_nfa(text: str) -> SuccinctNFA:
         raise ParseError("missing 'finals:' line", 1, 1)
     return SuccinctNFA(tuple(sorted(states)), tuple(transitions), initial, finals)
 
-
-def render_nfa(nfa: SuccinctNFA) -> str:
-    lines = [f"initial: {nfa.initial}", "finals: " + " ".join(nfa.finals)]
-    for t in sorted(nfa.transitions, key=lambda t: (t.src, t.word, t.exponent, t.dst)):
-        if t.length == 0:
-            label = "eps"
-        elif t.exponent == 1:
-            label = render_regex(word_expr(t.word))
-        else:
-            label = render_regex(Power(t.word, t.exponent))
-        lines.append(f"{t.src} -[{label}]-> {t.dst}")
-    return "\n".join(lines) + "\n"

@@ -22,7 +22,6 @@ from crpqbound.boundedness import (
     is_bounded_in,
     maximal_bounded_letters,
     per_disjunct_bounds,
-    rewrite,
 )
 from crpqbound.oracle import eval_on_graph, graph_of_cq
 from crpqbound.syntax import (
@@ -93,14 +92,9 @@ def test_single_star_atom_bounded():
     assert report.mode["shortcut"] == "nullable-disjunct"
 
 
-def test_rewrite_raises_on_unbounded():
-    with pytest.raises(ValueError, match="not provably bounded"):
-        rewrite(parse_ucrpq("?x -[a*]-> ?y, ?x -[b]-> ?y"))
-
-
 def test_rewrite_returns_bound_query():
     q = parse_ucrpq("?x -[a]-> ?y, ?x -[a*]-> ?z, ?z -[b]-> ?w")
-    assert rewrite(q) == bound_query(q, 108)
+    assert is_bounded(q).rewriting == bound_query(q, 108)
 
 
 def test_witness_reconfirmed_by_materialized_oracle():

@@ -144,6 +144,30 @@ def test_member_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+CYCLIC_NFA = (
+    "initial: p\nfinals: f\n"
+    "p -[a^7]-> q\nq -[a^5]-> p\nq -[(aa)^2]-> q\np -[a^3]-> f\n"
+)
+
+
+def test_member_cyclic_automaton_beyond_a_million(tmp_path, capsys):
+    # accepted lengths: 3, and 3 + 12k + 4j for k >= 1, j >= 0
+    nfa = tmp_path / "c.nfa"
+    nfa.write_text(CYCLIC_NFA)
+    assert main(["member", str(nfa), "a", "1999999"]) == 0
+    assert main(["member", str(nfa), "a", "2000000"]) == 1
+    capsys.readouterr()
+
+
+def test_successive_calls_share_no_state(tmp_path, capsys):
+    nfa = tmp_path / "m.nfa"
+    nfa.write_text("initial: p\nfinals: f\np -[(ab)^3]-> f\n")
+    assert main(["member", str(nfa), "ab", "3", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["verdict"] == "member"
+    assert main(["member", str(nfa), "ab", "3"]) == 0
+    assert capsys.readouterr().out == "member\n"
+
+
 def test_eval_exit_codes(tmp_path, qfile, capsys):
     g = tmp_path / "g.csv"
     g.write_text("src,label,dst\nu,a,v\n")
