@@ -112,13 +112,29 @@ def test_length_reach_examples():
     assert length_reach(coin, 8)
 
 
+def _self_loops(gens):
+    """One state whose self-loops have lengths ``gens``: it accepts exactly
+    the lengths of the numerical semigroup those lengths generate."""
+    return _nfa([SNFATransition("p", ("a",), g, "p") for g in gens], "p", ["p"])
+
+
+def test_length_reach_matches_semigroup_dp():
+    generators = (3, 5)
+    loops = _self_loops(generators)
+    reachable = {0}
+    for _ in range(40):
+        reachable |= {r + g for r in reachable for g in generators}
+    for target in range(0, 50):
+        assert length_reach(loops, target) == (target in reachable)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.lists(st.integers(min_value=1, max_value=9), min_size=1, max_size=3),
     st.integers(min_value=0, max_value=60),
 )
-def test_length_reach_on_self_loops_matches_generator_sums(gens, target):
-    loops = _nfa([SNFATransition("p", ("a",), g, "p") for g in gens], "p", ["p"])
+def test_semigroup_membership_is_sound(gens, target):
+    loops = _self_loops(gens)
     sums = {0}
     for _ in range(70):
         new = {s + g for s in sums for g in gens if s + g <= 70}
