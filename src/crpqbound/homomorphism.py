@@ -10,14 +10,28 @@ expansion of a star-free (or letter-restricted) union query maps into it,
 interleaving the right side's branch and exponent choices with the
 variable assignment search by memoized regex reachability.
 succinct_containment poses succinct CQ containment to that same engine.
+
+Reachability along w^<=n and w* is arithmetic over atoms, not letter by
+letter.  Inside an atom u^e the letters have period |u| and the copies of
+w period |w|; by Fine and Wilf, two such streams that agree on |u| + |w|
+letters agree to the atom's end, so that many comparisons decide whether
+the copies run through the atom, and the positions where whole copies end
+form one arithmetic progression.  A Dijkstra over (vertex, phase of w),
+whose vertices are the variables and the positions where atoms are
+entered, keeps the least number of letters read; that is exact for up
+to n copies, because from one state, fewer copies read so far leave more
+to read and so reach a superset.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from heapq import heappop, heappush
 from itertools import chain, compress, count, repeat
-from operator import eq
+from math import inf
+from operator import eq, itemgetter
 
 from crpqbound.config import DEFAULT_CAPS, Caps
 from crpqbound.expansion import (
@@ -26,6 +40,7 @@ from crpqbound.expansion import (
     SuccinctCQ,
     check_length,
     fresh_prefix,
+    max_word_len,
     normalize_succinct,
     nullable,
     ssf_words,
@@ -175,10 +190,8 @@ def _reverse_expr(e):
         return concat(tuple(_reverse_expr(p) for p in reversed(e.parts)))
     if isinstance(e, Union):
         return union(tuple(_reverse_expr(p) for p in e.parts))
-    if isinstance(e, Power):
-        return Power(tuple(reversed(e.word)), e.exponent)
-    if isinstance(e, PowerLE):
-        return PowerLE(tuple(reversed(e.word)), e.exponent)
+    if isinstance(e, (Power, PowerLE)):
+        return type(e)(tuple(reversed(e.word)), e.exponent)
     if isinstance(e, Star):
         return Star(tuple(reversed(e.word)))
     raise TypeError(f"unknown expression: {e!r}")
@@ -213,14 +226,21 @@ class _PathIndex:
     ``adj`` by (vertex, letter).  Every other vertex p is an interior
     position of one atom with exactly one edge: it reads ``letters[p]``
     and leads to ``ends[p]`` at the atom's end, else to ``p + delta``.
+    ``spans`` lists each atom's (lowest, highest interior position,
+    |word|) in ascending order; both directions share it.  ``w^<=n`` and
+    ``w*`` are read atom by atom (_copies): by Fine and Wilf, comparing
+    |word| + |w| letters decides whether the copies of w run to the
+    atom's end, and the least letters read per (vertex, phase of w) is
+    exact for up to n copies.
     """
 
-    def __init__(self, nvars, adj, letters, ends, delta):
+    def __init__(self, nvars, adj, letters, ends, delta, spans):
         self.nvars = nvars
         self.adj = adj
         self.letters = letters
         self.ends = ends
         self.delta = delta
+        self.spans = spans
         self.memo = {}
         self._having = {}
 
@@ -289,10 +309,11 @@ class _PathIndex:
             return frozenset(out)
         if isinstance(e, Power):
             return self._power(e.word, e.exponent, u)
-        if isinstance(e, PowerLE):
-            return self._accumulate(e.word, e.exponent, u)
-        if isinstance(e, Star):
-            return self._accumulate(e.word, None, u)
+        if isinstance(e, (PowerLE, Star)):
+            limit = inf if isinstance(e, Star) else len(e.word) * e.exponent
+            copies = self._copies(e.word, u, limit)
+            # via a set: a frozenset filled from an iterator can keep a larger table
+            return frozenset(set().union(*(r for r, _ in copies)))
         raise TypeError(f"unknown expression: {e!r}")
 
     def _power(self, word, n, u) -> frozenset:
@@ -309,34 +330,47 @@ class _PathIndex:
             trace.append(frontier)
         return frontier
 
-    def _accumulate(self, word, n, u) -> frozenset:
-        frontier = frozenset((u,))
-        acc = set(frontier)
-        seen = {frontier}
-        step = 0
-        while n is None or step < n:
-            frontier = self.walk_word(frontier, word)
-            step += 1
-            if frontier in seen:
-                break
-            seen.add(frontier)
-            acc.update(frontier)
-        return frozenset(acc)
+    def _copies(self, word, u, limit):
+        """Where reading w^k from u ends, for k*|w| up to limit letters:
+        (vertices, d) pairs, whose range's first vertex is reached after d
+        letters and each next one |w| letters later."""
+        nvars, adj, letters, ends, delta, spans = (
+            self.nvars, self.adj, self.letters, self.ends, self.delta, self.spans
+        )
+        lw = len(word)
+        dist, heap, found = {(u, 0): 0}, [(0, u)], []
+        while heap:
+            d, v = heappop(heap)
+            if dist[v, d % lw] < d:
+                continue
+            if v < nvars:
+                if d % lw == 0:
+                    found.append((range(v, v + 1), d))
+                steps = [(x, d + 1) for x in adj.get((v, word[d % lw]), ())]
+            else:
+                # the rest of v's atom against the copies of w
+                low, high, period = spans[bisect_right(spans, v, key=itemgetter(0)) - 1]
+                last = high if delta > 0 else low
+                room = (last - v) * delta + 1
+                width = min(room, period + lw)
+                miss = (t for t in range(width) if letters[v + t * delta] != word[(d + t) % lw])
+                read = next(miss, room)
+                lo, hi = -d % lw, min(read, room - 1, limit - d)
+                if lo <= hi:
+                    found.append((range(v + lo * delta, v + (hi + 1) * delta, lw * delta), d + lo))
+                steps = [(ends[last], d + room)] if read == room else []
+            for x, dx in steps:
+                if dx <= limit and dx < dist.get((x, dx % lw), dx + 1):
+                    dist[x, dx % lw] = dx
+                    heappush(heap, (dx, x))
+        return found
 
     def steps_to(self, word, source, target, limit=None):
         """Least k with target reachable from source by reading word^k."""
-        frontier = frozenset((source,))
-        seen = set()
-        k = 0
-        while frontier not in seen:
-            if target in frontier:
-                return k
-            seen.add(frontier)
-            frontier = self.walk_word(frontier, word)
-            k += 1
-            if limit is not None and k > limit:
-                break
-        return None
+        lw = len(word)
+        copies = self._copies(word, source, inf if limit is None else limit * lw)
+        d = min((d + r.index(target) * lw for r, d in copies if target in r), default=None)
+        return None if d is None else d // lw
 
 
 class _CanonicalDB:
@@ -345,8 +379,8 @@ class _CanonicalDB:
     Variables are vertices 0..V-1 in the CQ's order; the |w|*n - 1
     interior positions of each atom follow in atom order, so vertex
     V + k - 1 is the one materialize names with suffix k.  Each atom adds
-    one adjacency entry per direction and one letter per interior
-    position; nothing is unrolled into named atoms.
+    one adjacency entry per direction, one letter per interior position
+    and one span; nothing is unrolled into named atoms.
     """
 
     def __init__(self, lam: SuccinctCQ):
@@ -358,6 +392,7 @@ class _CanonicalDB:
         out_letters = [None] * nvars
         in_letters = [None] * nvars
         last, first = {}, {}
+        spans = []
         for a in lam.atoms:
             src, dst = index[a.src], index[a.dst]
             path = a.word * a.exponent
@@ -370,11 +405,12 @@ class _CanonicalDB:
                 in_letters.extend(path[:-1])
                 last[tail] = dst
                 first[head] = src
+                spans.append((head, tail, len(a.word)))
             out_adj.setdefault((src, path[0]), set()).add(head)
             in_adj.setdefault((dst, path[-1]), set()).add(tail)
         self.vertices = range(len(out_letters))
-        self.fwd = _PathIndex(nvars, out_adj, out_letters, last, 1)
-        self.bwd = _PathIndex(nvars, in_adj, in_letters, first, -1)
+        self.fwd = _PathIndex(nvars, out_adj, out_letters, last, 1, spans)
+        self.bwd = _PathIndex(nvars, in_adj, in_letters, first, -1, spans)
 
     def name(self, u) -> str:
         """The name materialize gives vertex u."""
@@ -455,6 +491,8 @@ def _unary_domains(d, fwd: _PathIndex, bwd: _PathIndex):
     A non-nullable atom's source must have an edge out on one of the
     label's first letters and its target an edge in on one of its last
     letters; a non-nullable self-loop's variable must reach itself.  A
+    closed walk through an interior position reads its whole atom, so a
+    self-loop whose words are all shorter skips the atom's positions.  A
     nullable label constrains nothing (the empty path joins every vertex
     to itself), and variables left out are unconstrained.
     """
@@ -469,7 +507,11 @@ def _unary_domains(d, fwd: _PathIndex, bwd: _PathIndex):
         restrict(a.dst, bwd.having(_first_letters(_reverse_expr(a.label))))
     for a in solid:
         if a.src == a.dst:
-            dom[a.src] = {u for u in dom[a.src] if u in fwd.reach(a.label, u)}
+            longest = max_word_len(a.label)
+            fits = set(range(fwd.nvars)).union(
+                *(range(lo, hi + 1) for lo, hi, _ in fwd.spans if hi - lo + 2 <= longest)
+            )
+            dom[a.src] = {u for u in dom[a.src] if u in fits and u in fwd.reach(a.label, u)}
     return dom
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from crpqbound.boundedness import compute_bounds
 from crpqbound.config import DEFAULT_CAPS, Caps
-from crpqbound.errors import CapExceeded
+from crpqbound.errors import CapExceeded, UnsupportedFragment
 from crpqbound.expansion import CQ, ExponentDomain, enumerate_expansions, materialize
 from crpqbound.qbfgen import QBF
 from crpqbound.succinct_nfa import SuccinctNFA
@@ -355,7 +355,7 @@ def _star_ceiling(q: UCRPQ, q2: UCRPQ) -> int:
     for query in (q, q2):
         try:
             z = max(z, compute_bounds(query).z)
-        except Exception:
+        except UnsupportedFragment:  # a star nested in a label
             z = max(z, 8)
     return min(z + 2, 64)
 

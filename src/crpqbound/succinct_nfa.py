@@ -103,6 +103,11 @@ def normalize(nfa: SuccinctNFA) -> SuccinctNFA:
     )
 
 
+def _epsilon_free(nfa: SuccinctNFA) -> SuccinctNFA:
+    """nfa if no transition has length 0 (it is normal already), else normalize(nfa)."""
+    return nfa if all(t.length for t in nfa.transitions) else normalize(nfa)
+
+
 # -------------------------------------------------------------- product build
 
 
@@ -132,7 +137,7 @@ def build_product(nfa: SuccinctNFA, v) -> SuccinctNFA:
     v = tuple(v)
     if not v:
         raise ValueError("v must be non-empty")
-    nfa = normalize(nfa)
+    nfa = _epsilon_free(nfa)
     lv = len(v)
     states = tuple(f"{q}@{i}" for q in nfa.states for i in range(lv))
     transitions = []
@@ -228,7 +233,7 @@ def length_reach(nfa: SuccinctNFA, target_length: int, caps: Caps = DEFAULT_CAPS
     """
     if target_length < 0:
         return False
-    nfa = normalize(nfa)
+    nfa = _epsilon_free(nfa)
     if target_length == 0:
         return nfa.initial in nfa.finals
     out = {q: [] for q in nfa.states}

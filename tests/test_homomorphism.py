@@ -10,10 +10,12 @@ from crpqbound.expansion import (
     bound_query,
     enumerate_expansions,
     materialize,
+    normalize_succinct,
 )
 from crpqbound.homomorphism import (
     Contained,
     NotContained,
+    _CanonicalDB,
     cq_hom,
     expansion_contained,
     succinct_containment,
@@ -327,3 +329,69 @@ def test_contained_hom_names_interior_positions_as_materialize_does():
     result = expansion_contained(lam, q)
     assert result.hom == {"u": "z1", "v": "zz3", "w": "y"}
     assert "zz3" in materialize(lam).variables
+
+
+def _least_copies(edges, word, start, n):
+    """{vertex: least k} over the vertices that reading word^k from start
+    reaches in the letter graph edges, for k <= n (any k if n is None)."""
+    least = {start: 0}
+    frontier = frozenset((start,))
+    seen = set()
+    k = 0
+    while (n is None or k < n) and frontier not in seen:
+        seen.add(frontier)
+        for s in word:
+            frontier = frozenset(v for u in frontier for v in edges.get((u, s), ()))
+        k += 1
+        for v in frontier:
+            least.setdefault(v, k)
+    return least
+
+
+def test_reach_along_powers_matches_materialized_walk():
+    # atom and label words of length 1-4 make periods that disagree
+    # late; the reference walks materialize's letter edges, reversed for bwd
+    rng = random.Random(8)
+
+    def word():
+        return tuple(rng.choice("ab") for _ in range(rng.randint(1, 4)))
+
+    for i in range(150):
+        pool = ("x", "y", "z")[: rng.randint(1, 3)]
+        atoms = tuple(
+            SuccinctAtom(rng.choice(pool), word(), rng.randint(0, 5), rng.choice(pool))
+            for _ in range(rng.randint(1, 4))
+        )
+        lam = normalize_succinct(SuccinctCQ(pool, atoms))
+        canonical = materialize(lam)
+        names = canonical.variables
+        fwd_edges, bwd_edges = {}, {}
+        for a in canonical.atoms:
+            fwd_edges.setdefault((a.src, a.symbol), set()).add(a.dst)
+            bwd_edges.setdefault((a.dst, a.symbol), set()).add(a.src)
+        db = _CanonicalDB(lam)
+        assert db.vertices == range(len(names))
+        longest = max(a.length for a in lam.atoms) if lam.atoms else 0
+        for _ in range(3):
+            w = word()
+            n = rng.choice((None, 0, 1, 2, longest // len(w) + rng.randint(1, 3)))
+            label = Star(w) if n is None else PowerLE(w, n)
+            for index, edges in ((db.fwd, fwd_edges), (db.bwd, bwd_edges)):
+                for u, name in enumerate(names):
+                    least = _least_copies(edges, w, name, n)
+                    got = {names[v] for v in index.reach(label, u)}
+                    assert got == set(least), (i, lam, label, name)
+                    targets = rng.sample(names, min(3, len(names)))
+                    targets += rng.sample(sorted(least), min(3, len(least)))
+                    for t in targets:
+                        k = index.steps_to(w, u, names.index(t), n)
+                        assert k == least.get(t), (i, lam, label, name, t)
+
+
+def test_self_loop_rotation_maps_to_interior_position():
+    # a closed walk through an interior position reads its whole atom, so
+    # the rotation aba of the loop x -[aab]-> x fits only from inside it
+    lam = SuccinctCQ(("x",), (SuccinctAtom("x", ("a", "a", "b"), 1, "x"),))
+    assert expansion_contained(lam, parse_ucrpq("?u -[aba]-> ?u")).hom == {"u": "z1"}
+    for text in ("?u -[ab]-> ?u", "?u -[aba]-> ?u, ?u -[b]-> ?v"):
+        assert isinstance(expansion_contained(lam, parse_ucrpq(text)), NotContained)

@@ -8,6 +8,7 @@ from conftest import gen_random_crpq_astar
 from crpqbound.expansion import ExponentDomain, enumerate_expansions, materialize
 from crpqbound.oracle import (
     GraphDB,
+    _star_ceiling,
     eval_on_graph,
     graph_of_cq,
     load_graph_csv,
@@ -138,6 +139,14 @@ def test_sampled_equivalence_disagreement_replays():
     v2 = sampled_equivalence(q, bound_query(q, 16), trials=5, graph_size=4, seed=9)
     assert v1.kind == v2.kind == "disagree"
     assert v1.instance == v2.instance
+
+
+def test_star_ceiling_falls_back_on_nested_stars():
+    # compute_bounds refuses a star inside a concatenation; the ceiling
+    # then assumes Z = 8 for that query
+    nested = parse_ucrpq("?x -[a b*]-> ?y")
+    assert _star_ceiling(nested, nested) == 10
+    assert _star_ceiling(nested, parse_ucrpq("?x -[a]-> ?y")) == 10
 
 
 def test_qbf_examples():
