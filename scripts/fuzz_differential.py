@@ -7,8 +7,10 @@ engine behind ``crpqbound contains`` and the boundedness checks) vs
 cq_hom on both materialized sides, probe expansions
 of random a-star queries against their bounded right sides (some stars
 left whole) vs evaluation on the materialized probe, and boundedness
-verdicts cross-checked by oracle evaluation on witness databases or sampled
-equivalence of rewritings, and against the full-enumeration verdict.  Any
+verdicts cross-checked by oracle evaluation on witness databases or on
+expansions just past the threshold, and against the full-enumeration
+verdict; the letter analysis's per-letter witnesses are replayed the
+same way and its maximal set is checked for confluence.  Any
 disagreement prints a replay line and the script exits nonzero.
 """
 
@@ -28,7 +30,12 @@ from conftest import (  # noqa: E402
     gen_random_word,
     some_stars_over_b,
 )
-from crpqbound.boundedness import compute_bounds, is_bounded  # noqa: E402
+from crpqbound.boundedness import (  # noqa: E402
+    compute_bounds,
+    is_bounded,
+    is_bounded_in,
+    maximal_bounded_letters,
+)
 from crpqbound.config import DEFAULT_CAPS  # noqa: E402
 from crpqbound.expansion import (  # noqa: E402
     ExponentDomain,
@@ -127,10 +134,16 @@ def fuzz_boundedness(cfg: FuzzConfig) -> int:
     database of every expansion at exponents z+1 and z+2 must still
     satisfy the star-free rewriting.  Every query is also decided with
     full enumeration, whose conclusive verdict must agree.
+
+    The letter analysis runs on each query with some stars renamed to b*.
+    Every unbounded letter's witness is replayed against q with only that
+    letter's stars capped, and when no letter is inconclusive the query
+    must be bounded in the maximal set (confluence).
     """
     rng = random.Random(cfg.seed + 2)
+    letters_rng = random.Random(cfg.seed + 4)
     caps = replace(DEFAULT_CAPS, max_expansions=20000)
-    bad = inconclusive = 0
+    bad = inconclusive = letter_runs = 0
     for i in range(cfg.boundedness_queries):
         q = gen_random_crpq_astar(rng)
         report = is_bounded(q, caps)
@@ -162,7 +175,27 @@ def fuzz_boundedness(cfg: FuzzConfig) -> int:
                     if db.vertices and not eval_on_graph(report.rewriting, db):
                         bad += 1
                         print(f"  rewriting refuted at query {i}: {q}")
-    print(f"  ({inconclusive} queries inconclusive under the fuzz budget)")
+
+        lq = some_stars_over_b(q, letters_rng)
+        letters = maximal_bounded_letters(lq, caps)
+        letter_runs += len(letters.per_letter)
+        for a, run in letters.per_letter:
+            if run.verdict != "unbounded":
+                continue
+            db = graph_of_cq(materialize(run.witness))
+            if not eval_on_graph(lq, db) or eval_on_graph(
+                bound_letters(lq, {a}, run.bounds.z), db
+            ):
+                bad += 1
+                print(f"  letter {a} witness not confirmed at query {i}: {lq}")
+        if not letters.inconclusive:
+            if is_bounded_in(lq, letters.letters, caps).verdict != "bounded":
+                bad += 1
+                print(f"  not bounded in the maximal letters at query {i}: {lq}")
+    print(
+        f"  ({inconclusive} queries inconclusive under the fuzz budget, "
+        f"{letter_runs} letter runs)"
+    )
     return bad
 
 

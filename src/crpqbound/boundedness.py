@@ -111,22 +111,31 @@ def _safe_probe(profile: BoundsProfile) -> int:
 
 @dataclass
 class AnalysisReport:
+    """The outcome of one analysis, whichever entry point ran it.
+
+    letters is the letter set asked about (None for is_bounded), or, from
+    maximal_bounded_letters, the maximal set found.  Only that entry point
+    fills per_letter, with one (letter, is_bounded_in report) pair per
+    star letter; its stats are their sum, and rewriting and witness stay
+    None because they belong to the single letters.
+    """
+
     verdict: str  # "bounded" | "unbounded" | "inconclusive"
     bounds: BoundsProfile
-    per_disjunct: tuple
     rewriting: UCRPQ | None
     witness: SuccinctCQ | None
     letters: frozenset | None
     stats: Stats
     mode: dict
     inconclusive_reason: str | None = None
+    per_letter: tuple | None = None
 
-
-@dataclass(frozen=True)
-class LettersResult:
-    letters: frozenset
-    inconclusive: frozenset
-    per_letter: tuple  # (letter, verdict) pairs, sorted by letter
+    @property
+    def inconclusive(self) -> frozenset:
+        """The letters whose own run was inconclusive."""
+        return frozenset(
+            a for a, r in self.per_letter or () if r.verdict == "inconclusive"
+        )
 
 
 # ------------------------------------------------------------ the decision
@@ -149,35 +158,39 @@ def _has_nullable_disjunct(rhs: UCRPQ) -> bool:
     )
 
 
-def _disjunct_counts(d, z, probe, full, letters, caps):
-    """Raw combination count and probe check count for one disjunct.
+def _probe_counts(qc, z, probe, full, letters, caps):
+    """Raw combination count and probe check count, summed over disjuncts.
 
     A probe combination has at least one capped star above z; the others
     are expansions of q(Z) and need no check.  Pure arithmetic, so that
     astronomically large Z never materializes a value tuple before the
     budget check.
     """
-    base = 1
-    capped_stars = free_stars = 0
-    for a in d.edge_atoms:
-        if isinstance(a.label, Star):
-            if is_capped(a.label.word, letters):
-                capped_stars += 1
-            else:
-                free_stars += 1
-        else:
-            base *= star_free_choice_count(a.label, caps)
+    raw = real = 0
     per = probe + 1 if full else z + 2
-    raw = base * per ** (capped_stars + free_stars)
-    trivial = base * (z + 1) ** capped_stars * per**free_stars
-    return raw, raw - trivial
+    for d in qc.disjuncts:
+        base = 1
+        capped_stars = free_stars = 0
+        for a in d.edge_atoms:
+            if isinstance(a.label, Star):
+                if is_capped(a.label.word, letters):
+                    capped_stars += 1
+                else:
+                    free_stars += 1
+            else:
+                base *= star_free_choice_count(a.label, caps)
+        total = base * per ** (capped_stars + free_stars)
+        raw += total
+        real += total - base * (z + 1) ** capped_stars * per**free_stars
+    return raw, real
 
 
 def _decide(qc, rhs, z, probe, letters, caps, full, stats, mode):
     """Check every probe expansion of qc against rhs.
 
     Returns (verdict, witness, reason); the witness is the first
-    uncontained probe expansion in enumeration order.
+    uncontained probe expansion in enumeration order.  The budget bounds
+    the raw combinations, which are never fewer than the probe checks.
     """
     if _has_nullable_disjunct(rhs):
         # some right-side disjunct expands to isolated points, which map
@@ -185,27 +198,18 @@ def _decide(qc, rhs, z, probe, letters, caps, full, stats, mode):
         mode["shortcut"] = "nullable-disjunct"
         return "bounded", None, None
 
-    def counts(use_full):
-        raw = real = 0
-        for d in qc.disjuncts:
-            total, checks = _disjunct_counts(d, z, probe, use_full, letters, caps)
-            raw += total
-            real += checks
-        return raw, real
-
-    effective_full = full
     try:
-        raw, real = counts(effective_full)
+        raw, real = _probe_counts(qc, z, probe, full, letters, caps)
+        if full and raw > caps.max_expansions:
+            # full enumeration over budget; fall back to the restricted grid
+            full = False
+            raw, real = _probe_counts(qc, z, probe, full, letters, caps)
     except CapExceeded as exc:
         return "inconclusive", None, str(exc)
-    if effective_full and max(raw, real) > caps.max_expansions:
-        effective_full = False
-        raw, real = counts(effective_full)
-        stats.notes.append("full enumeration over budget; fell back to restricted")
-    mode["full_enumeration_effective"] = effective_full
+    mode["full_enumeration_effective"] = full
     mode["raw_combos"] = raw
     mode["real_checks"] = real
-    if max(raw, real) > caps.max_expansions:
+    if raw > caps.max_expansions:
         reason = (
             f"needs {real} containment checks over {raw} combinations, "
             f"budget {caps.max_expansions}"
@@ -215,7 +219,7 @@ def _decide(qc, rhs, z, probe, letters, caps, full, stats, mode):
     # the budget check bounds every enumeration below the expansion cap
     capped = False
     for d in qc.disjuncts:
-        dom, probed = _probe_grid(d, z, probe, effective_full, letters)
+        dom, probed = _probe_grid(d, z, probe, full, letters)
         for lam in enumerate_expansions(d, dom, caps=caps, above=(probed, z)):
             stats.expansions_checked += 1
             try:
@@ -241,8 +245,7 @@ def _analyze(q, letters, caps, full_enumeration, zplus_mode) -> AnalysisReport:
         check_single_letter_stars(q)
         letters = frozenset(letters)
     qc = collapse(q)
-    per = tuple(_disjunct_profile(d) for d in qc.disjuncts)
-    agg = max(per, key=lambda p: p.z)
+    agg = max((_disjunct_profile(d) for d in qc.disjuncts), key=lambda p: p.z)
     z = agg.z
     probe = agg.z_plus if zplus_mode == "paper" else _safe_probe(agg)
     stats = Stats()
@@ -266,7 +269,6 @@ def _analyze(q, letters, caps, full_enumeration, zplus_mode) -> AnalysisReport:
     return AnalysisReport(
         verdict=verdict,
         bounds=agg,
-        per_disjunct=per,
         rewriting=bound_letters(q, letters, z) if verdict == "bounded" else None,
         witness=witness,
         letters=letters,
@@ -317,30 +319,49 @@ def maximal_bounded_letters(
     caps: Caps = DEFAULT_CAPS,
     full_enumeration: bool = False,
     zplus_mode: str = "paper",
-) -> LettersResult:
-    """The union of star letters a with q bounded in {a}.
+) -> AnalysisReport:
+    """The union of star letters a with q bounded in {a}, as one report.
 
-    Single-letter boundedness is confluent, so the union is itself a set
-    the query is bounded in, and it is maximal among star letters.  A
+    Each star letter gets its own is_bounded_in(q, {a}) run, kept in
+    per_letter.  Single-letter boundedness is confluent, so the union of
+    the bounded letters is itself a set the query is bounded in, and it
+    is maximal among star letters; it becomes the report's letters.  A
     query with no stars is vacuously bounded in every alphabet letter.
-    Letters whose check hits a cap are reported separately; the returned
-    set then under-approximates.
+    The verdict is inconclusive if some letter's run is (the set then
+    under-approximates), else unbounded if some letter is unbounded, else
+    bounded.
     """
+    t0 = time.monotonic()
     check_ssf_wstar(q)
     check_single_letter_stars(q)
-    stars = star_letters(q)
-    if not stars:
-        return LettersResult(frozenset(alphabet(q)), frozenset(), ())
-    bounded = set()
-    inconclusive = set()
-    per_letter = []
-    for a in sorted(stars):
-        report = is_bounded_in(q, {a}, caps, full_enumeration, zplus_mode)
-        per_letter.append((a, report.verdict))
-        if report.verdict == "bounded":
-            bounded.add(a)
-        elif report.verdict == "inconclusive":
-            inconclusive.add(a)
-    return LettersResult(
-        frozenset(bounded), frozenset(inconclusive), tuple(per_letter)
+    per_letter = tuple(
+        (a, is_bounded_in(q, {a}, caps, full_enumeration, zplus_mode))
+        for a in sorted(star_letters(q))
     )
+    verdicts = {r.verdict for _, r in per_letter}
+    verdict = next(
+        (v for v in ("inconclusive", "unbounded") if v in verdicts), "bounded"
+    )
+    bounded = frozenset(a for a, r in per_letter if r.verdict == "bounded")
+    stats = Stats(
+        expansions_checked=sum(r.stats.expansions_checked for _, r in per_letter),
+        nfa_calls=sum(r.stats.nfa_calls for _, r in per_letter),
+    )
+    report = AnalysisReport(
+        verdict=verdict,
+        bounds=compute_bounds(q),
+        rewriting=None,
+        witness=None,
+        letters=bounded if per_letter else alphabet(q),
+        stats=stats,
+        mode={
+            "letters": "max",
+            "zplus_mode": zplus_mode,
+            "full_enumeration": full_enumeration,
+            "per_letter": [[a, r.verdict] for a, r in per_letter],
+        },
+        per_letter=per_letter,
+    )
+    report.mode["inconclusive_letters"] = sorted(report.inconclusive)
+    stats.wall_ms = (time.monotonic() - t0) * 1000.0
+    return report

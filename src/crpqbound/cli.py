@@ -23,11 +23,13 @@ from dataclasses import replace
 
 from crpqbound.boundedness import (
     AnalysisReport,
-    compute_bounds,
     is_bounded,
     is_bounded_in,
     maximal_bounded_letters,
 )
+
+# unused here; kept importable because the benchmark's layer trace patches it
+from crpqbound.boundedness import compute_bounds  # noqa: F401
 from crpqbound.config import DEFAULT_CAPS, Caps
 from crpqbound.errors import CapExceeded, ParseError, UnsupportedFragment
 from crpqbound.expansion import (
@@ -50,12 +52,10 @@ from crpqbound.qbfgen import build_q1, build_q2, parse_qbf, reduction
 from crpqbound.succinct_nfa import membership, parse_nfa
 from crpqbound.syntax import (
     UCRPQ,
-    Star,
     alphabet,
     collapse,
     parse_ucrpq,
     render_ucrpq,
-    star_letters,
 )
 
 EX_YES = 0
@@ -159,7 +159,7 @@ def _report_json(report: AnalysisReport, seed: int, cli_mode: dict) -> dict:
         "bounds": _bounds_dict(report.bounds),
         "rewriting": render_ucrpq(report.rewriting) if report.rewriting else None,
         "witness": render_succinct_cq(report.witness) if report.witness else None,
-        "maximal_letters": None,
+        "maximal_letters": None if report.per_letter is None else sorted(report.letters),
         "stats": {
             "expansions_checked": report.stats.expansions_checked,
             "nfa_calls": report.stats.nfa_calls,
@@ -171,24 +171,20 @@ def _report_json(report: AnalysisReport, seed: int, cli_mode: dict) -> dict:
     }
 
 
-def _derivation_line(b) -> str:
+def _print_report(report: AnalysisReport) -> None:
+    b = report.bounds
     words = " * ".join(str(len(w)) for w in b.rec_words) or "1"
-    return (
+    print(f"verdict: {report.verdict}")
+    print("bounds: " + " ".join(f"{k}={v}" for k, v in _bounds_dict(b).items()))
+    print(
         f"Z derivation: nratoms^3 * N * nrvars * prod|w| = "
         f"{b.nratoms}^3 * {b.n_len} * {b.nrvars} * {words} = {b.z}"
     )
-
-
-def _print_report(report: AnalysisReport, verdict: str) -> None:
-    b = report.bounds
-    print(f"verdict: {verdict}")
-    print(
-        "bounds: "
-        f"nratoms={b.nratoms} nrvars={b.nrvars} N={b.n_len} "
-        f"Zred={b.z_red} Zcol={b.z_col} Z={b.z} Zplus={b.z_plus}"
-    )
-    print(_derivation_line(b))
-    if report.mode.get("letters") is not None:
+    if report.per_letter is not None:
+        print(f"maximal_letters: {','.join(sorted(report.letters)) or '(none)'}")
+        for letter, letter_report in report.per_letter:
+            print(f"  {letter}: {letter_report.verdict}")
+    elif report.mode.get("letters") is not None:
         print(f"letters: {report.mode['letters']}")
     if report.rewriting is not None:
         print(f"rewriting: {render_ucrpq(report.rewriting)}")
@@ -204,49 +200,46 @@ def _print_report(report: AnalysisReport, verdict: str) -> None:
     )
 
 
-def _verify_bounded(q: UCRPQ, rewriting: UCRPQ, caps: Caps, seed: int) -> bool | None:
-    try:
-        verdict = sampled_equivalence(q, rewriting, trials=40, graph_size=5, seed=seed, caps=caps)
-    except CapExceeded:
-        return None
-    if verdict.kind == "skipped":
-        return None
-    return verdict.kind == "agree"
+def _verify_report(q: UCRPQ, report: AnalysisReport, caps: Caps, seed: int):
+    """Yield (subject, outcome) for each verdict --oracle-verify replays.
 
-
-def _verify_unbounded(q: UCRPQ, report: AnalysisReport, caps: Caps) -> bool | None:
-    rhs = bound_letters(q, report.letters, report.bounds.z)
-    try:
-        db = graph_of_cq(materialize(report.witness, caps=caps))
-        holds_in_q = eval_on_graph(q, db, caps)
-        holds_in_rhs = eval_on_graph(rhs, db, caps)
-    except CapExceeded:
-        return None
-    return holds_in_q and not holds_in_rhs
-
-
-def _verify_report(q: UCRPQ, report: AnalysisReport, caps: Caps, seed: int) -> bool | None:
-    if report.verdict == "bounded":
-        return _verify_bounded(q, report.rewriting, caps, seed)
-    if report.verdict == "unbounded":
-        return _verify_unbounded(q, report, caps)
-    return None
+    A bounded rewriting is sampled for equivalence with q; an unbounded
+    witness is evaluated on its own canonical database.  The outcome is
+    False when the oracle contradicts the verdict and None when a cap
+    stopped the replay.  A --letters max report replays the rewriting of
+    each bounded letter's own run.
+    """
+    if report.per_letter is None:
+        runs = [("verdict", report)]
+    else:
+        runs = [(f"letter {a}", r) for a, r in report.per_letter if r.verdict == "bounded"]
+    for subject, run in runs:
+        try:
+            if run.verdict == "bounded":
+                sample = sampled_equivalence(
+                    q, run.rewriting, trials=40, graph_size=5, seed=seed, caps=caps
+                )
+                outcome = None if sample.kind == "skipped" else sample.kind == "agree"
+            elif run.verdict == "unbounded":
+                db = graph_of_cq(materialize(run.witness, caps=caps))
+                rhs = bound_letters(q, run.letters, run.bounds.z)
+                in_q, in_rhs = eval_on_graph(q, db, caps), eval_on_graph(rhs, db, caps)
+                outcome = in_q and not in_rhs
+            else:
+                continue
+        except CapExceeded:
+            outcome = None
+        yield subject, outcome
 
 
 def cmd_analyze(ns) -> int:
     q = parse_ucrpq(_read_text(ns.file))
     caps = _caps_from(ns)
     seed = _seed_from(ns)
-    cli_mode = {
-        "oracle_verify": bool(ns.oracle_verify),
-        "cap": caps.max_expansions,
-    }
-
-    if ns.letters == "max":
-        return _analyze_max(ns, q, caps, seed, cli_mode)
-
     if ns.letters is None:
         report = is_bounded(q, caps, ns.full_enumeration, ns.zplus_mode)
+    elif ns.letters == "max":
+        report = maximal_bounded_letters(q, caps, ns.full_enumeration, ns.zplus_mode)
     else:
         if ns.letters == "all":
             letters = frozenset(alphabet(q))
@@ -255,73 +248,19 @@ def cmd_analyze(ns) -> int:
         report = is_bounded_in(q, letters, caps, ns.full_enumeration, ns.zplus_mode)
 
     if ns.json:
+        cli_mode = {"oracle_verify": bool(ns.oracle_verify), "cap": caps.max_expansions}
         _emit_json(_report_json(report, seed, cli_mode))
     else:
-        _print_report(report, report.verdict)
+        _print_report(report)
 
     if ns.oracle_verify:
-        outcome = _verify_report(q, report, caps, seed)
-        if outcome is False:
-            print("oracle verify: verdict contradicted by sampling", file=sys.stderr)
-            return EX_VERIFY_FAILED
-        if outcome is None and report.verdict != "inconclusive":
-            print("oracle verify: skipped (caps)", file=sys.stderr)
-    return _VERDICT_EXIT[report.verdict]
-
-
-def _analyze_max(ns, q: UCRPQ, caps: Caps, seed: int, cli_mode: dict) -> int:
-    result = maximal_bounded_letters(q, caps, ns.full_enumeration, ns.zplus_mode)
-    stars = frozenset(star_letters(q))
-    if result.inconclusive:
-        verdict = "inconclusive"
-    elif stars <= result.letters:
-        verdict = "bounded"
-    else:
-        verdict = "unbounded"
-    bounds = compute_bounds(q)
-    mode = {
-        "letters": "max",
-        "zplus_mode": ns.zplus_mode,
-        "full_enumeration": ns.full_enumeration,
-        "per_letter": [list(pair) for pair in result.per_letter],
-        "inconclusive_letters": sorted(result.inconclusive),
-    }
-    mode.update(cli_mode)
-    if ns.json:
-        payload = {
-            "schema": 1,
-            "verdict": verdict,
-            "bounds": _bounds_dict(bounds),
-            "rewriting": None,
-            "witness": None,
-            "maximal_letters": sorted(result.letters),
-            "stats": {
-                "expansions_checked": 0,
-                "nfa_calls": 0,
-                "wall_ms": 0,
-                "seed": seed,
-            },
-            "mode": mode,
-        }
-        _emit_json(payload)
-    else:
-        print(f"verdict: {verdict}")
-        print(f"maximal_letters: {','.join(sorted(result.letters)) or '(none)'}")
-        for letter, letter_verdict in result.per_letter:
-            print(f"  {letter}: {letter_verdict}")
-        print(_derivation_line(bounds))
-    if ns.oracle_verify:
-        for letter in sorted(result.letters):
-            report = is_bounded_in(q, {letter}, caps, ns.full_enumeration, ns.zplus_mode)
-            if report.verdict != "bounded":
-                continue
-            if _verify_bounded(q, report.rewriting, caps, seed) is False:
-                print(
-                    f"oracle verify: letter {letter} contradicted by sampling",
-                    file=sys.stderr,
-                )
+        for subject, outcome in _verify_report(q, report, caps, seed):
+            if outcome is False:
+                print(f"oracle verify: {subject} contradicted by sampling", file=sys.stderr)
                 return EX_VERIFY_FAILED
-    return _VERDICT_EXIT[verdict]
+            if outcome is None:
+                print(f"oracle verify: {subject} skipped (caps)", file=sys.stderr)
+    return _VERDICT_EXIT[report.verdict]
 
 
 # ------------------------------------------------------- other subcommands

@@ -6,7 +6,7 @@ truncating.  A :class:`Stats` object threads through analysis calls so
 callers can report how much work a verdict cost.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -44,8 +44,6 @@ class Stats:
     expansions_checked: int = 0
     nfa_calls: int = 0
     wall_ms: float = 0.0
-    seed: int | None = None
-    notes: list[str] = field(default_factory=list)
 
 
 DEFAULT_CAPS = Caps()

@@ -1,11 +1,13 @@
 """The boundedness decision, bounds arithmetic, and letter analyses."""
 
+import itertools
 import random
 from dataclasses import replace
 
 import pytest
 
 from conftest import gen_random_crpq_astar, some_stars_over_b
+from crpqbound import boundedness
 from crpqbound.config import DEFAULT_CAPS
 from crpqbound.expansion import (
     ExponentDomain,
@@ -182,6 +184,58 @@ def test_confluence_union_of_bounded_letters():
             continue
         union_report = is_bounded_in(q, result.letters, TIGHT)
         assert union_report.verdict == "bounded", q
+
+
+def test_maximal_letters_report_keeps_each_letter_run():
+    rng = random.Random(24)
+    verdicts = set()
+    for _ in range(40):
+        q = some_stars_over_b(gen_random_crpq_astar(rng, 4, 0.6), rng)
+        report = maximal_bounded_letters(q, TIGHT)
+        assert [a for a, _ in report.per_letter] == sorted(star_letters(q))
+        for a, run in report.per_letter:
+            fresh = is_bounded_in(q, {a}, TIGHT)
+            assert (run.verdict, run.witness, run.rewriting) == (
+                fresh.verdict, fresh.witness, fresh.rewriting
+            ), q
+            assert run.stats.expansions_checked == fresh.stats.expansions_checked
+        letter_verdicts = [run.verdict for _, run in report.per_letter]
+        if "inconclusive" in letter_verdicts:
+            want = "inconclusive"
+        elif "unbounded" in letter_verdicts:
+            want = "unbounded"
+        else:
+            want = "bounded"
+        assert report.verdict == want, q
+        verdicts.add(want)
+        bounded = {a for a, run in report.per_letter if run.verdict == "bounded"}
+        assert report.letters == (bounded if report.per_letter else alphabet(q))
+        assert report.inconclusive == {
+            a for a, run in report.per_letter if run.verdict == "inconclusive"
+        }
+        assert report.stats.expansions_checked == sum(
+            run.stats.expansions_checked for _, run in report.per_letter
+        )
+        assert (report.rewriting, report.witness) == (None, None)
+        assert report.bounds == compute_bounds(q)
+    assert verdicts == {"bounded", "unbounded", "inconclusive"}
+
+
+def test_maximal_letters_verdict_is_the_gravest_letter_verdict(monkeypatch):
+    q = parse_ucrpq("?x -[a*]-> ?y, ?x -[b*]-> ?y")
+    run = is_bounded_in(q, {"a"})
+    grave = ("inconclusive", "unbounded", "bounded")
+    for va, vb in itertools.product(grave, repeat=2):
+        given = {"a": va, "b": vb}
+        monkeypatch.setattr(
+            boundedness,
+            "is_bounded_in",
+            lambda q, letters, *args: replace(run, verdict=given[min(letters)]),
+        )
+        report = maximal_bounded_letters(q)
+        assert report.verdict == min((va, vb), key=grave.index)
+        assert report.letters == {a for a, v in given.items() if v == "bounded"}
+        assert report.inconclusive == {a for a, v in given.items() if v == "inconclusive"}
 
 
 def test_trivial_direction_expansions_of_bound_are_expansions():

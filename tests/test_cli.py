@@ -2,9 +2,12 @@
 
 import json
 import tracemalloc
+from types import SimpleNamespace
 
 import pytest
 
+from crpqbound import boundedness, cli
+from crpqbound.boundedness import is_bounded_in
 from crpqbound.cli import main
 from crpqbound.expansion import materialize, succinct_cq_from_crpq
 from crpqbound.homomorphism import cq_hom
@@ -14,6 +17,8 @@ from crpqbound.syntax import parse_ucrpq
 CLAIM = "?x -[(ab)*]-> ?y, ?x -[a]-> ?z, ?z -[b]-> ?w\n"
 ASTARB = "?x -[a*]-> ?y, ?x -[b]-> ?y\n"
 LEAFY = "?x -[a]-> ?y, ?y -[c*]-> ?z\n"
+# two star letters: a is unbounded, c bounded
+LEAFY2 = "?x -[a*]-> ?y, ?x -[b]-> ?y, ?x -[c*]-> ?w\n"
 
 
 @pytest.fixture
@@ -62,6 +67,63 @@ def test_analyze_letters_max_json(qfile, capsys):
     assert main(["analyze", qfile(LEAFY), "--letters", "max", "--json"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["maximal_letters"] == ["c"]
+
+
+def test_analyze_letters_max_reports_summed_stats(qfile, capsys):
+    path = qfile(LEAFY2)
+    assert main(["analyze", path, "--letters", "max", "--json"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    q = parse_ucrpq(LEAFY2)
+    runs = [is_bounded_in(q, {a}) for a in "ac"]
+    assert report["stats"]["expansions_checked"] == sum(
+        r.stats.expansions_checked for r in runs
+    ) == 84
+    assert report["stats"]["nfa_calls"] == sum(r.stats.nfa_calls for r in runs)
+    assert report["maximal_letters"] == ["c"]
+    assert report["mode"]["per_letter"] == [["a", "unbounded"], ["c", "bounded"]]
+
+    assert main(["analyze", path, "--letters", "max"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "verdict: unbounded"
+    assert lines[1] == "bounds: nratoms=3 nrvars=3 N=1 Zred=1 Zcol=9 Z=81 Zplus=244"
+    assert "maximal_letters: c" in lines
+    assert "  a: unbounded" in lines and "  c: bounded" in lines
+    assert lines[-1].startswith("stats: expansions_checked=84 nfa_calls=84 wall_ms=")
+
+
+def test_letters_max_oracle_verify_runs_no_second_analysis(qfile, capsys, monkeypatch):
+    calls = []
+    decide = boundedness._decide
+
+    def counted(*args):
+        calls.append(args[4])  # the letter set
+        return decide(*args)
+
+    monkeypatch.setattr(boundedness, "_decide", counted)
+    sampled = []
+
+    def agree(q, rewriting, **kwargs):
+        sampled.append(rewriting)
+        return SimpleNamespace(kind="agree")
+
+    monkeypatch.setattr(cli, "sampled_equivalence", agree)
+    path = qfile(LEAFY2)
+    assert main(["analyze", path, "--letters", "max", "--oracle-verify"]) == 1
+    capsys.readouterr()
+    assert calls == [frozenset("a"), frozenset("c")]
+    # only the bounded letter's rewriting is sampled
+    assert sampled == [is_bounded_in(parse_ucrpq(LEAFY2), {"c"}).rewriting]
+
+
+def test_letters_max_oracle_verify_names_the_contradicted_letter(
+    qfile, capsys, monkeypatch
+):
+    monkeypatch.setattr(
+        cli, "sampled_equivalence", lambda *a, **k: SimpleNamespace(kind="disagree")
+    )
+    assert main(["analyze", qfile(LEAFY2), "--letters", "max", "--oracle-verify"]) == 70
+    err = capsys.readouterr().err
+    assert "letter c contradicted" in err
 
 
 def test_analyze_letters_set(qfile, capsys):
