@@ -4,7 +4,8 @@
 Four rounds: NFA membership (small exponents and exponents up to 10^4)
 vs materialized membership, succinct CQ containment (the reachability
 engine behind ``crpqbound contains`` and the boundedness checks) vs
-cq_hom on both materialized sides, probe expansions
+cq_hom on both materialized sides, with each left side also read back
+from its rendered text, probe expansions
 of random a-star queries against their bounded right sides (some stars
 left whole) vs evaluation on the materialized probe, and boundedness
 verdicts cross-checked by oracle evaluation on witness databases or on
@@ -43,6 +44,9 @@ from crpqbound.expansion import (  # noqa: E402
     bound_query,
     enumerate_expansions,
     materialize,
+    normalize_succinct,
+    render_succinct_cq,
+    succinct_cq_from_crpq,
 )
 from crpqbound.homomorphism import (  # noqa: E402
     Contained,
@@ -56,7 +60,7 @@ from crpqbound.oracle import (  # noqa: E402
     nfa_membership_brute,
 )
 from crpqbound.succinct_nfa import membership  # noqa: E402
-from crpqbound.syntax import Star  # noqa: E402
+from crpqbound.syntax import Star, parse_ucrpq  # noqa: E402
 
 
 @dataclass
@@ -83,11 +87,18 @@ def fuzz_membership(cfg: FuzzConfig) -> int:
 
 
 def fuzz_containment(cfg: FuzzConfig) -> int:
+    """Each left side is also rendered, parsed and normalized back: the
+    atoms must return unchanged (the text omits isolated variables)."""
     rng = random.Random(cfg.seed + 1)
     bad = 0
     for i in range(cfg.containment_pairs):
         left = gen_random_succinct_cq(rng)
         right = gen_random_succinct_cq(rng)
+        text = render_succinct_cq(left)
+        back = normalize_succinct(succinct_cq_from_crpq(parse_ucrpq(text).disjuncts[0]))
+        if back.atoms != left.atoms or not set(back.variables) <= set(left.variables):
+            bad += 1
+            print(f"  text round trip mismatch at pair {i}: {text!r} read back as {back}")
         want = cq_hom(materialize(right), materialize(left)) is not None
         if succinct_containment(left, right) != want:
             bad += 1

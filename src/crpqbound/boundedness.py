@@ -245,7 +245,7 @@ def _analyze(q, letters, caps, full_enumeration, zplus_mode) -> AnalysisReport:
         check_single_letter_stars(q)
         letters = frozenset(letters)
     qc = collapse(q)
-    agg = max((_disjunct_profile(d) for d in qc.disjuncts), key=lambda p: p.z)
+    agg = compute_bounds(q)
     z = agg.z
     probe = agg.z_plus if zplus_mode == "paper" else _safe_probe(agg)
     stats = Stats()
@@ -289,8 +289,9 @@ def is_bounded(
     Checks only the probe expansions against q(Z): star exponents range
     over {0..Z} plus the probe exponent (all of {0..probe} under
     full_enumeration), and at least one star sits above Z, since the
-    other expansions are expansions of q(Z) already.  Each check
-    materializes the expansion.  The first uncontained expansion, in
+    other expansions are expansions of q(Z) already.  Each check indexes
+    the expansion's canonical database by positions, without unrolling
+    it (see expansion_contained).  The first uncontained expansion, in
     enumeration order, is returned as the witness.  Caps yield
     Inconclusive, never a wrong verdict.
     """
@@ -332,7 +333,6 @@ def maximal_bounded_letters(
     bounded.
     """
     t0 = time.monotonic()
-    check_ssf_wstar(q)
     check_single_letter_stars(q)
     per_letter = tuple(
         (a, is_bounded_in(q, {a}, caps, full_enumeration, zplus_mode))

@@ -76,6 +76,9 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, **kwargs):  # whole flags only: --cap never means --cap-atoms
+        super().__init__(allow_abbrev=False, **kwargs)
+
     # argparse would sys.exit(2); route through the documented code instead
     def error(self, message):
         raise _UsageError(message)
@@ -91,23 +94,30 @@ def _read_text(path: str) -> str:
         return fh.read()
 
 
+# each cap flag: the Caps field it sets and its help text
+_CAP_FLAGS = {
+    "--cap": ("max_expansions", "expansion enumeration budget"),
+    "--cap-atoms": (
+        "max_materialized_atoms", "longest expansion (letters) checked or materialized"
+    ),
+    "--cap-length": (
+        "max_length_dp",
+        "residues per state in member's length search; longest word the oracles unroll",
+    ),
+    "--cap-word-len": ("max_word_len", "materialized word length budget"),
+    "--cap-semilinear": ("max_semilinear", "lengths per state in member's acyclic length search"),
+}
+
+
 def _caps_from(ns) -> Caps:
-    caps = DEFAULT_CAPS
     overrides = {}
-    if getattr(ns, "cap", None) is not None:
-        overrides["max_expansions"] = ns.cap
-    for flag, field in (
-        ("cap_atoms", "max_materialized_atoms"),
-        ("cap_length", "max_length_dp"),
-        ("cap_word_len", "max_word_len"),
-        ("cap_semilinear", "max_semilinear"),
-    ):
-        value = getattr(ns, flag, None)
+    for flag, (field, _) in _CAP_FLAGS.items():
+        value = getattr(ns, flag[2:].replace("-", "_"), None)
         if value is not None:
             overrides[field] = value
     if any(v <= 0 for v in overrides.values()):
         raise _UsageError("caps must be positive integers")
-    return replace(caps, **overrides) if overrides else caps
+    return replace(DEFAULT_CAPS, **overrides) if overrides else DEFAULT_CAPS
 
 
 def _seed_from(ns) -> int:
@@ -337,22 +347,10 @@ def cmd_eval(ns) -> int:
 # ------------------------------------------------------------------ parser
 
 
-def _add_caps_flags(sub) -> None:
-    sub.add_argument("--cap", type=int, help="expansion enumeration budget")
-    sub.add_argument(
-        "--cap-atoms", type=int, help="longest expansion (letters) checked or materialized"
-    )
-    sub.add_argument(
-        "--cap-length",
-        type=int,
-        help="residues per state in member's length search; longest word the oracles unroll",
-    )
-    sub.add_argument("--cap-word-len", type=int, help="materialized word length budget")
-    sub.add_argument(
-        "--cap-semilinear",
-        type=int,
-        help="lengths per state in member's acyclic length search",
-    )
+def _add_caps_flags(sub, *flags) -> None:
+    """Register the cap flags that the subcommand's code paths read."""
+    for flag in flags:
+        sub.add_argument(flag, type=int, help=_CAP_FLAGS[flag][1])
 
 
 @functools.cache
@@ -388,20 +386,21 @@ def build_parser() -> argparse.ArgumentParser:
         help="cross-check the verdict against brute-force evaluation",
     )
     analyze.add_argument("--seed", type=int, help="sampling seed (or CRPQ_BOUND_SEED)")
-    _add_caps_flags(analyze)
+    # --cap-length bounds the oracles' unrolling under --oracle-verify
+    _add_caps_flags(analyze, "--cap", "--cap-atoms", "--cap-length", "--cap-word-len")
 
     contains = subs.add_parser("contains", help="succinct CQ containment in a query")
     contains.add_argument("left", help="contained query file")
     contains.add_argument("right", help="containing query file")
     contains.add_argument("--json", action="store_true")
-    _add_caps_flags(contains)
+    _add_caps_flags(contains, "--cap-atoms")
 
     member = subs.add_parser("member", help="succinct NFA membership of v^m")
     member.add_argument("automaton", help="automaton file ('-' for stdin)")
     member.add_argument("word", help="base word v, or 'eps'")
     member.add_argument("exponent", type=int, help="exponent m")
     member.add_argument("--json", action="store_true")
-    _add_caps_flags(member)
+    _add_caps_flags(member, "--cap-length", "--cap-semilinear")
 
     qbfgen = subs.add_parser("qbfgen", help="emit the query reduction of a formula")
     qbfgen.add_argument("qbf", help="formula file ('-' for stdin)")
@@ -411,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate.add_argument("--graph", required=True, help="CSV file of src,label,dst rows")
     evaluate.add_argument("--query", required=True, help="query file ('-' for stdin)")
     evaluate.add_argument("--json", action="store_true")
-    _add_caps_flags(evaluate)
+    _add_caps_flags(evaluate, "--cap-length")
 
     return parser
 

@@ -27,8 +27,10 @@ from crpqbound.syntax import (
     RegexExpr,
     Star,
     Union,
+    as_power,
     collapse,
-    render_word,
+    identify,
+    render_regex,
 )
 
 # ---------------------------------------------------------------- data model
@@ -278,30 +280,9 @@ def normalize_succinct(scq: SuccinctCQ) -> SuccinctCQ:
 
     Atoms with exponent 0 identify their endpoints (the path is empty);
     the equivalence classes are renamed to their lexicographically least
-    member, exactly like query-level collapse.
+    member by the same identify as query-level collapse.
     """
-    parent = {}
-
-    def find(v):
-        parent.setdefault(v, v)
-        root = v
-        while parent[root] != root:
-            root = parent[root]
-        while parent[v] != root:
-            parent[v], v = root, parent[v]
-        return root
-
-    def merge(u, v):
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            return
-        lo, hi = sorted((ru, rv))
-        parent[hi] = lo
-
-    for a in scq.atoms:
-        if a.length == 0:
-            merge(a.src, a.dst)
-
+    find = identify((a.src, a.dst) for a in scq.atoms if a.length == 0)
     atoms = set()
     for a in scq.atoms:
         if a.length == 0:
@@ -320,35 +301,25 @@ def render_succinct_cq(scq: SuccinctCQ) -> str:
     if not scq.atoms:
         v = scq.variables[0]
         return f"?{v} -[eps]-> ?{v}"
-    parts = []
-    for a in scq.atoms:
-        if len(a.word) == 1:
-            base = a.word[0] if len(a.word[0]) == 1 else f"'{a.word[0]}'"
-        else:
-            base = f"({render_word(a.word)})"
-        parts.append(f"?{a.src} -[{base}^{a.exponent}]-> ?{a.dst}")
-    return ", ".join(parts)
+    return ", ".join(
+        f"?{a.src} -[{render_regex(Power(a.word, a.exponent))}]-> ?{a.dst}"
+        for a in scq.atoms
+    )
 
 
 def succinct_cq_from_crpq(d: CRPQ) -> SuccinctCQ:
     """Read a CRPQ whose labels are all of w^n shape as a succinct CQ."""
-    from crpqbound.syntax import as_word
-
     atoms = []
     for a in d.atoms:
         if isinstance(a, EqualityAtom):
             atoms.append(SuccinctAtom(a.left, (), 0, a.right))
             continue
-        label = a.label
-        if isinstance(label, Power):
-            atoms.append(SuccinctAtom(a.src, label.word, label.exponent, a.dst))
-            continue
-        w = as_word(label)
-        if w is None:
+        pair = as_power(a.label)
+        if pair is None:
             raise UnsupportedFragment(
                 "succinct CQ atoms must be words or binary powers"
             )
-        atoms.append(SuccinctAtom(a.src, w, 1 if w else 0, a.dst))
+        atoms.append(SuccinctAtom(a.src, *pair, a.dst))
     variables = d.variables()
     return SuccinctCQ(tuple(variables), tuple(atoms))
 
@@ -478,15 +449,15 @@ def fresh_prefix(taken, base="z"):
     return prefix
 
 
-def materialize(scq: SuccinctCQ, cap: int | None = None, caps: Caps = DEFAULT_CAPS) -> CQ:
+def materialize(scq: SuccinctCQ, caps: Caps = DEFAULT_CAPS) -> CQ:
     """Unroll a succinct CQ into a plain CQ with explicit path variables.
 
     Midpoint variables are named z1, z2, ... in atom order (the prefix is
-    lengthened if it would clash with an existing variable).
+    lengthened if it would clash with an existing variable).  The
+    unrolled length is bounded by ``max_materialized_atoms``.
     """
-    limit = caps.max_materialized_atoms if cap is None else cap
     scq = normalize_succinct(scq)
-    check_length(scq, limit)
+    check_length(scq, caps.max_materialized_atoms)
     prefix = fresh_prefix(set(scq.variables))
     counter = 0
     atoms = []

@@ -46,10 +46,8 @@ from crpqbound.expansion import (
     ssf_words,
 )
 
-# unused here; kept importable because the benchmark's layer trace patches it
+# unused here; kept importable because the benchmark's layer trace patches them
 from crpqbound.expansion import materialize  # noqa: F401
-
-# unused here; kept importable because the benchmark's layer trace patches it
 from crpqbound.succinct_nfa import membership  # noqa: F401
 from crpqbound.syntax import (
     CRPQ,
@@ -62,6 +60,7 @@ from crpqbound.syntax import (
     PowerLE,
     Star,
     Union,
+    as_power,
     collapse,
     concat,
     union,
@@ -284,12 +283,6 @@ class _PathIndex:
         self.memo[key] = result = self._compute(e, u)
         return result
 
-    def reach_set(self, e, frontier) -> frozenset:
-        out = set()
-        for u in frontier:
-            out.update(self.reach(e, u))
-        return frozenset(out)
-
     def _compute(self, e, u) -> frozenset:
         if isinstance(e, Epsilon):
             return frozenset((u,))
@@ -298,7 +291,10 @@ class _PathIndex:
         if isinstance(e, Concat):
             frontier = frozenset((u,))
             for part in e.parts:
-                frontier = self.reach_set(part, frontier)
+                out = set()
+                for v in frontier:
+                    out.update(self.reach(part, v))
+                frontier = frozenset(out)
                 if not frontier:
                     break
             return frontier
@@ -422,12 +418,9 @@ class _CanonicalDB:
 
 def _witness_atom(fwd, e, hu, hv):
     """Concrete (word, exponent) choice of e realizing a path hu -> hv."""
-    if isinstance(e, Epsilon):
-        return (), 0
-    if isinstance(e, Letter):
-        return (e.symbol,), 1
-    if isinstance(e, Power):
-        return e.word, e.exponent
+    pair = as_power(e)
+    if pair is not None:
+        return pair
     if isinstance(e, (PowerLE, Star)):
         limit = e.exponent if isinstance(e, PowerLE) else None
         k = fwd.steps_to(e.word, hu, hv, limit=limit)

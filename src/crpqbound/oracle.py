@@ -1,4 +1,4 @@
-"""Brute-force ground truth, kept independent of the succinct algorithms.
+"""Brute-force ground truth for the succinct algorithms.
 
 Everything here works on fully materialized objects: automata are unrolled
 to letter transitions, queries are evaluated on concrete graph databases by
@@ -6,6 +6,12 @@ per-atom product reachability plus a backtracking join, and equivalence is
 refuted by sampling.  The homomorphism module is deliberately not imported;
 agreement between these oracles and the succinct implementations is what
 the differential test suite certifies.
+
+The independence is not complete: sampled equivalence caps the star
+exponents of its canonical databases by boundedness.compute_bounds and
+builds them with expansion.enumerate_expansions and
+expansion.materialize, code that the boundedness verdicts it checks rest
+on as well.  ROADMAP item 4 plans oracles that share none of it.
 """
 
 from __future__ import annotations

@@ -21,27 +21,13 @@ from math import gcd
 
 from crpqbound.config import DEFAULT_CAPS, Caps
 from crpqbound.errors import CapExceeded, ParseError
-from crpqbound.syntax import Epsilon, Power, as_word, parse_regex
+from crpqbound.expansion import SuccinctAtom
+from crpqbound.syntax import as_power, parse_regex
 
 # ----------------------------------------------------------------- structure
 
-
-@dataclass(frozen=True)
-class SNFATransition:
-    src: str
-    word: tuple
-    exponent: int
-    dst: str
-
-    def __post_init__(self):
-        if self.exponent < 0:
-            raise ValueError("negative exponent")
-        if self.exponent > 0 and not self.word:
-            raise ValueError("positive exponent needs a non-empty word")
-
-    @property
-    def length(self) -> int:
-        return len(self.word) * self.exponent
+# a transition reads w^n from src to dst, the same edge as a succinct CQ atom
+SNFATransition = SuccinctAtom
 
 
 @dataclass(frozen=True)
@@ -70,22 +56,12 @@ def normalize(nfa: SuccinctNFA) -> SuccinctNFA:
     same language: words can depart from any state epsilon-reachable from
     their old source, and a state is final if it epsilon-reaches a final.
     """
-    eps = {}
+    eps = {q: [] for q in nfa.states}
     for t in nfa.transitions:
         if t.length == 0:
-            eps.setdefault(t.src, set()).add(t.dst)
-
-    def closure(q):
-        seen = {q}
-        stack = [q]
-        while stack:
-            for nxt in eps.get(stack.pop(), ()):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        return seen
-
-    closures = {q: closure(q) for q in nfa.states}
+            eps[t.src].append((t.dst, 0))
+    states = set(nfa.states)
+    closures = {q: _reachable([q], eps, states) for q in nfa.states}
     transitions = set()
     for t in nfa.transitions:
         if t.length == 0:
@@ -284,18 +260,6 @@ def membership(nfa: SuccinctNFA, v, m: int, caps: Caps = DEFAULT_CAPS) -> bool:
 _TRANSITION_RE = re.compile(r"^([A-Za-z0-9_@.]+)\s*-\[(.+)\]->\s*([A-Za-z0-9_@.]+)$")
 
 
-def _label_to_pair(text: str, lineno: int):
-    e = parse_regex(text)
-    if isinstance(e, Power):
-        return e.word, e.exponent
-    if isinstance(e, Epsilon):
-        return (), 0
-    w = as_word(e)
-    if w:
-        return w, 1
-    raise ParseError("transition label must be a word, a power, or eps", lineno, 1)
-
-
 def parse_nfa(text: str) -> SuccinctNFA:
     initial = None
     finals = None
@@ -323,9 +287,11 @@ def parse_nfa(text: str) -> SuccinctNFA:
         if m is None:
             raise ParseError(f"bad automaton line: {line!r}", lineno, 1)
         src, label, dst = m.group(1), m.group(2), m.group(3)
-        word, exp = _label_to_pair(label, lineno)
+        pair = as_power(parse_regex(label))
+        if pair is None:
+            raise ParseError("transition label must be a word, a power, or eps", lineno, 1)
         states.update((src, dst))
-        transitions.append(SNFATransition(src, word, exp, dst))
+        transitions.append(SNFATransition(src, *pair, dst))
     if initial is None:
         raise ParseError("missing 'initial:' line", 1, 1)
     if finals is None:

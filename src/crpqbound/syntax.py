@@ -168,6 +168,16 @@ def as_word(e: RegexExpr):
     return None
 
 
+def as_power(e: RegexExpr):
+    """Return (w, n) for a label spelling w^n (w alone is w^1, eps ()^0), or None."""
+    if isinstance(e, Power):
+        return e.word, e.exponent
+    w = as_word(e)
+    if w is None:
+        return None
+    return w, 1 if w else 0
+
+
 # ------------------------------------------------------------------ fragments
 
 
@@ -189,7 +199,6 @@ _SSF_CLASSES = frozenset(
         FragmentClass.SSF,
     }
 )
-_STAR_CLASSES = frozenset({FragmentClass.A_STAR, FragmentClass.W_STAR})
 
 
 def classify(e: RegexExpr) -> FragmentClass:
@@ -287,43 +296,35 @@ def _letters_of(e: RegexExpr):
         yield from _letters_of(p)
 
 
+def _labels(q: UCRPQ | CRPQ):
+    """Yield the label of every edge atom, disjunct by disjunct."""
+    for d in q.disjuncts if isinstance(q, UCRPQ) else (q,):
+        for a in d.edge_atoms:
+            yield a.label
+
+
 def alphabet(q: UCRPQ | CRPQ) -> frozenset:
     """All symbols occurring in the query."""
-    disjuncts = q.disjuncts if isinstance(q, UCRPQ) else (q,)
-    out = set()
-    for d in disjuncts:
-        for a in d.edge_atoms:
-            out.update(_letters_of(a.label))
-    return frozenset(out)
+    return frozenset(s for e in _labels(q) for s in _letters_of(e))
 
 
 def star_letters(q: UCRPQ | CRPQ) -> frozenset:
     """Letters a such that some atom is labeled a* (single-letter stars)."""
-    disjuncts = q.disjuncts if isinstance(q, UCRPQ) else (q,)
-    out = set()
-    for d in disjuncts:
-        for a in d.edge_atoms:
-            if isinstance(a.label, Star) and len(a.label.word) == 1:
-                out.add(a.label.word[0])
-    return frozenset(out)
+    return frozenset(
+        e.word[0] for e in _labels(q) if isinstance(e, Star) and len(e.word) == 1
+    )
 
 
 def atom_classes(q: UCRPQ | CRPQ) -> frozenset:
-    disjuncts = q.disjuncts if isinstance(q, UCRPQ) else (q,)
-    out = set()
-    for d in disjuncts:
-        for a in d.edge_atoms:
-            out.add(classify(a.label))
-    return frozenset(out)
+    return frozenset(map(classify, _labels(q)))
 
 
 def check_ssf_wstar(q: UCRPQ) -> None:
     """Raise UnsupportedFragment unless every label is SSF or a word star."""
-    bad = atom_classes(q) - _SSF_CLASSES - _STAR_CLASSES
-    if bad:
+    if FragmentClass.UNSUPPORTED in atom_classes(q):
         raise UnsupportedFragment(
             "query labels fall outside the supported fragment: "
-            + ", ".join(sorted(c.value for c in bad))
+            + FragmentClass.UNSUPPORTED.value
         )
 
 
@@ -358,22 +359,18 @@ def size_regex(e: RegexExpr) -> int:
 
 def size(q: UCRPQ | CRPQ) -> int:
     """Encoding size: sum of label sizes over all edge atoms."""
-    disjuncts = q.disjuncts if isinstance(q, UCRPQ) else (q,)
-    return sum(size_regex(a.label) for d in disjuncts for a in d.edge_atoms)
+    return sum(map(size_regex, _labels(q)))
 
 
 # ------------------------------------------------------------------- collapse
 
 
-def collapse(q):
-    """Merge variables identified by equality atoms.
+def identify(pairs):
+    """Identify each pair of variables (an equality atom or a path of length 0).
 
-    Each equivalence class is renamed to its lexicographically least
-    member; equality atoms are dropped and duplicate edge atoms removed.
-    Accepts a CRPQ or a UCRPQ (collapsed disjunct by disjunct).
+    Returns the map from a variable to the lexicographically least member
+    of its class; a variable that no pair names is its own class.
     """
-    if isinstance(q, UCRPQ):
-        return UCRPQ(tuple(collapse(d) for d in q.disjuncts))
     parent = {}
 
     def find(v):
@@ -385,16 +382,25 @@ def collapse(q):
             parent[v], v = root, parent[v]
         return root
 
-    def merge(u, v):
+    for u, v in pairs:
         ru, rv = find(u), find(v)
-        if ru == rv:
-            return
-        lo, hi = sorted((ru, rv))
-        parent[hi] = lo
+        if ru != rv:
+            lo, hi = sorted((ru, rv))
+            parent[hi] = lo
+    return find
 
-    for a in q.equality_atoms:
-        merge(a.left, a.right)
 
+def collapse(q):
+    """Merge variables identified by equality atoms.
+
+    Each equivalence class is renamed to its lexicographically least
+    member (see identify); equality atoms are dropped and duplicate edge
+    atoms removed.  Accepts a CRPQ or a UCRPQ (collapsed disjunct by
+    disjunct).
+    """
+    if isinstance(q, UCRPQ):
+        return UCRPQ(tuple(collapse(d) for d in q.disjuncts))
+    find = identify((a.left, a.right) for a in q.equality_atoms)
     out = []
     seen = set()
     for a in q.edge_atoms:
@@ -645,16 +651,12 @@ def _render_symbol(s: str) -> str:
     return s if len(s) == 1 else f"'{s}'"
 
 
-def render_word(word) -> str:
-    if all(len(c) == 1 for c in word):
-        return "".join(word)
-    return " ".join(_render_symbol(c) for c in word)
-
-
 def _render_word_base(word) -> str:
     if len(word) == 1:
         return _render_symbol(word[0])
-    return f"({render_word(word)})"
+    if all(len(c) == 1 for c in word):
+        return f"({''.join(word)})"
+    return f"({' '.join(map(_render_symbol, word))})"
 
 
 def render_regex(e: RegexExpr) -> str:

@@ -260,6 +260,55 @@ def test_cap_flag_rejects_nonpositive(qfile, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["contains", "{q}", "{q}", "--cap", "5"],
+        ["member", "{nfa}", "a", "1", "--cap-atoms", "5"],
+        ["eval", "--graph", "{g}", "--query", "{q}", "--cap", "5"],
+    ],
+)
+def test_cap_flag_a_subcommand_never_reads_is_refused(tmp_path, qfile, capsys, argv):
+    nfa = tmp_path / "m.nfa"
+    nfa.write_text("initial: p\nfinals: f\np -[a]-> f\n")
+    g = tmp_path / "g.csv"
+    g.write_text("src,label,dst\nu,a,v\n")
+    paths = {"q": qfile("?x -[a]-> ?y\n"), "nfa": str(nfa), "g": str(g)}
+    assert main([arg.format(**paths) for arg in argv]) == 64
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_each_cap_flag_turns_a_decided_answer_inconclusive(tmp_path, qfile, capsys):
+    def runs(argv, flag, value):
+        assert main(argv) in (0, 1), argv
+        assert main(argv + [flag, value]) == 2, (argv, flag)
+
+    word_len = qfile("?x -[b a^20 + c]-> ?y, ?x -[a*]-> ?y\n")
+    runs(["analyze", word_len], "--cap-word-len", "5")
+    runs(["analyze", qfile(ASTARB)], "--cap-atoms", "1")
+    left = qfile("?x -[abcabcabcabc]-> ?y\n", "l.txt")
+    right = qfile("?u -[(abc)^<=4]-> ?v\n", "r.txt")
+    runs(["contains", left, right], "--cap-atoms", "3")
+    # one pivot whatever the order: every cycle runs through p
+    cyclic = tmp_path / "c.nfa"
+    cyclic.write_text(
+        "initial: p\nfinals: f\np -[a^7]-> p\np -[a^3]-> p\np -[a]-> f\n"
+    )
+    runs(["member", str(cyclic), "a", "15"], "--cap-length", "2")
+    acyclic = tmp_path / "a.nfa"
+    acyclic.write_text("initial: i\nfinals: f\ni -[a]-> f\ni -[a^2]-> f\n")
+    runs(["member", str(acyclic), "a", "2"], "--cap-semilinear", "1")
+    g = tmp_path / "g.csv"
+    g.write_text("src,label,dst\n" + "".join(f"v{i},a,v{i + 1}\n" for i in range(5)))
+    runs(["eval", "--graph", str(g), "--query", qfile("?x -[a^5]-> ?y\n")], "--cap-length", "1")
+    capsys.readouterr()
+
+
+def test_oracle_verify_cap_length_skips_the_replay(qfile, capsys):
+    assert main(["analyze", qfile(ASTARB), "--oracle-verify", "--cap-length", "1"]) == 1
+    assert capsys.readouterr().err == "oracle verify: verdict skipped (caps)\n"
+
+
 def test_seed_env_fallback(qfile, capsys, monkeypatch):
     monkeypatch.setenv("CRPQ_BOUND_SEED", "7")
     assert main(["analyze", qfile(CLAIM), "--json"]) == 0

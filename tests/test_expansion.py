@@ -1,5 +1,6 @@
 """Bounded queries, expansion enumeration, and materialization."""
 
+import random
 import tracemalloc
 from dataclasses import replace
 
@@ -20,12 +21,17 @@ from crpqbound.expansion import (
     render_succinct_cq,
     ssf_words,
     star_free_choice_count,
+    succinct_cq_from_crpq,
 )
 from crpqbound.syntax import (
+    CRPQ,
+    EdgeAtom,
+    EqualityAtom,
     Letter,
     Power,
     PowerLE,
     Star,
+    collapse,
     parse_ucrpq,
     render_ucrpq,
 )
@@ -151,7 +157,7 @@ def test_materialize_empty_is_isolated_variable():
 def test_materialize_cap():
     lam = SuccinctCQ(("x", "y"), (SuccinctAtom("x", ("a",), 6, "y"),))
     with pytest.raises(CapExceeded):
-        materialize(lam, cap=5)
+        materialize(lam, caps=replace(DEFAULT_CAPS, max_materialized_atoms=5))
 
 
 def test_succinct_text_roundtrips_through_query_grammar():
@@ -162,6 +168,51 @@ def test_succinct_text_roundtrips_through_query_grammar():
     text = render_succinct_cq(lam)
     q = parse_ucrpq(text)
     assert q.disjuncts[0].atoms[0].label == Power(("a", "b"), 5)
+
+
+def _raw_succinct_cq(rng, symbols=("a", "b", "x1", "yy")):
+    """A succinct CQ as enumeration builds it, before normalization: zero
+    exponents, repeated atoms and multi-character symbols included."""
+    pool = ("x", "y", "z", "u", "v", "w")[: rng.randint(2, 6)]
+    atoms = []
+    for _ in range(rng.randint(1, 6)):
+        word = tuple(rng.choice(symbols) for _ in range(rng.randint(1, 3)))
+        exponent = rng.choice((0, 0, 1, 2, 3, 10**9))
+        atoms.append(SuccinctAtom(rng.choice(pool), word, exponent, rng.choice(pool)))
+    return SuccinctCQ(pool, tuple(atoms))
+
+
+def test_normalize_succinct_identifies_like_collapse():
+    # a zero-length atom identifies its endpoints, as an equality atom does
+    rng = random.Random(31)
+    for _ in range(300):
+        lam = _raw_succinct_cq(rng)
+        if all(a.length == 0 for a in lam.atoms):
+            continue  # collapse needs an edge atom
+        query = CRPQ(
+            tuple(
+                EdgeAtom(a.src, Power(a.word, a.exponent), a.dst)
+                if a.length
+                else EqualityAtom(a.src, a.dst)
+                for a in lam.atoms
+            )
+        )
+        want = {(a.src, a.label, a.dst) for a in collapse(query).edge_atoms}
+        norm = normalize_succinct(lam)
+        assert {(a.src, Power(a.word, a.exponent), a.dst) for a in norm.atoms} == want, lam
+
+
+def test_succinct_text_roundtrips_with_quoted_symbols():
+    rng = random.Random(32)
+    for _ in range(300):
+        norm = normalize_succinct(_raw_succinct_cq(rng))
+        text = render_succinct_cq(norm)
+        back = normalize_succinct(succinct_cq_from_crpq(parse_ucrpq(text).disjuncts[0]))
+        # the text names only the variables that atoms touch
+        assert back.atoms == norm.atoms, text
+        assert set(back.variables) <= set(norm.variables), text
+    quoted = SuccinctCQ(("x", "y"), (SuccinctAtom("x", ("x1", "a"), 2, "y"),))
+    assert render_succinct_cq(quoted) == "?x -[('x1' a)^2]-> ?y"
 
 
 def test_normalize_succinct_drops_zero_exponents():

@@ -1,11 +1,15 @@
 """Succinct automata: products, length reachability, membership."""
 
 import random
+from dataclasses import replace
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import gen_random_snfa, gen_random_word
+from crpqbound.config import DEFAULT_CAPS
+from crpqbound.errors import CapExceeded
 from crpqbound.oracle import nfa_membership_brute
 from crpqbound.succinct_nfa import (
     SNFATransition,
@@ -223,3 +227,33 @@ def test_membership_cap_surfaces():
     )
     assert membership(nfa, ("a",), 10**11) is False
     assert membership(nfa, ("a",), 10**12 + 2) is True
+
+
+def test_residue_table_cap_fires():
+    # p's shortest closed walk is 3, and the loops reach p at lengths 0, 7
+    # and 14, one per residue mod 3; the target 15 = 14 + 1 is found only
+    # after p's residue table holds all three, past a cap of 2
+    nfa = _nfa(
+        [
+            SNFATransition("p", ("a",), 7, "p"),
+            SNFATransition("p", ("a",), 3, "p"),
+            SNFATransition("p", ("a",), 1, "f"),
+        ],
+        "p",
+        ["f"],
+    )
+    with pytest.raises(CapExceeded, match="residue table too large"):
+        length_reach(nfa, 15, replace(DEFAULT_CAPS, max_length_dp=2))
+    assert length_reach(nfa, 15, replace(DEFAULT_CAPS, max_length_dp=3)) is True
+
+
+def test_acyclic_length_set_cap_fires():
+    # f is reached with lengths 1 and 2: two lengths against a cap of 1
+    nfa = _nfa(
+        [SNFATransition("i", ("a",), 1, "f"), SNFATransition("i", ("a",), 2, "f")],
+        "i",
+        ["f"],
+    )
+    with pytest.raises(CapExceeded, match="length set too large"):
+        length_reach(nfa, 2, replace(DEFAULT_CAPS, max_semilinear=1))
+    assert length_reach(nfa, 2, replace(DEFAULT_CAPS, max_semilinear=2)) is True
