@@ -2,10 +2,11 @@
 """Fuzz the succinct algorithms against their brute-force counterparts.
 
 Four rounds: NFA membership (small exponents and exponents up to 10^4)
-vs materialized membership, succinct CQ containment (the reachability
-engine behind ``crpqbound contains`` and the boundedness checks) vs
-cq_hom on both materialized sides, with each left side also read back
-from its rendered text, probe expansions
+vs materialized membership, asked again under tight length caps where a
+decided answer must match and a cap hit counts as skipped, succinct CQ
+containment (the reachability engine behind ``crpqbound contains`` and
+the boundedness checks) vs cq_hom on both materialized sides, with each
+left side also read back from its rendered text, probe expansions
 of random a-star queries against their bounded right sides (some stars
 left whole) vs evaluation on the materialized probe, and boundedness
 verdicts cross-checked by oracle evaluation on witness databases or on
@@ -38,6 +39,7 @@ from crpqbound.boundedness import (  # noqa: E402
     maximal_bounded_letters,
 )
 from crpqbound.config import DEFAULT_CAPS  # noqa: E402
+from crpqbound.errors import CapExceeded  # noqa: E402
 from crpqbound.expansion import (  # noqa: E402
     ExponentDomain,
     bound_letters,
@@ -73,16 +75,32 @@ class FuzzConfig:
 
 
 def fuzz_membership(cfg: FuzzConfig) -> int:
-    """Each automaton is asked about a small m and about an m up to 10^4."""
+    """Each automaton is asked about a small m and about an m up to 10^4.
+
+    Each question is asked again under caps tight enough that the length
+    search often stops: a decided answer must still be the right one.
+    """
     rng = random.Random(cfg.seed)
-    bad = 0
+    tight = replace(DEFAULT_CAPS, max_length_dp=2, max_semilinear=2)
+    bad = decided = skipped = 0
     for i in range(cfg.nfa_trials):
         nfa = gen_random_snfa(rng)
         v = gen_random_word(rng)
         for m in (rng.randint(0, 16), rng.randint(0, 10**4)):
-            if membership(nfa, v, m) != nfa_membership_brute(nfa, v, m):
+            want = nfa_membership_brute(nfa, v, m)
+            if membership(nfa, v, m) != want:
                 bad += 1
                 print(f"  membership mismatch at trial {i}: v={v} m={m} nfa={nfa}")
+            try:
+                got = membership(nfa, v, m, tight)
+            except CapExceeded:
+                skipped += 1
+                continue
+            decided += 1
+            if got != want:
+                bad += 1
+                print(f"  tight-cap membership mismatch at trial {i}: v={v} m={m} nfa={nfa}")
+    print(f"  (tight caps: {decided} decided, {skipped} skipped)")
     return bad
 
 

@@ -91,14 +91,9 @@ def _disjunct_profile(d) -> BoundsProfile:
     )
 
 
-def per_disjunct_bounds(q: UCRPQ) -> tuple:
-    return tuple(_disjunct_profile(d) for d in collapse(q).disjuncts)
-
-
 def compute_bounds(q: UCRPQ) -> BoundsProfile:
     """The profile of the disjunct with the largest z (first on ties)."""
-    per = per_disjunct_bounds(q)
-    return max(per, key=lambda p: p.z)
+    return max(map(_disjunct_profile, collapse(q).disjuncts), key=lambda p: p.z)
 
 
 def _safe_probe(profile: BoundsProfile) -> int:
@@ -240,8 +235,9 @@ def _analyze(q, letters, caps, full_enumeration, zplus_mode) -> AnalysisReport:
     t0 = time.monotonic()
     if zplus_mode not in ("paper", "safe"):
         raise ValueError(f"unknown zplus_mode: {zplus_mode!r}")
-    check_ssf_wstar(q)
-    if letters is not None:
+    if letters is None:
+        check_ssf_wstar(q)
+    else:
         check_single_letter_stars(q)
         letters = frozenset(letters)
     qc = collapse(q)

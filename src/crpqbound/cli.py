@@ -9,12 +9,14 @@ generator), and ``eval`` (query evaluation over a CSV edge list).
 Exit codes: 0 yes / bounded / contained / member / satisfied, 1 the
 negative counterpart, 2 inconclusive under the configured caps, 64 usage
 or input error, 70 an --oracle-verify cross-check contradicted the
-verdict.  Reports with the same inputs and seed are byte-identical.
+verdict, 71 an internal error.  JSON reports with the same inputs and
+seed are byte-identical (the human report prints the wall time).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -63,6 +65,7 @@ EX_NO = 1
 EX_INCONCLUSIVE = 2
 EX_USAGE = 64
 EX_VERIFY_FAILED = 70
+EX_INTERNAL = 71
 
 _VERDICT_EXIT = {
     "bounded": EX_YES,
@@ -96,7 +99,9 @@ def _read_text(path: str) -> str:
 
 # each cap flag: the Caps field it sets and its help text
 _CAP_FLAGS = {
-    "--cap": ("max_expansions", "expansion enumeration budget"),
+    "--cap": (
+        "max_expansions", "exponent combinations (all, not only the probes checked); words per label"
+    ),
     "--cap-atoms": (
         "max_materialized_atoms", "longest expansion (letters) checked or materialized"
     ),
@@ -104,7 +109,7 @@ _CAP_FLAGS = {
         "max_length_dp",
         "residues per state in member's length search; longest word the oracles unroll",
     ),
-    "--cap-word-len": ("max_word_len", "materialized word length budget"),
+    "--cap-word-len": ("max_word_len", "longest word a star-free label spells when listed"),
     "--cap-semilinear": ("max_semilinear", "lengths per state in member's acyclic length search"),
 }
 
@@ -136,11 +141,15 @@ def _emit_json(payload: dict) -> None:
     sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _simple_json(verdict: str, extra: dict | None = None) -> dict:
-    payload = {"schema": 1, "verdict": verdict}
-    if extra:
-        payload.update(extra)
-    return payload
+def _answer(ns, holds: bool, verdict: str, **extra) -> int:
+    """Print verdict, or not-verdict, as text or JSON; exit 0 or 1 to match."""
+    if not holds:
+        verdict = f"not-{verdict}"
+    if ns.json:
+        _emit_json({"schema": 1, "verdict": verdict, **extra})
+    else:
+        print(verdict)
+    return EX_YES if holds else EX_NO
 
 
 # ------------------------------------------------------------------ analyze
@@ -276,32 +285,18 @@ def cmd_analyze(ns) -> int:
 # ------------------------------------------------------- other subcommands
 
 
-def _as_succinct_cq(q: UCRPQ):
-    """The single disjunct as a succinct CQ, or None if out of that form."""
-    if len(q.disjuncts) != 1:
-        return None
-    try:
-        return succinct_cq_from_crpq(collapse(q).disjuncts[0])
-    except UnsupportedFragment:
-        return None
-
-
 def cmd_contains(ns) -> int:
     left = parse_ucrpq(_read_text(ns.left))
     right = parse_ucrpq(_read_text(ns.right))
     caps = _caps_from(ns)
-    lam = _as_succinct_cq(left)
+    lam = None
+    if len(left.disjuncts) == 1:
+        with contextlib.suppress(UnsupportedFragment):
+            lam = succinct_cq_from_crpq(collapse(left).disjuncts[0])
     if lam is None:
-        raise UnsupportedFragment(
-            "left side must be one conjunction of word and w^n atoms"
-        )
+        raise UnsupportedFragment("left side must be one conjunction of word and w^n atoms")
     contained = isinstance(expansion_contained(lam, right, caps), Contained)
-    verdict = "contained" if contained else "not-contained"
-    if ns.json:
-        _emit_json(_simple_json(verdict))
-    else:
-        print(verdict)
-    return EX_YES if contained else EX_NO
+    return _answer(ns, contained, "contained")
 
 
 def cmd_member(ns) -> int:
@@ -311,12 +306,7 @@ def cmd_member(ns) -> int:
     caps = _caps_from(ns)
     word = tuple(ns.word) if ns.word != "eps" else ()
     accepted = membership(nfa, word, ns.exponent, caps)
-    verdict = "member" if accepted else "not-member"
-    if ns.json:
-        _emit_json(_simple_json(verdict, {"word": ns.word, "exponent": ns.exponent}))
-    else:
-        print(verdict)
-    return EX_YES if accepted else EX_NO
+    return _answer(ns, accepted, "member", word=ns.word, exponent=ns.exponent)
 
 
 def cmd_qbfgen(ns) -> int:
@@ -335,13 +325,7 @@ def cmd_eval(ns) -> int:
     db = load_graph_csv(ns.graph)
     q = parse_ucrpq(_read_text(ns.query))
     caps = _caps_from(ns)
-    satisfied = eval_on_graph(q, db, caps)
-    verdict = "satisfied" if satisfied else "not-satisfied"
-    if ns.json:
-        _emit_json(_simple_json(verdict))
-    else:
-        print(verdict)
-    return EX_YES if satisfied else EX_NO
+    return _answer(ns, eval_on_graph(q, db, caps), "satisfied")
 
 
 # ------------------------------------------------------------------ parser
@@ -430,18 +414,15 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EX_USAGE
-    except (ParseError, UnsupportedFragment) as exc:
+    except (ParseError, UnsupportedFragment, OSError, UnicodeDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EX_USAGE
     except CapExceeded as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
         return EX_INCONCLUSIVE
-    except OSError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EX_USAGE
-    except ValueError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EX_USAGE
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EX_INTERNAL
 
 
 if __name__ == "__main__":

@@ -14,7 +14,9 @@ class Caps:
     """Hard limits for the succinct algorithms.
 
     max_expansions:
-        Most expansions a single enumeration may visit.
+        Most combinations the probe grid may hold, all counted and not
+        only the probe checks; also the most expansions one enumeration
+        visits and the most words one star-free label's language lists.
     max_materialized_atoms:
         Longest expansion, the sum of |w|*n over its atoms, that a
         containment check indexes as its left side or that materialize
@@ -24,7 +26,7 @@ class Caps:
         search behind succinct-NFA membership; also the longest word,
         transition or power the brute-force oracles unroll.
     max_word_len:
-        Longest word allowed under a star or power when materializing.
+        Longest word a star-free label spells when its language is listed.
     max_semilinear:
         Most lengths one state holds once the length search has cut
         every cycle and propagates length sets over the acyclic rest.

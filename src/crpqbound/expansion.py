@@ -10,6 +10,7 @@ form is needed.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 
 from crpqbound.config import DEFAULT_CAPS, Caps
@@ -36,7 +37,7 @@ from crpqbound.syntax import (
 # ---------------------------------------------------------------- data model
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class SuccinctAtom:
     """One atom of a succinct CQ: a w^n path from src to dst."""
 
@@ -289,11 +290,7 @@ def normalize_succinct(scq: SuccinctCQ) -> SuccinctCQ:
             continue
         atoms.add(SuccinctAtom(find(a.src), a.word, a.exponent, find(a.dst)))
     variables = tuple(sorted({find(v) for v in scq.variables}))
-    return SuccinctCQ(variables, tuple(sorted(atoms, key=_atom_key)))
-
-
-def _atom_key(a: SuccinctAtom):
-    return (a.src, a.word, a.exponent, a.dst)
+    return SuccinctCQ(variables, tuple(sorted(atoms)))
 
 
 def render_succinct_cq(scq: SuccinctCQ) -> str:
@@ -357,19 +354,6 @@ def star_free_choice_count(label: RegexExpr, caps: Caps = DEFAULT_CAPS) -> int:
     return len(ssf_words(label, caps))
 
 
-def _prepared_choices(q: CRPQ, dom: ExponentDomain, caps: Caps):
-    q = collapse(q) if q.equality_atoms else q
-    choice_lists = []
-    for idx, atom in enumerate(q.atoms):
-        label = atom.label
-        if isinstance(label, Star):
-            values = dom.values_for(idx)
-        else:
-            values = None
-        choice_lists.append(_atom_choices(label, values, caps))
-    return q, choice_lists
-
-
 def enumerate_expansions(
     q: CRPQ,
     dom: ExponentDomain,
@@ -388,7 +372,11 @@ def enumerate_expansions(
     ``cap`` combinations.
     """
     limit = caps.max_expansions if cap is None else cap
-    q, choice_lists = _prepared_choices(q, dom, caps)
+    q = collapse(q) if q.equality_atoms else q
+    choice_lists = [
+        _atom_choices(a.label, dom.values_for(i) if isinstance(a.label, Star) else None, caps)
+        for i, a in enumerate(q.atoms)
+    ]
     variables = q.variables()
     seen = set()
     visited = 0
@@ -439,13 +427,11 @@ def check_length(scq: SuccinctCQ, limit: int) -> None:
         raise CapExceeded(limit, f"materialization needs {total} atoms")
 
 
-def fresh_prefix(taken, base="z"):
-    """The shortest repetition of base that no name in taken extends by digits."""
-    prefix = base
-    import re as _re
-
-    while any(_re.fullmatch(_re.escape(prefix) + r"[0-9]+", v) for v in taken):
-        prefix += base
+def fresh_prefix(taken):
+    """The shortest run of z's that no name in taken extends by digits."""
+    prefix = "z"
+    while any(re.fullmatch(prefix + "[0-9]+", v) for v in taken):
+        prefix += "z"
     return prefix
 
 

@@ -26,7 +26,6 @@ to read and so reach a superset.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import cached_property
 from heapq import heappop, heappush
 from itertools import chain, compress, count, repeat
@@ -65,8 +64,6 @@ from crpqbound.syntax import (
     concat,
     union,
 )
-
-Hom = dict
 
 # ------------------------------------------------------------- plain CQ homs
 
@@ -177,9 +174,8 @@ class Contained:
         return SuccinctCQ(self._disjunct.variables(), tuple(atoms))
 
 
-@dataclass(frozen=True)
 class NotContained:
-    counterexample: SuccinctCQ
+    """No expansion of the right side maps into lam's canonical database."""
 
 
 def _reverse_expr(e):
@@ -447,7 +443,7 @@ def expansion_contained(
     (see _CanonicalDB), not unrolled into a CQ; its length, the sum of
     |w|*n over its atoms, is bounded by ``max_materialized_atoms``.
     Returns Contained, which recovers the chosen right-side expansion and
-    homomorphism on demand, or NotContained carrying lam itself.
+    homomorphism on demand, or NotContained.
     """
     lam_n = normalize_succinct(lam)
     check_length(lam_n, caps.max_materialized_atoms)
@@ -456,7 +452,7 @@ def expansion_contained(
         h = _disjunct_hom(d, db)
         if h is not None:
             return Contained(d, h, db)
-    return NotContained(lam_n)
+    return NotContained()
 
 
 def succinct_containment(

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from crpqbound.boundedness import compute_bounds
 from crpqbound.config import DEFAULT_CAPS, Caps
-from crpqbound.errors import CapExceeded, UnsupportedFragment
+from crpqbound.errors import CapExceeded, ParseError, UnsupportedFragment
 from crpqbound.expansion import CQ, ExponentDomain, enumerate_expansions, materialize
 from crpqbound.qbfgen import QBF
 from crpqbound.succinct_nfa import SuccinctNFA
@@ -67,11 +67,12 @@ def graph_of_cq(cq: CQ) -> GraphDB:
 def load_graph_csv(path) -> GraphDB:
     edges = []
     with open(path, newline="") as fh:
-        for row in csv.reader(fh):
+        rows = csv.reader(fh)
+        for row in rows:
             if not row or all(not c.strip() for c in row):
                 continue
             if len(row) != 3:
-                raise ValueError(f"expected 3 columns, got {row!r}")
+                raise ParseError(f"expected 3 columns, got {row!r}", rows.line_num, 1)
             s, label, d = (c.strip() for c in row)
             if (s.lower(), label.lower(), d.lower()) == ("src", "label", "dst"):
                 continue
@@ -206,8 +207,7 @@ def compile_regex_nfa(e, caps: Caps = DEFAULT_CAPS):
             return trans, first, first
         raise TypeError(f"not a supported regex: {e!r}")
 
-    trans, start, end = build(e)
-    return trans, start, end
+    return build(e)
 
 
 # ------------------------------------------------------------ graph evaluation
@@ -327,7 +327,6 @@ class Verdict:
     kind: str  # "agree" | "disagree" | "skipped"
     instance: GraphDB | None
     trials_run: int
-    canonical_run: int
 
 
 _CANONICAL_BUDGET = 2048
@@ -398,7 +397,7 @@ def sampled_equivalence(
         for db in dbs:
             canonical += 1
             if eval_on_graph(q, db, caps) != eval_on_graph(q2, db, caps):
-                return Verdict("disagree", db, 0, canonical)
+                return Verdict("disagree", db, 0)
 
     n = graph_size
     p = 2.0 / (n * max(1, len(sigma)))
@@ -412,10 +411,10 @@ def sampled_equivalence(
                         edges.append((u, s, v))
         db = GraphDB(vertices, tuple(sorted(set(edges))))
         if eval_on_graph(q, db, caps) != eval_on_graph(q2, db, caps):
-            return Verdict("disagree", db, t + 1, canonical)
+            return Verdict("disagree", db, t + 1)
     if canonical == 0 and trials == 0:
-        return Verdict("skipped", None, 0, 0)
-    return Verdict("agree", None, trials, canonical)
+        return Verdict("skipped", None, 0)
+    return Verdict("agree", None, trials)
 
 
 # --------------------------------------------------------------- QBF oracle

@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass
 
 from crpqbound.config import DEFAULT_CAPS, Caps
-from crpqbound.errors import ParseError
+from crpqbound.errors import ParseError, UnsupportedFragment
 from crpqbound.expansion import ExponentDomain, enumerate_expansions, materialize
 from crpqbound.homomorphism import cq_hom
 from crpqbound.syntax import CRPQ, EdgeAtom, Letter, Star
@@ -63,7 +63,10 @@ def parse_qbf(text: str) -> QBF:
             continue
         m = header.match(line)
         if m:
-            kind, lo, hi = m.group(1), int(m.group(2)), int(m.group(3))
+            try:
+                kind, lo, hi = m.group(1), int(m.group(2)), int(m.group(3))
+            except ValueError:  # more digits than int() converts
+                raise ParseError("header bound too long", lineno, 1) from None
             count = hi - lo + 1 if hi >= lo else 0
             if kind == "forall":
                 if n is not None:
@@ -98,7 +101,10 @@ def parse_qbf(text: str) -> QBF:
         clauses.append(tuple(ints))
     if n is None or l is None:
         raise ParseError("missing forall/exists headers", 1, 1)
-    return QBF(n, l, tuple(clauses))
+    try:
+        return QBF(n, l, tuple(clauses))
+    except ValueError as exc:  # a literal that names no variable
+        raise ParseError(str(exc)) from None
 
 
 # ------------------------------------------------------------------- gadgets
@@ -230,7 +236,7 @@ def build_q2(phi: QBF) -> CRPQ:
     """The clause-side query: one gadget per clause, disjoint except for
     the shared y{j}_tf ends."""
     if not phi.clauses:
-        raise ValueError("q2 needs at least one clause (empty conjunction)")
+        raise UnsupportedFragment("q2 needs at least one clause (empty conjunction)")
     atoms = []
     for ci, clause in enumerate(phi.clauses, start=1):
         atoms.extend(clause_gadget(phi, ci, clause).atoms)

@@ -73,7 +73,7 @@ def normalize(nfa: SuccinctNFA) -> SuccinctNFA:
     finals = tuple(sorted(q for q in nfa.states if closures[q] & final_set))
     return SuccinctNFA(
         tuple(sorted(nfa.states)),
-        tuple(sorted(transitions, key=lambda t: (t.src, t.word, t.exponent, t.dst))),
+        tuple(sorted(transitions)),
         nfa.initial,
         finals,
     )
@@ -221,7 +221,8 @@ def length_reach(nfa: SuccinctNFA, target_length: int, caps: Caps = DEFAULT_CAPS
     live = set(nfa.states)
     while True:
         live = _reachable([nfa.initial], out, live) & _reachable(finals, into, live)
-        graph = {q: {u for u, _ in into[q] if u in live} for q in live}
+        # sorted, so the cycle reported and the pivot cut do not hang on the hash seed
+        graph = {q: sorted({u for u, _ in into[q] if u in live}) for q in sorted(live)}
         try:
             order = list(TopologicalSorter(graph).static_order())
             break

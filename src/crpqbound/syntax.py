@@ -138,16 +138,6 @@ def union(parts) -> RegexExpr:
     return Union(tuple(flat))
 
 
-def word_expr(word) -> RegexExpr:
-    """The expression denoting exactly the given word."""
-    word = tuple(word)
-    if not word:
-        return Epsilon()
-    if len(word) == 1:
-        return Letter(word[0])
-    return Concat(tuple(Letter(c) for c in word))
-
-
 def as_word(e: RegexExpr):
     """Return the literal word an expression spells, or None.
 
@@ -500,9 +490,8 @@ class _Parser:
         self.toks = toks
         self.i = 0
 
-    def peek(self, ahead=0):
-        j = self.i + ahead
-        return self.toks[j] if j < len(self.toks) else None
+    def peek(self):
+        return self.toks[self.i] if self.i < len(self.toks) else None
 
     def take(self):
         tok = self.peek()
@@ -575,7 +564,10 @@ class _Parser:
             self.take()
             if word is None:
                 raise ParseError("power over non-word", op.line, op.col)
-            n = int(num.text)
+            try:
+                n = int(num.text)
+            except ValueError as exc:  # more digits than int() converts
+                raise ParseError(str(exc), num.line, num.col) from None
             return Power(word, n) if op.kind == "CARET" else PowerLE(word, n)
         if nxt and nxt.kind == "STAR":
             op = self.take()
@@ -584,7 +576,7 @@ class _Parser:
             return Star(word)
         if base is not None:
             return base
-        return word_expr(word)
+        return concat(tuple(map(Letter, word)))
 
     # atom := VAR "-[" regex "]->" VAR | VAR "=" VAR
     def atom(self):

@@ -23,10 +23,10 @@ from crpqbound.boundedness import (
     is_bounded,
     is_bounded_in,
     maximal_bounded_letters,
-    per_disjunct_bounds,
 )
 from crpqbound.oracle import eval_on_graph, graph_of_cq
 from crpqbound.syntax import (
+    UCRPQ,
     Star,
     alphabet,
     collapse,
@@ -59,7 +59,7 @@ def test_bounds_profile_figure_shape():
 
 def test_bounds_union_takes_max_disjunct():
     q = parse_ucrpq("?x -[a]-> ?y | ?x -[(aba)*]-> ?y, ?x -[(aba)^3]-> ?z")
-    per = per_disjunct_bounds(q)
+    per = [compute_bounds(UCRPQ((d,))) for d in q.disjuncts]
     assert len(per) == 2
     assert compute_bounds(q).z == max(p.z for p in per)
 

@@ -1,7 +1,11 @@
 """End-to-end command behaviour: exit codes, JSON shape, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -221,6 +225,24 @@ def test_member_cyclic_automaton_beyond_a_million(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_member_tight_cap_answer_does_not_depend_on_the_hash_seed(tmp_path):
+    # the cap stops one pivot's table; which pivot is cut must not vary by process
+    nfa = tmp_path / "c.nfa"
+    nfa.write_text(CYCLIC_NFA)
+    argv = [sys.executable, "-m", "crpqbound.cli", "member", str(nfa), "a", "1999999"]
+    argv += ["--cap-length", "1"]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    codes = {
+        subprocess.run(
+            argv,
+            env={**os.environ, "PYTHONHASHSEED": str(seed), "PYTHONPATH": src},
+            capture_output=True,
+        ).returncode
+        for seed in range(6)
+    }
+    assert len(codes) == 1, codes
+
+
 def test_successive_calls_share_no_state(tmp_path, capsys):
     nfa = tmp_path / "m.nfa"
     nfa.write_text("initial: p\nfinals: f\np -[(ab)^3]-> f\n")
@@ -314,3 +336,35 @@ def test_seed_env_fallback(qfile, capsys, monkeypatch):
     assert main(["analyze", qfile(CLAIM), "--json"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["stats"]["seed"] == 7
+
+
+@pytest.mark.parametrize("fault", [ValueError("bad state"), RuntimeError("lost")])
+def test_internal_fault_exits_71(tmp_path, capsys, monkeypatch, fault):
+    def broken(*args):
+        raise fault
+
+    monkeypatch.setattr(cli, "membership", broken)
+    nfa = tmp_path / "m.nfa"
+    nfa.write_text("initial: p\nfinals: f\np -[a]-> f\n")
+    assert main(["member", str(nfa), "a", "1"]) == 71
+    assert capsys.readouterr().err == f"internal error: {type(fault).__name__}: {fault}\n"
+
+
+@pytest.mark.parametrize(
+    "name, text, argv",
+    [
+        ("g.csv", "src,label,dst\nu,a\n", ["eval", "--graph", "{path}", "--query", "{q}"]),
+        ("zero.qbf", "forall 1..1\nexists 2..2\n1 0 2\n", ["qbfgen", "{path}"]),
+        ("range.qbf", "forall 1..1\nexists 2..2\n1 2 9\n", ["qbfgen", "{path}"]),
+        ("wide.qbf", "forall 1.." + "9" * 5000 + "\n", ["qbfgen", "{path}"]),
+        ("empty.qbf", "forall 1..1\nexists 2..2\n", ["qbfgen", "{path}", "--emit", "q2"]),
+        ("latin1.txt", b"\xff?x -[a]-> ?y\n", ["analyze", "{path}"]),
+        ("long.txt", "?x -[a^" + "9" * 5000 + "]-> ?y\n", ["analyze", "{path}"]),
+    ],
+)
+def test_bad_input_exits_64(tmp_path, qfile, capsys, name, text, argv):
+    path = tmp_path / name
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
+    paths = {"path": str(path), "q": qfile("?x -[a]-> ?y\n")}
+    assert main([arg.format(**paths) for arg in argv]) == 64
+    assert capsys.readouterr().err.startswith("input error: ")
