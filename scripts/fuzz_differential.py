@@ -81,7 +81,7 @@ def fuzz_membership(cfg: FuzzConfig) -> int:
     search often stops: a decided answer must still be the right one.
     """
     rng = random.Random(cfg.seed)
-    tight = replace(DEFAULT_CAPS, max_length_dp=2, max_semilinear=2)
+    tight = replace(DEFAULT_CAPS, max_length_dp=2)
     bad = decided = skipped = 0
     for i in range(cfg.nfa_trials):
         nfa = gen_random_snfa(rng)

@@ -19,7 +19,6 @@ import argparse
 import contextlib
 import functools
 import json
-import os
 import sys
 from dataclasses import replace
 
@@ -107,34 +106,19 @@ _CAP_FLAGS = {
     ),
     "--cap-length": (
         "max_length_dp",
-        "residues per state in member's length search; longest word the oracles unroll",
+        "lengths per state in member's length search, both its pivot residues and its"
+        " acyclic length sets; longest word the oracles unroll",
     ),
     "--cap-word-len": ("max_word_len", "longest word a star-free label spells when listed"),
-    "--cap-semilinear": ("max_semilinear", "lengths per state in member's acyclic length search"),
 }
 
 
 def _caps_from(ns) -> Caps:
-    overrides = {}
-    for flag, (field, _) in _CAP_FLAGS.items():
-        value = getattr(ns, flag[2:].replace("-", "_"), None)
-        if value is not None:
-            overrides[field] = value
+    values = vars(ns)  # a field is absent where its flag is not registered
+    overrides = {f: values[f] for f, _ in _CAP_FLAGS.values() if values.get(f) is not None}
     if any(v <= 0 for v in overrides.values()):
         raise _UsageError("caps must be positive integers")
     return replace(DEFAULT_CAPS, **overrides) if overrides else DEFAULT_CAPS
-
-
-def _seed_from(ns) -> int:
-    if getattr(ns, "seed", None) is not None:
-        return ns.seed
-    env = os.environ.get("CRPQ_BOUND_SEED")
-    if env is None:
-        return 0
-    try:
-        return int(env)
-    except ValueError:
-        raise _UsageError(f"CRPQ_BOUND_SEED must be an integer, got {env!r}")
 
 
 def _emit_json(payload: dict) -> None:
@@ -254,7 +238,6 @@ def _verify_report(q: UCRPQ, report: AnalysisReport, caps: Caps, seed: int):
 def cmd_analyze(ns) -> int:
     q = parse_ucrpq(_read_text(ns.file))
     caps = _caps_from(ns)
-    seed = _seed_from(ns)
     if ns.letters is None:
         report = is_bounded(q, caps, ns.full_enumeration, ns.zplus_mode)
     elif ns.letters == "max":
@@ -268,12 +251,12 @@ def cmd_analyze(ns) -> int:
 
     if ns.json:
         cli_mode = {"oracle_verify": bool(ns.oracle_verify), "cap": caps.max_expansions}
-        _emit_json(_report_json(report, seed, cli_mode))
+        _emit_json(_report_json(report, ns.seed, cli_mode))
     else:
         _print_report(report)
 
     if ns.oracle_verify:
-        for subject, outcome in _verify_report(q, report, caps, seed):
+        for subject, outcome in _verify_report(q, report, caps, ns.seed):
             if outcome is False:
                 print(f"oracle verify: {subject} contradicted by sampling", file=sys.stderr)
                 return EX_VERIFY_FAILED
@@ -334,7 +317,10 @@ def cmd_eval(ns) -> int:
 def _add_caps_flags(sub, *flags) -> None:
     """Register the cap flags that the subcommand's code paths read."""
     for flag in flags:
-        sub.add_argument(flag, type=int, help=_CAP_FLAGS[flag][1])
+        field, help_text = _CAP_FLAGS[flag]
+        # stored under its Caps field; --help shows the metavar argparse derives from the flag
+        metavar = flag[2:].replace("-", "_").upper()
+        sub.add_argument(flag, type=int, dest=field, metavar=metavar, help=help_text)
 
 
 @functools.cache
@@ -369,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="cross-check the verdict against brute-force evaluation",
     )
-    analyze.add_argument("--seed", type=int, help="sampling seed (or CRPQ_BOUND_SEED)")
+    analyze.add_argument("--seed", type=int, default=0, help="sampling seed (default 0)")
     # --cap-length bounds the oracles' unrolling under --oracle-verify
     _add_caps_flags(analyze, "--cap", "--cap-atoms", "--cap-length", "--cap-word-len")
 
@@ -384,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     member.add_argument("word", help="base word v, or 'eps'")
     member.add_argument("exponent", type=int, help="exponent m")
     member.add_argument("--json", action="store_true")
-    _add_caps_flags(member, "--cap-length", "--cap-semilinear")
+    _add_caps_flags(member, "--cap-length")
 
     qbfgen = subs.add_parser("qbfgen", help="emit the query reduction of a formula")
     qbfgen.add_argument("qbf", help="formula file ('-' for stdin)")

@@ -22,21 +22,17 @@ class Caps:
         containment check indexes as its left side or that materialize
         unrolls.
     max_length_dp:
-        Most residues one state holds, per pivot, in the exact length
-        search behind succinct-NFA membership; also the longest word,
-        transition or power the brute-force oracles unroll.
+        Most lengths a state holds in the length search behind succinct-NFA
+        membership, as pivot residues or acyclic length sets; also the
+        longest word, transition or power the brute-force oracles unroll.
     max_word_len:
         Longest word a star-free label spells when its language is listed.
-    max_semilinear:
-        Most lengths one state holds once the length search has cut
-        every cycle and propagates length sets over the acyclic rest.
     """
 
     max_expansions: int = 10**5
     max_materialized_atoms: int = 10**6
     max_length_dp: int = 10**6
     max_word_len: int = 10**4
-    max_semilinear: int = 10**5
 
 
 @dataclass

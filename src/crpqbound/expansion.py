@@ -328,14 +328,11 @@ def _atom_choices(label: RegexExpr, dom_values, caps: Caps):
     """Choice list for one atom: pairs (word, exponent), in canonical order."""
     if isinstance(label, Star):
         return [(label.word, e) for e in dom_values]
-    if isinstance(label, Power):
-        return [(label.word, label.exponent)]
     if isinstance(label, PowerLE):
         return [(label.word, k) for k in range(label.exponent + 1)]
-    if isinstance(label, Letter):
-        return [((label.symbol,), 1)]
-    if isinstance(label, Epsilon):
-        return [((), 0)]
+    pair = as_power(label)
+    if pair is not None:
+        return [pair]
     return [(w, 1) if w else ((), 0) for w in ssf_words(label, caps)]
 
 
@@ -347,10 +344,10 @@ def star_free_choice_count(label: RegexExpr, caps: Caps = DEFAULT_CAPS) -> int:
     """
     if isinstance(label, Star):
         raise ValueError("star label has no fixed choice count")
-    if isinstance(label, (Power, Letter, Epsilon)):
-        return 1
     if isinstance(label, PowerLE):
         return label.exponent + 1
+    if as_power(label) is not None:
+        return 1
     return len(ssf_words(label, caps))
 
 

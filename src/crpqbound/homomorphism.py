@@ -237,23 +237,19 @@ class _PathIndex:
         self.delta = delta
         self.spans = spans
         self.memo = {}
-        self._having = {}
 
     def having(self, symbols) -> frozenset:
         """The vertices with an edge reading one of symbols."""
-        found = []
-        for s in symbols:
-            got = self._having.get(s)
-            if got is None:
-                # the None letters of the variables never equal s
-                got = self._having[s] = frozenset(
-                    chain(
-                        (u for u, t in self.adj if t == s),
-                        compress(count(), map(eq, self.letters, repeat(s))),
-                    )
+        # the None letters of the variables never equal s
+        return frozenset(
+            chain.from_iterable(
+                chain(
+                    (u for u, t in self.adj if t == s),
+                    compress(count(), map(eq, self.letters, repeat(s))),
                 )
-            found.append(got)
-        return found[0] if len(found) == 1 else frozenset().union(*found)
+                for s in symbols
+            )
+        )
 
     def walk_word(self, frontier, word):
         nvars, adj, letters, ends, delta = (

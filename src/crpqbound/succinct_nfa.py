@@ -206,6 +206,7 @@ def length_reach(nfa: SuccinctNFA, target_length: int, caps: Caps = DEFAULT_CAPS
     target in topological order.  Exact; a pivot's table holds at most
     min(c, target_length + 1) residues per state, for c its shortest
     closed walk, so the work does not grow with target_length beyond c.
+    ``caps.max_length_dp`` bounds what one state holds in both stages.
     """
     if target_length < 0:
         return False
@@ -236,8 +237,8 @@ def length_reach(nfa: SuccinctNFA, target_length: int, caps: Caps = DEFAULT_CAPS
         lengths = {0} if q == nfa.initial else set()
         for u, w in into[q]:
             lengths.update(x + w for x in reach.get(u, ()) if x + w <= target_length)
-        if len(lengths) > caps.max_semilinear:
-            raise CapExceeded(caps.max_semilinear, "length set too large")
+        if len(lengths) > caps.max_length_dp:
+            raise CapExceeded(caps.max_length_dp, "length set too large")
         reach[q] = lengths
     return any(target_length in reach.get(f, ()) for f in finals)
 

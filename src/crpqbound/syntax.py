@@ -485,10 +485,16 @@ def _lex(text: str):
 # --------------------------------------------------------------------- parser
 
 
+# parentheses one label may nest: the parser and the walks over the
+# expression tree recurse once per level, under the interpreter's limit
+MAX_NESTING = 100
+
+
 class _Parser:
     def __init__(self, toks):
         self.toks = toks
         self.i = 0
+        self.depth = 0
 
     def peek(self):
         return self.toks[self.i] if self.i < len(self.toks) else None
@@ -548,8 +554,12 @@ class _Parser:
             base = None
         else:
             self.take()
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", tok.line, tok.col)
             inner = self.regex()
             self.expect("RPAREN", "')'")
+            self.depth -= 1
             word = as_word(inner)
             if word == ():
                 word = None

@@ -16,7 +16,7 @@ from crpqbound.cli import main
 from crpqbound.expansion import materialize, succinct_cq_from_crpq
 from crpqbound.homomorphism import cq_hom
 from crpqbound.qbfgen import parse_qbf
-from crpqbound.syntax import parse_ucrpq
+from crpqbound.syntax import MAX_NESTING, parse_ucrpq
 
 CLAIM = "?x -[(ab)*]-> ?y, ?x -[a]-> ?z, ?z -[b]-> ?w\n"
 ASTARB = "?x -[a*]-> ?y, ?x -[b]-> ?y\n"
@@ -287,6 +287,7 @@ def test_cap_flag_rejects_nonpositive(qfile, capsys):
     [
         ["contains", "{q}", "{q}", "--cap", "5"],
         ["member", "{nfa}", "a", "1", "--cap-atoms", "5"],
+        ["member", "{nfa}", "a", "1", "--cap-semilinear", "1"],
         ["eval", "--graph", "{g}", "--query", "{q}", "--cap", "5"],
     ],
 )
@@ -319,7 +320,7 @@ def test_each_cap_flag_turns_a_decided_answer_inconclusive(tmp_path, qfile, caps
     runs(["member", str(cyclic), "a", "15"], "--cap-length", "2")
     acyclic = tmp_path / "a.nfa"
     acyclic.write_text("initial: i\nfinals: f\ni -[a]-> f\ni -[a^2]-> f\n")
-    runs(["member", str(acyclic), "a", "2"], "--cap-semilinear", "1")
+    runs(["member", str(acyclic), "a", "2"], "--cap-length", "1")
     g = tmp_path / "g.csv"
     g.write_text("src,label,dst\n" + "".join(f"v{i},a,v{i + 1}\n" for i in range(5)))
     runs(["eval", "--graph", str(g), "--query", qfile("?x -[a^5]-> ?y\n")], "--cap-length", "1")
@@ -331,11 +332,15 @@ def test_oracle_verify_cap_length_skips_the_replay(qfile, capsys):
     assert capsys.readouterr().err == "oracle verify: verdict skipped (caps)\n"
 
 
-def test_seed_env_fallback(qfile, capsys, monkeypatch):
+def test_seed_is_set_by_the_flag_alone(qfile, capsys, monkeypatch):
+    def seed(*flags):
+        assert main(["analyze", qfile(CLAIM), "--json", *flags]) == 0
+        return json.loads(capsys.readouterr().out)["stats"]["seed"]
+
+    assert seed("--seed", "7") == 7
+    # the environment never sets it: a report depends on its arguments and input
     monkeypatch.setenv("CRPQ_BOUND_SEED", "7")
-    assert main(["analyze", qfile(CLAIM), "--json"]) == 0
-    report = json.loads(capsys.readouterr().out)
-    assert report["stats"]["seed"] == 7
+    assert seed() == 0
 
 
 @pytest.mark.parametrize("fault", [ValueError("bad state"), RuntimeError("lost")])
@@ -360,6 +365,7 @@ def test_internal_fault_exits_71(tmp_path, capsys, monkeypatch, fault):
         ("empty.qbf", "forall 1..1\nexists 2..2\n", ["qbfgen", "{path}", "--emit", "q2"]),
         ("latin1.txt", b"\xff?x -[a]-> ?y\n", ["analyze", "{path}"]),
         ("long.txt", "?x -[a^" + "9" * 5000 + "]-> ?y\n", ["analyze", "{path}"]),
+        ("deep.txt", "?x -[" + "(" * 3000 + "a" + ")" * 3000 + "]-> ?y\n", ["analyze", "{path}"]),
     ],
 )
 def test_bad_input_exits_64(tmp_path, qfile, capsys, name, text, argv):
@@ -368,3 +374,20 @@ def test_bad_input_exits_64(tmp_path, qfile, capsys, name, text, argv):
     paths = {"path": str(path), "q": qfile("?x -[a]-> ?y\n")}
     assert main([arg.format(**paths) for arg in argv]) == 64
     assert capsys.readouterr().err.startswith("input error: ")
+
+
+def test_label_nested_to_the_limit_is_analyzed(qfile, capsys):
+    # alternating union and concatenation, so every level stays in the tree
+    label = "a"
+    for i in range(MAX_NESTING):
+        label = f"(b+{label})" if i % 2 == 0 else f"(a{label})"
+    assert main(["analyze", qfile(f"?x -[a*]-> ?y, ?x -[{label}]-> ?y\n"), "--json"]) in (0, 1, 2)
+    capsys.readouterr()
+    assert main(["analyze", qfile(f"?x -[({label})]-> ?y\n")]) == 64
+    assert f"nested deeper than {MAX_NESTING}" in capsys.readouterr().err
+
+
+def test_long_literal_word_label_is_one_choice(qfile, capsys):
+    # its one word is not listed, so --cap-word-len's listing limit does not apply
+    assert main(["analyze", qfile("?x -[" + "a" * 10_001 + "]-> ?y\n"), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["verdict"] == "bounded"

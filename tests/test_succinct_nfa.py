@@ -255,5 +255,33 @@ def test_acyclic_length_set_cap_fires():
         ["f"],
     )
     with pytest.raises(CapExceeded, match="length set too large"):
-        length_reach(nfa, 2, replace(DEFAULT_CAPS, max_semilinear=1))
-    assert length_reach(nfa, 2, replace(DEFAULT_CAPS, max_semilinear=2)) is True
+        length_reach(nfa, 2, replace(DEFAULT_CAPS, max_length_dp=1))
+    assert length_reach(nfa, 2, replace(DEFAULT_CAPS, max_length_dp=2)) is True
+
+
+def test_acyclic_membership_matches_brute_force_under_both_caps():
+    # chains with parallel transitions and skip edges: every length comes
+    # from the acyclic stage, whose length sets max_length_dp bounds
+    rng = random.Random(31)
+    tight = replace(DEFAULT_CAPS, max_length_dp=3)
+    decided = skipped = 0
+    for _ in range(300):
+        steps = rng.randint(1, 5)
+        transitions = []
+        for i in range(steps):
+            targets = [i + 1] * rng.randint(1, 3)
+            if i + 2 <= steps and rng.random() < 0.5:
+                targets.append(i + 2)
+            transitions += [
+                SNFATransition(f"q{i}", ("a",), rng.randint(0, 20), f"q{j}") for j in targets
+            ]
+        nfa = _nfa(transitions, "q0", [f"q{steps}"], states=[f"q{i}" for i in range(steps + 1)])
+        for m in rng.sample(range(101), 10):
+            want = nfa_membership_brute(nfa, ("a",), m)
+            assert membership(nfa, ("a",), m) == want, (repr(nfa), m)
+            try:
+                assert membership(nfa, ("a",), m, tight) == want, (repr(nfa), m)
+                decided += 1
+            except CapExceeded:
+                skipped += 1
+    assert decided and skipped
