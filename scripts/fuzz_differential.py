@@ -1,12 +1,14 @@
 #!/usr/bin/env python3
 """Fuzz the succinct algorithms against their brute-force counterparts.
 
-Four rounds: NFA membership (small exponents and exponents up to 10^4)
+Five rounds: NFA membership (small exponents and exponents up to 10^4)
 vs materialized membership, asked again under tight length caps where a
 decided answer must match and a cap hit counts as skipped, succinct CQ
 containment (the reachability engine behind ``crpqbound contains`` and
 the boundedness checks) vs cq_hom on both materialized sides, with each
-left side also read back from its rendered text, probe expansions
+left side also read back from its rendered text, the join that cq_hom and
+query evaluation share vs trying every assignment on graphs of up to
+four vertices (as many cases as containment pairs), probe expansions
 of random a-star queries against their bounded right sides (some stars
 left whole) vs evaluation on the materialized probe, and boundedness
 verdicts cross-checked by oracle evaluation on witness databases or on
@@ -30,6 +32,7 @@ from conftest import (  # noqa: E402
     gen_random_snfa,
     gen_random_succinct_cq,
     gen_random_word,
+    join_case_problems,
     some_stars_over_b,
 )
 from crpqbound.boundedness import (  # noqa: E402
@@ -121,6 +124,17 @@ def fuzz_containment(cfg: FuzzConfig) -> int:
         if succinct_containment(left, right) != want:
             bad += 1
             print(f"  containment mismatch at pair {i}: {left} vs {right}")
+    return bad
+
+
+def fuzz_join(cfg: FuzzConfig) -> int:
+    """eval_on_graph and cq_hom against naive enumeration, one case per pair."""
+    rng = random.Random(cfg.seed + 5)
+    bad = 0
+    for i in range(cfg.containment_pairs):
+        for problem in join_case_problems(rng):
+            bad += 1
+            print(f"  join mismatch at case {i}: {problem}")
     return bad
 
 
@@ -248,6 +262,7 @@ def main() -> int:
     for name, round_fn, count in (
         ("membership", fuzz_membership, cfg.nfa_trials),
         ("containment", fuzz_containment, cfg.containment_pairs),
+        ("join", fuzz_join, cfg.containment_pairs),
         ("probes", fuzz_probes, cfg.probe_queries),
         ("boundedness", fuzz_boundedness, cfg.boundedness_queries),
     ):

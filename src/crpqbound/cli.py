@@ -189,6 +189,8 @@ def _print_report(report: AnalysisReport) -> None:
             print(f"  {letter}: {letter_report.verdict}")
     elif report.mode.get("letters") is not None:
         print(f"letters: {report.mode['letters']}")
+    if report.mode.get("shortcut"):
+        print(f"shortcut: {report.mode['shortcut']}")
     if report.rewriting is not None:
         print(f"rewriting: {render_ucrpq(report.rewriting)}")
     if report.witness is not None:

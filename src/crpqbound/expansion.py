@@ -5,6 +5,10 @@ kept succinct: each atom stores a word and a repetition count in binary
 (:class:`SuccinctCQ`), and :func:`materialize` unrolls one into a plain
 conjunctive query with explicit path variables when the fully written-out
 form is needed.
+
+:func:`join`, the brute-force references' backtracking join with
+arc-consistent domains, serves :func:`cq_hom` (the plain homomorphism search
+the containment engine is tested against) and the oracle's evaluation.
 """
 
 from __future__ import annotations
@@ -339,8 +343,10 @@ def _atom_choices(label: RegexExpr, dom_values, caps: Caps):
 def star_free_choice_count(label: RegexExpr, caps: Caps = DEFAULT_CAPS) -> int:
     """Number of expansion choices of a non-star atom label.
 
-    Cheap arithmetic where possible; used for budget estimates before any
-    choice list is materialized.
+    Arithmetic only, used for budget estimates before any choice list is
+    materialized.  A word the label spells in more than one way is
+    counted once per way, so the count is an upper bound, exact when each
+    word is spelled once.
     """
     if isinstance(label, Star):
         raise ValueError("star label has no fixed choice count")
@@ -348,7 +354,7 @@ def star_free_choice_count(label: RegexExpr, caps: Caps = DEFAULT_CAPS) -> int:
         return label.exponent + 1
     if as_power(label) is not None:
         return 1
-    return len(ssf_words(label, caps))
+    return _ssf_size(label, caps)[0]
 
 
 def enumerate_expansions(
@@ -368,6 +374,8 @@ def enumerate_expansions(
     are visited, in the same order.  Raises CapExceeded after visiting
     ``cap`` combinations.
     """
+    if above is not None and not above[0]:
+        return
     limit = caps.max_expansions if cap is None else cap
     q = collapse(q) if q.equality_atoms else q
     choice_lists = [
@@ -402,8 +410,6 @@ def _combinations(choice_lists, above):
         yield from itertools.product(*choice_lists)
         return
     atoms, z = above
-    if not atoms:
-        return
     last = max(atoms)
     earlier = [i for i in atoms if i < last]
     high = [c for c in choice_lists[last] if c[1] > z]
@@ -458,3 +464,84 @@ def materialize(scq: SuccinctCQ, caps: Caps = DEFAULT_CAPS) -> CQ:
             atoms.append(CQAtom(cur, sym, nxt))
             cur = nxt
     return CQ(tuple(variables), tuple(atoms))
+
+
+# ------------------------------------------------------------ reference join
+
+
+def join(variables, domains, pairs):
+    """A value per variable from its ``domains`` meeting every pair, or None.
+
+    A pair (x, y, fwd, bwd) of distinct variables allows y = v with x = u
+    exactly when v is in fwd[u]; bwd is its inverse.  Backtracking over
+    domains kept arc consistent, so chain-shaped joins collapse by
+    propagation; it branches on the first smallest open domain in
+    ``variables`` order and tries its values in sorted order.
+    """
+    # the work sets hold pair indices: pairs holding dicts do not hash
+    pairs_of = {v: [] for v in variables}
+    dom = {v: set(domains[v]) for v in variables}
+    for i, (x, y, fwd, bwd) in enumerate(pairs):
+        pairs_of[x].append(i)
+        pairs_of[y].append(i)
+        dom[x] = {u for u in dom[x] if u in fwd}
+        dom[y] = {u for u in dom[y] if u in bwd}
+
+    def propagate(dom, work):
+        while work:
+            x, y, fwd, bwd = pairs[work.pop()]
+            sx, sy = dom[x], dom[y]
+            # every value left in a domain has an entry (filtered above)
+            nx = {u for u in sx if not fwd[u].isdisjoint(sy)}
+            ny = {u for u in sy if not bwd[u].isdisjoint(nx)}
+            if len(nx) < len(sx):
+                if not nx:
+                    return False
+                dom[x] = nx
+                work.update(pairs_of[x])
+            if len(ny) < len(sy):
+                if not ny:
+                    return False
+                dom[y] = ny
+                work.update(pairs_of[y])
+        return True
+
+    def search(dom):
+        v = None
+        for u in variables:
+            if len(dom[u]) > 1 and (v is None or len(dom[u]) < len(dom[v])):
+                v = u
+        if v is None:
+            return {u: next(iter(dom[u])) for u in variables}
+        for value in sorted(dom[v]):
+            nd = {w: set(d) for w, d in dom.items()}
+            nd[v] = {value}
+            if propagate(nd, set(pairs_of[v])):
+                found = search(nd)
+                if found is not None:
+                    return found
+        return None
+
+    if any(not d for d in dom.values()) or not propagate(dom, set(range(len(pairs)))):
+        return None
+    return search(dom)
+
+
+def cq_hom(src: CQ, dst: CQ):
+    """A homomorphism from src into dst, or None, found by join.
+
+    A self-loop atom restricts its variable to dst's vertices with that loop.
+    """
+    fwd, bwd = {}, {}
+    for a in dst.atoms:
+        fwd.setdefault(a.symbol, {}).setdefault(a.src, set()).add(a.dst)
+        bwd.setdefault(a.symbol, {}).setdefault(a.dst, set()).add(a.src)
+    domains = {v: set(dst.variables) for v in src.variables}
+    pairs = []
+    for a in src.atoms:
+        out, into = fwd.get(a.symbol, {}), bwd.get(a.symbol, {})
+        if a.src == a.dst:
+            domains[a.src] &= {u for u, vs in out.items() if u in vs}
+        else:
+            pairs.append((a.src, a.dst, out, into))
+    return join(src.variables, domains, pairs)

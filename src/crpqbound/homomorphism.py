@@ -1,15 +1,15 @@
-"""Homomorphism search and containment checks.
+"""The containment engine.
 
-cq_hom finds a plain homomorphism between materialized conjunctive
-queries; it is the reference the containment engine is tested against.
-expansion_contained is the containment engine: it indexes the left
-expansion's canonical database by positions (variables, then the
-interior positions of each w^n atom, whose length ``max_materialized_atoms``
-bounds) instead of unrolling it into a CQ, and asks whether some
-expansion of a star-free (or letter-restricted) union query maps into it,
-interleaving the right side's branch and exponent choices with the
-variable assignment search by memoized regex reachability.
-succinct_containment poses succinct CQ containment to that same engine.
+expansion_contained indexes the left expansion's canonical database by
+positions (variables, then the interior positions of each w^n atom,
+whose length ``max_materialized_atoms`` bounds) instead of unrolling it
+into a CQ, and asks whether some expansion of a star-free (or
+letter-restricted) union query maps into it, interleaving the right
+side's branch and exponent choices with the variable assignment search
+by memoized regex reachability.  succinct_containment poses succinct CQ
+containment to that same engine.  The brute-force reference it is
+tested against, cq_hom, lives in expansion beside materialize and
+shares no code with this search.
 
 Reachability along w^<=n and w* is arithmetic over atoms, not letter by
 letter.  Inside an atom u^e the letters have period |u| and the copies of
@@ -34,7 +34,6 @@ from operator import eq, itemgetter
 
 from crpqbound.config import DEFAULT_CAPS, Caps
 from crpqbound.expansion import (
-    CQ,
     SuccinctAtom,
     SuccinctCQ,
     check_length,
@@ -45,8 +44,8 @@ from crpqbound.expansion import (
     ssf_words,
 )
 
-# unused here; kept importable because the benchmark's layer trace patches them
-from crpqbound.expansion import materialize  # noqa: F401
+# unused here; kept importable because the benchmark's trace and checker use them
+from crpqbound.expansion import cq_hom, materialize  # noqa: F401
 from crpqbound.succinct_nfa import membership  # noqa: F401
 from crpqbound.syntax import (
     CRPQ,
@@ -64,84 +63,6 @@ from crpqbound.syntax import (
     concat,
     union,
 )
-
-# ------------------------------------------------------------- plain CQ homs
-
-
-_NO_VARS = frozenset()
-
-
-def cq_hom(src: CQ, dst: CQ):
-    """A homomorphism from src into dst, or None.
-
-    Complete backtracking over per-variable candidate domains that are
-    kept arc consistent, so the chain-shaped queries that materialized
-    expansions produce collapse by propagation instead of by branching.
-    """
-    out_idx = {}
-    in_idx = {}
-    loops = {}
-    for a in dst.atoms:
-        out_idx.setdefault((a.src, a.symbol), set()).add(a.dst)
-        in_idx.setdefault((a.dst, a.symbol), set()).add(a.src)
-        if a.src == a.dst:
-            loops.setdefault(a.symbol, set()).add(a.src)
-    dst_vars = set(dst.variables)
-
-    atoms_of = {v: [] for v in src.variables}
-    binary = []
-    dom = {v: set(dst_vars) for v in src.variables}
-    for a in src.atoms:
-        if a.src == a.dst:
-            dom[a.src] &= loops.get(a.symbol, _NO_VARS)
-        else:
-            dom[a.src] = {u for u in dom[a.src] if (u, a.symbol) in out_idx}
-            dom[a.dst] = {u for u in dom[a.dst] if (u, a.symbol) in in_idx}
-            atoms_of[a.src].append(a)
-            atoms_of[a.dst].append(a)
-            binary.append(a)
-
-    def propagate(dom, work):
-        while work:
-            a = work.pop()
-            sx, sy = dom[a.src], dom[a.dst]
-            nx = {u for u in sx if out_idx.get((u, a.symbol), _NO_VARS) & sy}
-            ny = {u for u in sy if in_idx.get((u, a.symbol), _NO_VARS) & nx}
-            if len(nx) < len(sx):
-                if not nx:
-                    return False
-                dom[a.src] = nx
-                work.update(atoms_of[a.src])
-            if len(ny) < len(sy):
-                if not ny:
-                    return False
-                dom[a.dst] = ny
-                work.update(atoms_of[a.dst])
-        return True
-
-    if not propagate(dom, set(binary)):
-        return None
-
-    def search(dom):
-        v = None
-        for u in src.variables:
-            if len(dom[u]) > 1 and (v is None or len(dom[u]) < len(dom[v])):
-                v = u
-        if v is None:
-            return {u: next(iter(dom[u])) for u in src.variables}
-        for value in sorted(dom[v]):
-            nd = {w: set(d) for w, d in dom.items()}
-            nd[v] = {value}
-            if propagate(nd, set(atoms_of[v])):
-                found = search(nd)
-                if found is not None:
-                    return found
-        return None
-
-    if any(not d for d in dom.values()):
-        return None
-    return search(dom)
-
 
 # ------------------------------------------------- expansion vs star-free q
 

@@ -5,7 +5,8 @@ to letter transitions, queries are evaluated on concrete graph databases by
 per-atom product reachability plus a backtracking join, and equivalence is
 refuted by sampling.  The homomorphism module is deliberately not imported;
 agreement between these oracles and the succinct implementations is what
-the differential test suite certifies.
+the differential test suite certifies.  Its join, expansion.join, is shared
+with cq_hom, another reference, and with nothing of the engine.
 
 The independence is not complete: sampled equivalence caps the star
 exponents of its canonical databases by boundedness.compute_bounds and
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 from crpqbound.boundedness import compute_bounds
 from crpqbound.config import DEFAULT_CAPS, Caps
 from crpqbound.errors import CapExceeded, ParseError, UnsupportedFragment
-from crpqbound.expansion import CQ, ExponentDomain, enumerate_expansions, materialize
+from crpqbound.expansion import CQ, ExponentDomain, enumerate_expansions, join, materialize
 from crpqbound.qbfgen import QBF
 from crpqbound.succinct_nfa import SuccinctNFA
 from crpqbound.syntax import (
@@ -272,51 +273,21 @@ def eval_on_graph(q: UCRPQ, db: GraphDB, caps: Caps = DEFAULT_CAPS) -> bool:
 
 
 def _eval_disjunct(d, db: GraphDB, caps: Caps) -> bool:
-    relations = []
+    domains = {v: set(db.vertices) for v in d.variables()}
+    pairs = []
     for a in d.edge_atoms:
         rel = _atom_relation(a.label, db, caps)
         if not rel:
             return False
-        relations.append((a.src, a.dst, rel))
-
-    variables = list(d.variables())
-    domains = {v: set(db.vertices) for v in variables}
-    for x, y, rel in relations:
-        domains[x] &= set(rel.keys())
-        domains[y] &= set().union(*rel.values())
-    if any(not dom for dom in domains.values()):
-        return False
-
-    assign = {}
-
-    def ok(v, u):
-        for x, y, rel in relations:
-            if x == v and y == v:
-                if u not in rel.get(u, ()):
-                    return False
-            elif x == v and y in assign:
-                if assign[y] not in rel.get(u, ()):
-                    return False
-            elif y == v and x in assign:
-                if u not in rel.get(assign[x], ()):
-                    return False
-        return True
-
-    order = sorted(variables, key=lambda v: len(domains[v]))
-
-    def solve(k):
-        if k == len(order):
-            return True
-        v = order[k]
-        for u in sorted(domains[v]):
-            if ok(v, u):
-                assign[v] = u
-                if solve(k + 1):
-                    return True
-                del assign[v]
-        return False
-
-    return solve(0)
+        if a.src == a.dst:
+            domains[a.src] &= {u for u, vs in rel.items() if u in vs}
+        else:
+            inverse = {}
+            for u, vs in rel.items():
+                for v in vs:
+                    inverse.setdefault(v, set()).add(u)
+            pairs.append((a.src, a.dst, rel, inverse))
+    return join(d.variables(), domains, pairs) is not None
 
 
 # --------------------------------------------------------- sampled equivalence

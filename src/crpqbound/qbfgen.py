@@ -16,8 +16,7 @@ from dataclasses import dataclass
 
 from crpqbound.config import DEFAULT_CAPS, Caps
 from crpqbound.errors import ParseError, UnsupportedFragment
-from crpqbound.expansion import ExponentDomain, enumerate_expansions, materialize
-from crpqbound.homomorphism import cq_hom
+from crpqbound.expansion import ExponentDomain, cq_hom, enumerate_expansions, materialize
 from crpqbound.syntax import CRPQ, EdgeAtom, Letter, Star
 
 # ----------------------------------------------------------------------- QBF

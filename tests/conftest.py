@@ -1,16 +1,31 @@
 """Seeded instance generators shared across the test modules."""
 
+import itertools
 import random
 
-from crpqbound.expansion import SuccinctAtom, SuccinctCQ, normalize_succinct
+from crpqbound.expansion import (
+    CQ,
+    CQAtom,
+    SuccinctAtom,
+    SuccinctCQ,
+    cq_hom,
+    normalize_succinct,
+)
+from crpqbound.oracle import GraphDB, eval_on_graph
 from crpqbound.succinct_nfa import SNFATransition, SuccinctNFA
 from crpqbound.syntax import (
     CRPQ,
     UCRPQ,
+    Concat,
     EdgeAtom,
+    Epsilon,
     Letter,
+    Power,
+    PowerLE,
     Star,
+    Union,
     parse_ucrpq,
+    render_ucrpq,
 )
 
 LETTERS = ("a", "b", "c")
@@ -96,3 +111,91 @@ def rewriting_corpus(count=50, seed=11):
         p, q = rng.sample(LETTERS, 2)
         corpus.append(parse_ucrpq(shape.format(p=p, q=q)))
     return corpus
+
+
+# ------------------------------------------- the join against naive enumeration
+
+_JOIN_LABELS = ("a", "b", "a*", "(ab)*", "a+b", "ab", "b^<=2", "a(b+eps)", "eps", "a b*")
+
+
+def _compose(r, t):
+    return {(u, w) for u, v in r for v2, w in t if v == v2}
+
+
+def naive_relation(e, db: GraphDB) -> set:
+    """The vertex pairs joined by a path spelling a word of e, by relation algebra."""
+    ident = {(v, v) for v in db.vertices}
+    if isinstance(e, Epsilon):
+        return ident
+    if isinstance(e, Letter):
+        return {(u, v) for u, s, v in db.edges if s == e.symbol}
+    if isinstance(e, Union):
+        return set().union(*(naive_relation(p, db) for p in e.parts))
+    if isinstance(e, Concat):
+        out = ident
+        for p in e.parts:
+            out = _compose(out, naive_relation(p, db))
+        return out
+    word = ident
+    for s in e.word:
+        word = _compose(word, naive_relation(Letter(s), db))
+    out = powers = ident
+    for _ in range(e.exponent if isinstance(e, (Power, PowerLE)) else len(db.vertices)):
+        powers = _compose(powers, word)
+        out = powers if isinstance(e, Power) else out | powers
+    return out
+
+
+def naive_eval(q: UCRPQ, db: GraphDB) -> bool:
+    """Does some assignment of vertices satisfy a disjunct (edge atoms only)?"""
+    for d in q.disjuncts:
+        variables = d.variables()
+        relations = [(a.src, naive_relation(a.label, db), a.dst) for a in d.atoms]
+        for values in itertools.product(db.vertices, repeat=len(variables)):
+            h = dict(zip(variables, values))
+            if all((h[x], h[y]) in rel for x, rel, y in relations):
+                return True
+    return False
+
+
+def join_case_problems(rng: random.Random) -> list:
+    """Check eval_on_graph and cq_hom on one seeded case by naive enumeration.
+
+    The graph has at most 4 vertices; the query has one or two disjuncts
+    of at most 3 variables, with stars, unions and self-loops; the CQ of
+    up to 4 single-letter atoms is mapped into the graph read as a CQ.  Any
+    mapping cq_hom returns must be a homomorphism.  Returns what disagrees.
+    """
+    vertices = tuple(f"g{i}" for i in range(rng.randint(1, 4)))
+    edges = tuple(
+        (u, s, v) for u in vertices for s in "ab" for v in vertices if rng.random() < 0.3
+    )
+    db = GraphDB(vertices, edges)
+    pool = VAR_POOL[: rng.randint(1, 3)]
+    q = parse_ucrpq(" | ".join(
+        ", ".join(
+            f"?{rng.choice(pool)} -[{rng.choice(_JOIN_LABELS)}]-> ?{rng.choice(pool)}"
+            for _ in range(rng.randint(1, 3))
+        )
+        for _ in range(rng.randint(1, 2))
+    ))
+    problems = []
+    if eval_on_graph(q, db) != naive_eval(q, db):
+        problems.append(f"eval_on_graph on {render_ucrpq(q)!r} over {db.edges}")
+    src = CQ(pool, tuple(
+        CQAtom(rng.choice(pool), rng.choice("ab"), rng.choice(pool))
+        for _ in range(rng.randint(1, 4))
+    ))
+    edge_set = set(db.edges)
+
+    def is_hom(h):
+        return all((h[a.src], a.symbol, h[a.dst]) in edge_set for a in src.atoms)
+
+    h = cq_hom(src, CQ(vertices, tuple(CQAtom(*e) for e in db.edges)))
+    exists = any(
+        is_hom(dict(zip(pool, values)))
+        for values in itertools.product(vertices, repeat=len(pool))
+    )
+    if (h is not None) != exists or (h is not None and (set(h) != set(pool) or not is_hom(h))):
+        problems.append(f"cq_hom of {src.atoms} into {db.edges} gave {h}")
+    return problems

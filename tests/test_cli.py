@@ -151,6 +151,65 @@ def test_analyze_star_free_cap_is_inconclusive_json(qfile, capsys):
     assert "concat language too large" in report["mode"]["inconclusive_reason"]
 
 
+@pytest.mark.parametrize("text, code", [
+    ("?x -[a^<=3000 b]-> ?y\n", 0),
+    ("?x -[a^<=3000 b]-> ?y, ?x -[c*]-> ?y\n", 2),
+])
+def test_star_free_language_is_counted_without_listing(qfile, capsys, text, code):
+    # listing the 3,001 words took 69 MB; the budget needs only their count
+    tracemalloc.start()
+    try:
+        assert main(["analyze", qfile(text), "--json"]) == code
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    reason = json.loads(capsys.readouterr().out)["mode"].get("inconclusive_reason")
+    assert reason is None if code == 0 else reason.startswith("needs 3001 containment checks")
+
+
+def test_human_report_names_its_shortcut(qfile, capsys):
+    assert main(["analyze", qfile("?x -[a*]-> ?y | ?x -[eps]-> ?y\n")]) == 0
+    assert "\nshortcut: nullable-disjunct\n" in capsys.readouterr().out
+    assert main(["analyze", qfile(CLAIM)]) == 0
+    assert "shortcut" not in capsys.readouterr().out
+
+
+def test_analyze_and_eval_output_does_not_depend_on_the_hash_seed(tmp_path, qfile):
+    claim = "?x -[a]-> ?y, ?x -[a*]-> ?z, ?z -[b]-> ?w\n"
+    union = "?x -[a*]-> ?y | ?x -[b]-> ?y, ?y -[a*]-> ?x\n"
+    paths = [qfile(text, f"q{i}.txt") for i, text in enumerate((claim, LEAFY2, union))]
+    runs = [
+        ["analyze", path, "--json", *extra]
+        for path in paths
+        for extra in ([], ["--letters", "max"], ["--oracle-verify"])
+    ]
+    # the claim's sampled replay alone takes a second per process
+    runs.remove(["analyze", paths[0], "--json", "--oracle-verify"])
+    graph = tmp_path / "g.csv"
+    graph.write_text("u,a,v\nv,b,w\nw,a,u\nu,b,u\n")
+    runs.append(["eval", "--graph", str(graph), "--query", paths[2], "--json"])
+    script = "import json, sys\nfrom crpqbound.cli import main\n"
+    script += "for argv in json.loads(sys.argv[1]):\n    print(main(argv))\n"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    procs = [
+        subprocess.Popen(
+            [sys.executable, "-c", script, json.dumps(runs)],
+            env={**os.environ, "PYTHONHASHSEED": str(seed), "PYTHONPATH": src},
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        for seed in range(4)
+    ]
+    outputs = {(*p.communicate(timeout=60), p.returncode) for p in procs}
+    assert len(outputs) == 1, outputs
+    out, err, code = outputs.pop()
+    assert code == 0 and not err
+    codes = [line for line in out.splitlines() if line.isdigit()]
+    assert codes == ["0"] * 2 + ["1"] * 3 + ["0"] * 4 and out.count('"verdict"') == 9
+
+
 def test_missing_file_exit_64(capsys):
     assert main(["analyze", "/nonexistent/q.txt"]) == 64
     assert capsys.readouterr().err

@@ -238,6 +238,10 @@ def test_star_free_choice_count_matches_enumeration():
         label = q.atoms[0].label
         assert star_free_choice_count(label) == want
         assert len(list(enumerate_expansions(q, ExponentDomain(())))) == want
+    # counted without listing, so a word spelled twice counts twice
+    q = parse_ucrpq("?x -[a+a]-> ?y").disjuncts[0]
+    assert star_free_choice_count(q.atoms[0].label) == 2
+    assert len(list(enumerate_expansions(q, ExponentDomain(())))) == 1
 
 
 def test_concat_language_cap_fires_before_the_product_is_built():

@@ -1,11 +1,12 @@
 """Brute-force ground truth: evaluation, sampling, and the QBF solver."""
 
 import random
+import time
 
 import pytest
 
-from conftest import gen_random_crpq_astar
-from crpqbound.expansion import ExponentDomain, enumerate_expansions, materialize
+from conftest import gen_random_crpq_astar, join_case_problems
+from crpqbound.expansion import CQ, CQAtom, ExponentDomain, cq_hom, enumerate_expansions, materialize
 from crpqbound.oracle import (
     GraphDB,
     _star_ceiling,
@@ -78,6 +79,43 @@ def test_eval_handles_equalities_and_unions():
     db = GraphDB(("u",), (("u", "a", "u"),))
     q = parse_ucrpq("?x -[a]-> ?y, ?x = ?y | ?x -[b]-> ?y")
     assert eval_on_graph(q, db)
+
+
+def test_join_matches_naive_enumeration():
+    # eval_on_graph and cq_hom share one join; both must match trying every assignment
+    rng = random.Random(13)
+    problems = [p for _ in range(300) for p in join_case_problems(rng)]
+    assert not problems, problems[:3]
+
+
+def test_join_backtracks_past_an_arc_consistent_dead_end():
+    # with x = p0, y and z keep two values each and every pair stays arc
+    # consistent, yet b (equal) and c (unequal) leave no solution
+    edges = (
+        ("p0", "a", "q0"), ("p0", "a", "q1"), ("q0", "b", "q0"), ("q1", "b", "q1"),
+        ("q0", "c", "q1"), ("q1", "c", "q0"), ("p1", "a", "r"), ("r", "b", "r"),
+        ("r", "c", "r"),
+    )
+    db = GraphDB(("p0", "p1", "q0", "q1", "r"), edges)
+    atoms = (["x", "a", "y"], ["x", "a", "z"], ["y", "b", "z"], ["y", "c", "z"])
+    assert eval_on_graph(parse_ucrpq(", ".join(f"?{x} -[{s}]-> ?{y}" for x, s, y in atoms)), db)
+    src = CQ(("x", "y", "z"), tuple(CQAtom(*a) for a in atoms))
+    dst = CQ(db.vertices, tuple(CQAtom(*e) for e in edges))
+    assert cq_hom(src, dst) == {"x": "p1", "y": "r", "z": "r"}
+
+
+def test_long_cycle_query_is_evaluated_by_propagation():
+    # ten alternating a/b atoms closed by (ab)*: tens of seconds without propagation
+    rng = random.Random(5)
+    vertices = tuple(f"v{i}" for i in range(60))
+    edges = set()
+    while len(edges) < 150:
+        edges.add((rng.choice(vertices), rng.choice("ab"), rng.choice(vertices)))
+    atoms = [f"?x{i} -[{'ab'[i % 2]}]-> ?x{i + 1}" for i in range(10)]
+    q = parse_ucrpq(", ".join(atoms + ["?x10 -[(ab)*]-> ?x0"]))
+    t0 = time.perf_counter()
+    assert eval_on_graph(q, GraphDB(vertices, tuple(edges)))
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_canonical_database_property():
