@@ -6,7 +6,8 @@ vs materialized membership, asked again under tight length caps where a
 decided answer must match and a cap hit counts as skipped, succinct CQ
 containment (the reachability engine behind ``crpqbound contains`` and
 the boundedness checks) vs cq_hom on both materialized sides, with each
-left side also read back from its rendered text, the join that cq_hom and
+prepared right side reused for several left sides and each left side
+also read back from its rendered text, the join that cq_hom and
 query evaluation share vs trying every assignment on graphs of up to
 four vertices (as many cases as containment pairs), probe expansions
 of random a-star queries against their bounded right sides (some stars
@@ -55,6 +56,7 @@ from crpqbound.expansion import (  # noqa: E402
 )
 from crpqbound.homomorphism import (  # noqa: E402
     Contained,
+    RightSide,
     cq_hom,
     expansion_contained,
     succinct_containment,
@@ -108,22 +110,33 @@ def fuzz_membership(cfg: FuzzConfig) -> int:
 
 
 def fuzz_containment(cfg: FuzzConfig) -> int:
-    """Each left side is also rendered, parsed and normalized back: the
-    atoms must return unchanged (the text omits isolated variables)."""
+    """Each right side, read as a query, is prepared once and reused for
+    the next four left sides; each answer must also match a fresh check
+    and succinct_containment.  Each left side is also rendered, parsed and
+    normalized back: the atoms must return unchanged (the text omits
+    isolated variables)."""
     rng = random.Random(cfg.seed + 1)
     bad = 0
     for i in range(cfg.containment_pairs):
+        if i % 4 == 0:
+            right = gen_random_succinct_cq(rng)
+            query = parse_ucrpq(render_succinct_cq(right))
+            prepared = RightSide(query)
         left = gen_random_succinct_cq(rng)
-        right = gen_random_succinct_cq(rng)
         text = render_succinct_cq(left)
         back = normalize_succinct(succinct_cq_from_crpq(parse_ucrpq(text).disjuncts[0]))
         if back.atoms != left.atoms or not set(back.variables) <= set(left.variables):
             bad += 1
             print(f"  text round trip mismatch at pair {i}: {text!r} read back as {back}")
         want = cq_hom(materialize(right), materialize(left)) is not None
-        if succinct_containment(left, right) != want:
+        got = (
+            isinstance(expansion_contained(left, prepared), Contained),
+            isinstance(expansion_contained(left, query), Contained),
+            succinct_containment(left, right),
+        )
+        if got != (want,) * 3:
             bad += 1
-            print(f"  containment mismatch at pair {i}: {left} vs {right}")
+            print(f"  containment mismatch at pair {i}: {left} vs {right}: {got}, want {want}")
     return bad
 
 

@@ -26,10 +26,9 @@ from crpqbound.expansion import (
     enumerate_expansions,
     is_capped,
     max_word_len,
-    nullable,
     star_free_choice_count,
 )
-from crpqbound.homomorphism import NotContained, expansion_contained
+from crpqbound.homomorphism import NotContained, RightSide, expansion_contained
 from crpqbound.syntax import (
     UCRPQ,
     Star,
@@ -146,13 +145,6 @@ def _probe_grid(d, z: int, probe: int, full: bool, letters):
     return ExponentDomain(tuple((i, values) for i in stars)), capped
 
 
-def _has_nullable_disjunct(rhs: UCRPQ) -> bool:
-    return any(
-        d.edge_atoms and all(nullable(a.label) for a in d.edge_atoms)
-        for d in rhs.disjuncts
-    )
-
-
 def _probe_counts(qc, z, probe, full, letters, caps):
     """Raw combination count and probe check count, summed over disjuncts.
 
@@ -187,7 +179,8 @@ def _decide(qc, rhs, z, probe, letters, caps, full, stats, mode):
     uncontained probe expansion in enumeration order.  The budget bounds
     the raw combinations, which are never fewer than the probe checks.
     """
-    if _has_nullable_disjunct(rhs):
+    rhs = RightSide(rhs)
+    if any(not d.solid for d in rhs.disjuncts):
         # some right-side disjunct expands to isolated points, which map
         # into every canonical database, so every expansion is contained
         mode["shortcut"] = "nullable-disjunct"

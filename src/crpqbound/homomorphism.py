@@ -4,9 +4,10 @@ expansion_contained indexes the left expansion's canonical database by
 positions (variables, then the interior positions of each w^n atom,
 whose length ``max_materialized_atoms`` bounds) instead of unrolling it
 into a CQ, and asks whether some expansion of a star-free (or
-letter-restricted) union query maps into it, interleaving the right
-side's branch and exponent choices with the variable assignment search
-by memoized regex reachability.  succinct_containment poses succinct CQ
+letter-restricted) union query, prepared once as a RightSide, maps into
+it, interleaving the right side's branch and exponent choices with a
+forward-checking variable assignment search by memoized regex
+reachability.  succinct_containment poses succinct CQ
 containment to that same engine.  The brute-force reference it is
 tested against, cq_hom, lives in expansion beside materialize and
 shares no code with this search.
@@ -20,7 +21,10 @@ form one arithmetic progression.  A Dijkstra over (vertex, phase of w),
 whose vertices are the variables and the positions where atoms are
 entered, keeps the least number of letters read; that is exact for up
 to n copies, because from one state, fewer copies read so far leave more
-to read and so reach a superset.
+to read and so reach a superset.  The same periodicity lists the
+positions reading a letter as one range per offset of an atom's word;
+only the letter table, the reach sets and the candidate domains stay
+linear in the expansion's length.
 """
 
 from __future__ import annotations
@@ -28,9 +32,9 @@ from __future__ import annotations
 from bisect import bisect_right
 from functools import cached_property
 from heapq import heappop, heappush
-from itertools import chain, compress, count, repeat
+from itertools import chain, cycle, islice
 from math import inf
-from operator import eq, itemgetter
+from operator import itemgetter
 
 from crpqbound.config import DEFAULT_CAPS, Caps
 from crpqbound.expansion import (
@@ -160,17 +164,17 @@ class _PathIndex:
         self.memo = {}
 
     def having(self, symbols) -> frozenset:
-        """The vertices with an edge reading one of symbols."""
-        # the None letters of the variables never equal s
-        return frozenset(
+        """The vertices with an edge reading one of symbols.  An atom's
+        letters have period |word|, so each matching offset is one range."""
+        return frozenset(chain(
+            (u for u, t in self.adj if t in symbols),
             chain.from_iterable(
-                chain(
-                    (u for u, t in self.adj if t == s),
-                    compress(count(), map(eq, self.letters, repeat(s))),
-                )
-                for s in symbols
-            )
-        )
+                range(j, hi + 1, lw)
+                for lo, hi, lw in self.spans
+                for j in range(lo, min(lo + lw, hi + 1))
+                if self.letters[j] in symbols
+            ),
+        ))
 
     def walk_word(self, frontier, word):
         nvars, adj, letters, ends, delta = (
@@ -304,19 +308,18 @@ class _CanonicalDB:
         spans = []
         for a in lam.atoms:
             src, dst = index[a.src], index[a.dst]
-            path = a.word * a.exponent
-            if len(path) == 1:
+            if a.length == 1:
                 head, tail = dst, src
             else:
                 head = len(out_letters)
-                tail = head + len(path) - 2
-                out_letters.extend(path[1:])
-                in_letters.extend(path[:-1])
+                tail = head + a.length - 2
+                out_letters.extend(islice(cycle(a.word), 1, a.length))
+                in_letters.extend(islice(cycle(a.word), a.length - 1))
                 last[tail] = dst
                 first[head] = src
                 spans.append((head, tail, len(a.word)))
-            out_adj.setdefault((src, path[0]), set()).add(head)
-            in_adj.setdefault((dst, path[-1]), set()).add(tail)
+            out_adj.setdefault((src, a.word[0]), set()).add(head)
+            in_adj.setdefault((dst, a.word[-1]), set()).add(tail)
         self.vertices = range(len(out_letters))
         self.fwd = _PathIndex(nvars, out_adj, out_letters, last, 1, spans)
         self.bwd = _PathIndex(nvars, in_adj, in_letters, first, -1, spans)
@@ -350,25 +353,58 @@ def _witness_atom(fwd, e, hu, hv):
     raise RuntimeError("witness recovery failed")
 
 
-def expansion_contained(
-    lam: SuccinctCQ, bounded_q: UCRPQ, caps: Caps = DEFAULT_CAPS
-):
-    """Is the expansion lam subsumed by some expansion of bounded_q?
+class RightSide:
+    """A union query's collapsed disjuncts, each with what every check
+    against it reads: its non-nullable atoms' first and last letters (and
+    a self-loop's longest word), the links along which assigning one
+    variable narrows another, and the search's variable order."""
 
-    bounded_q must be star-free apart from whole-label stars, which the
-    reachability engine evaluates natively.  lam is indexed by positions
-    (see _CanonicalDB), not unrolled into a CQ; its length, the sum of
+    def __init__(self, q: UCRPQ):
+        self.disjuncts = tuple(_PreparedDisjunct(d) for d in collapse(q).disjuncts)
+
+
+class _PreparedDisjunct:
+    def __init__(self, d: CRPQ):
+        self.crpq = d
+        self.solid = [
+            (a, _first_letters(a.label), _first_letters(_reverse_expr(a.label)),
+             max_word_len(a.label) if a.src == a.dst else None)
+            for a in d.edge_atoms if not nullable(a.label)
+        ]
+        by_var = {v: [] for v in d.variables()}
+        self.links = {v: [] for v in by_var}  # (other end, label, forwards?)
+        for a in d.edge_atoms:
+            by_var[a.src].append(a)
+            if a.dst != a.src:
+                by_var[a.dst].append(a)
+                self.links[a.src].append((a.dst, a.label, True))
+                self.links[a.dst].append((a.src, _reverse_expr(a.label), False))
+        self.order = sorted(by_var, key=lambda v: (-len(by_var[v]), v))
+        self.rank = {v: i for i, v in enumerate(self.order)}
+
+
+def expansion_contained(
+    lam: SuccinctCQ, right: UCRPQ | RightSide, caps: Caps = DEFAULT_CAPS
+):
+    """Is the expansion lam subsumed by some expansion of the right side?
+
+    The right side is star-free apart from whole-label stars, which the
+    reachability engine evaluates natively.  A UCRPQ is prepared, and lam
+    normalized, for this one check; with a RightSide lam must be
+    normalized already, as enumerate_expansions yields it.  lam is indexed
+    by positions (see _CanonicalDB), not unrolled; its length, the sum of
     |w|*n over its atoms, is bounded by ``max_materialized_atoms``.
     Returns Contained, which recovers the chosen right-side expansion and
     homomorphism on demand, or NotContained.
     """
-    lam_n = normalize_succinct(lam)
-    check_length(lam_n, caps.max_materialized_atoms)
-    db = _CanonicalDB(lam_n)
-    for d in collapse(bounded_q).disjuncts:
+    if isinstance(right, UCRPQ):
+        lam, right = normalize_succinct(lam), RightSide(right)
+    check_length(lam, caps.max_materialized_atoms)
+    db = _CanonicalDB(lam)
+    for d in right.disjuncts:
         h = _disjunct_hom(d, db)
         if h is not None:
-            return Contained(d, h, db)
+            return Contained(d.crpq, h, db)
     return NotContained()
 
 
@@ -391,7 +427,7 @@ def succinct_containment(
     return isinstance(expansion_contained(left, query, caps), Contained)
 
 
-def _unary_domains(d, fwd: _PathIndex, bwd: _PathIndex):
+def _unary_domains(d: _PreparedDisjunct, fwd: _PathIndex, bwd: _PathIndex):
     """Candidate sets that need no other variable's value.
 
     A non-nullable atom's source must have an edge out on one of the
@@ -407,13 +443,11 @@ def _unary_domains(d, fwd: _PathIndex, bwd: _PathIndex):
     def restrict(v, allowed):
         dom[v] = allowed if v not in dom else dom[v] & allowed
 
-    solid = [a for a in d.edge_atoms if not nullable(a.label)]
-    for a in solid:
-        restrict(a.src, fwd.having(_first_letters(a.label)))
-        restrict(a.dst, bwd.having(_first_letters(_reverse_expr(a.label))))
-    for a in solid:
-        if a.src == a.dst:
-            longest = max_word_len(a.label)
+    for a, first, last, _ in d.solid:
+        restrict(a.src, fwd.having(first))
+        restrict(a.dst, bwd.having(last))
+    for a, _, _, longest in d.solid:
+        if longest is not None:
             fits = set(range(fwd.nvars)).union(
                 *(range(lo, hi + 1) for lo, hi, _ in fwd.spans if hi - lo + 2 <= longest)
             )
@@ -421,45 +455,38 @@ def _unary_domains(d, fwd: _PathIndex, bwd: _PathIndex):
     return dom
 
 
-def _disjunct_hom(d, db: _CanonicalDB):
+def _disjunct_hom(d: _PreparedDisjunct, db: _CanonicalDB):
+    """Backtracking with forward checking: assigning a variable narrows
+    the candidates of the unassigned ones it shares an atom with, undone
+    on backtrack.  Fewest candidates (then least rank) goes next, and
+    tries its candidates in ascending order."""
     fwd, bwd = db.fwd, db.bwd
-    by_var = {v: [] for v in d.variables()}
-    for a in d.edge_atoms:
-        by_var[a.src].append(a)
-        if a.dst != a.src:
-            by_var[a.dst].append(a)
-    order = sorted(d.variables(), key=lambda v: (-len(by_var[v]), v))
-    rank = {v: i for i, v in enumerate(order)}
     dom = _unary_domains(d, fwd, bwd)
+    cands = {v: dom.get(v, db.vertices) for v in d.order}
     assign = {}
-
-    def candidates(v):
-        cands = dom.get(v)
-        for a in by_var[v]:
-            if a.src == v and a.dst in assign:
-                s = bwd.reach(_reverse_expr(a.label), assign[a.dst])
-            elif a.dst == v and a.src in assign:
-                s = fwd.reach(a.label, assign[a.src])
-            else:
-                continue
-            cands = s if cands is None else cands & s
-            if not cands:
-                break
-        return db.vertices if cands is None else cands
 
     def solve(todo):
         if not todo:
             return True
-        cands = {u: candidates(u) for u in todo}
-        v = min(todo, key=lambda u: (len(cands[u]), rank[u]))
+        v = min(todo, key=lambda u: (len(cands[u]), d.rank[u]))
         rest = [u for u in todo if u != v]
         for u in sorted(cands[v]):
             assign[v] = u
-            if solve(rest):
-                return True
+            saved = []
+            for w, label, forward in d.links[v]:
+                if w in assign:
+                    continue
+                s = (fwd if forward else bwd).reach(label, u)
+                saved.append((w, cands[w]))
+                cands[w] = s if isinstance(cands[w], range) else cands[w] & s
+                if not cands[w]:
+                    break
+            else:
+                if solve(rest):
+                    return True
+            for w, old in reversed(saved):
+                cands[w] = old
             del assign[v]
         return False
 
-    if solve(order):
-        return dict(assign)
-    return None
+    return dict(assign) if solve(d.order) else None

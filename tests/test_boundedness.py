@@ -7,7 +7,7 @@ from dataclasses import replace
 import pytest
 
 from conftest import gen_random_crpq_astar, some_stars_over_b
-from crpqbound import boundedness
+from crpqbound import boundedness, homomorphism
 from crpqbound.config import DEFAULT_CAPS
 from crpqbound.expansion import (
     ExponentDomain,
@@ -15,6 +15,7 @@ from crpqbound.expansion import (
     bound_query,
     enumerate_expansions,
     materialize,
+    normalize_succinct,
     render_succinct_cq,
 )
 from crpqbound.homomorphism import Contained, NotContained, expansion_contained
@@ -119,6 +120,25 @@ def test_bounded_side_soundness_probe_past_z():
         dom = ExponentDomain(tuple((i, (m,)) for i in star_idx))
         for lam in enumerate_expansions(d, dom):
             assert isinstance(expansion_contained(lam, rhs), Contained), m
+
+
+def test_analysis_normalizes_each_left_side_once(monkeypatch):
+    # enumerate_expansions yields normalized left sides; the engine must
+    # not normalize them again
+    calls = []
+
+    def counted(scq):
+        calls.append(scq)
+        return normalize_succinct(scq)
+
+    monkeypatch.setattr(homomorphism, "normalize_succinct", counted)
+    for text in (
+        "?x -[a]-> ?y, ?x -[a*]-> ?z, ?z -[b]-> ?w",
+        "?x -[a*]-> ?y, ?x -[b]-> ?y, ?x -[c*]-> ?w",
+    ):
+        report = is_bounded(parse_ucrpq(text))
+        assert report.stats.expansions_checked > 0, text
+    assert calls == []
 
 
 def test_is_bounded_in_empty_set_trivial():

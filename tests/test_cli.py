@@ -302,6 +302,35 @@ def test_member_tight_cap_answer_does_not_depend_on_the_hash_seed(tmp_path):
     assert len(codes) == 1, codes
 
 
+def test_contains_answer_does_not_depend_on_the_hash_seed(qfile):
+    left = qfile("?x -[a]-> ?y, ?y -[a]-> ?z\n", "l.txt")
+    loop = qfile("?x -[aab]-> ?x, ?x -[b]-> ?y\n", "l2.txt")
+    runs = [
+        ["contains", left, qfile("?x -[a^<=4]-> ?y\n", "r1.txt"), "--json"],
+        ["contains", left, qfile("?x -[a^3]-> ?y\n", "r2.txt"), "--json"],
+        ["contains", loop, qfile("?u -[aba]-> ?u, ?u -[ab]-> ?v\n", "r3.txt"), "--json"],
+    ]
+    script = "import json, sys\nfrom crpqbound.cli import main\n"
+    script += "for argv in json.loads(sys.argv[1]):\n    print(main(argv))\n"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    procs = [
+        subprocess.Popen(
+            [sys.executable, "-c", script, json.dumps(runs)],
+            env={**os.environ, "PYTHONHASHSEED": str(seed), "PYTHONPATH": src},
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        for seed in range(4)
+    ]
+    outputs = {(*p.communicate(timeout=60), p.returncode) for p in procs}
+    assert len(outputs) == 1, outputs
+    out, err, code = outputs.pop()
+    assert code == 0 and not err
+    codes = [line for line in out.splitlines() if line.isdigit()]
+    assert codes == ["0", "1", "0"]
+
+
 def test_successive_calls_share_no_state(tmp_path, capsys):
     nfa = tmp_path / "m.nfa"
     nfa.write_text("initial: p\nfinals: f\np -[(ab)^3]-> f\n")
