@@ -215,7 +215,6 @@ def _decide(qc, rhs, z, probe, letters, caps, full, stats, mode):
             except CapExceeded:
                 capped = True
                 continue
-            stats.nfa_calls += 1
             if isinstance(result, NotContained):
                 return "unbounded", lam, None
     if capped:
@@ -332,10 +331,7 @@ def maximal_bounded_letters(
         (v for v in ("inconclusive", "unbounded") if v in verdicts), "bounded"
     )
     bounded = frozenset(a for a, r in per_letter if r.verdict == "bounded")
-    stats = Stats(
-        expansions_checked=sum(r.stats.expansions_checked for _, r in per_letter),
-        nfa_calls=sum(r.stats.nfa_calls for _, r in per_letter),
-    )
+    stats = Stats(expansions_checked=sum(r.stats.expansions_checked for _, r in per_letter))
     report = AnalysisReport(
         verdict=verdict,
         bounds=compute_bounds(q),

@@ -40,7 +40,6 @@ class Stats:
     """Mutable counters accumulated during an analysis run."""
 
     expansions_checked: int = 0
-    nfa_calls: int = 0
     wall_ms: float = 0.0
 
 

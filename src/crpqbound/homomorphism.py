@@ -22,9 +22,10 @@ whose vertices are the variables and the positions where atoms are
 entered, keeps the least number of letters read; that is exact for up
 to n copies, because from one state, fewer copies read so far leave more
 to read and so reach a superset.  The same periodicity lists the
-positions reading a letter as one range per offset of an atom's word;
-only the letter table, the reach sets and the candidate domains stay
-linear in the expansion's length.
+positions reading a letter as one range per offset of an atom's word.
+Each atom is kept as one span, from which a position's letter and the
+vertex after it are computed; only the reach sets and the candidate
+domains stay linear in the expansion's length.
 """
 
 from __future__ import annotations
@@ -32,9 +33,8 @@ from __future__ import annotations
 from bisect import bisect_right
 from functools import cached_property
 from heapq import heappop, heappush
-from itertools import chain, cycle, islice
+from itertools import chain
 from math import inf
-from operator import itemgetter
 
 from crpqbound.config import DEFAULT_CAPS, Caps
 from crpqbound.expansion import (
@@ -144,49 +144,58 @@ class _PathIndex:
 
     Vertices below ``nvars`` are variables, whose edges are listed in
     ``adj`` by (vertex, letter).  Every other vertex p is an interior
-    position of one atom with exactly one edge: it reads ``letters[p]``
-    and leads to ``ends[p]`` at the atom's end, else to ``p + delta``.
-    ``spans`` lists each atom's (lowest, highest interior position,
-    |word|) in ascending order; both directions share it.  ``w^<=n`` and
-    ``w*`` are read atom by atom (_copies): by Fine and Wilf, comparing
-    |word| + |w| letters decides whether the copies of w run to the
-    atom's end, and the least letters read per (vertex, phase of w) is
-    exact for up to n copies.
+    position of one atom with exactly one edge, to ``p + delta`` or, from
+    the atom's last position, to its end.  ``spans`` lists each atom's
+    (first, last interior position, word, source, target) in ascending
+    order, and both directions share it: forwards p reads
+    ``word[(p - first + 1) % |word|]``, backwards ``word[(p - first) % |word|]``.
+    ``w^<=n`` and ``w*`` are read atom by atom (_copies): by Fine and
+    Wilf, comparing |word| + |w| letters decides whether the copies of w
+    run to the atom's end, and the least letters read per (vertex, phase
+    of w) is exact for up to n copies.
     """
 
-    def __init__(self, nvars, adj, letters, ends, delta, spans):
+    def __init__(self, nvars, adj, delta, spans):
         self.nvars = nvars
         self.adj = adj
-        self.letters = letters
-        self.ends = ends
         self.delta = delta
         self.spans = spans
         self.memo = {}
 
+    def _atom(self, p):
+        """Interior position p's atom in this direction: its word, the
+        index in it of the letter p reads, its last position and its end.
+        (p, inf) sorts after every span that starts at or before p."""
+        head, tail, word, src, dst = self.spans[bisect_right(self.spans, (p, inf)) - 1]
+        if self.delta > 0:
+            return word, (p - head + 1) % len(word), tail, dst
+        return word, (p - head) % len(word), head, src
+
     def having(self, symbols) -> frozenset:
         """The vertices with an edge reading one of symbols.  An atom's
         letters have period |word|, so each matching offset is one range."""
+        shift = 1 if self.delta > 0 else 0
         return frozenset(chain(
             (u for u, t in self.adj if t in symbols),
             chain.from_iterable(
-                range(j, hi + 1, lw)
-                for lo, hi, lw in self.spans
-                for j in range(lo, min(lo + lw, hi + 1))
-                if self.letters[j] in symbols
+                range(lo + k, hi + 1, len(word))
+                for lo, hi, word, _, _ in self.spans
+                for k in range(min(len(word), hi - lo + 1))
+                if word[(k + shift) % len(word)] in symbols
             ),
         ))
 
     def walk_word(self, frontier, word):
-        nvars, adj, letters, ends, delta = (
-            self.nvars, self.adj, self.letters, self.ends, self.delta
-        )
+        nvars, adj, delta = self.nvars, self.adj, self.delta
         for s in word:
             nxt = set()
             for u in frontier:
                 if u < nvars:
                     nxt.update(adj.get((u, s), ()))
-                elif letters[u] == s:
-                    nxt.add(ends.get(u, u + delta))
+                    continue
+                aword, i, last, end = self._atom(u)
+                if aword[i] == s:
+                    nxt.add(end if u == last else u + delta)
             frontier = nxt
             if not frontier:
                 break
@@ -247,9 +256,7 @@ class _PathIndex:
         """Where reading w^k from u ends, for k*|w| up to limit letters:
         (vertices, d) pairs, whose range's first vertex is reached after d
         letters and each next one |w| letters later."""
-        nvars, adj, letters, ends, delta, spans = (
-            self.nvars, self.adj, self.letters, self.ends, self.delta, self.spans
-        )
+        nvars, adj, delta = self.nvars, self.adj, self.delta
         lw = len(word)
         dist, heap, found = {(u, 0): 0}, [(0, u)], []
         while heap:
@@ -262,16 +269,16 @@ class _PathIndex:
                 steps = [(x, d + 1) for x in adj.get((v, word[d % lw]), ())]
             else:
                 # the rest of v's atom against the copies of w
-                low, high, period = spans[bisect_right(spans, v, key=itemgetter(0)) - 1]
-                last = high if delta > 0 else low
+                aword, i, last, end = self._atom(v)
+                la = len(aword)
                 room = (last - v) * delta + 1
-                width = min(room, period + lw)
-                miss = (t for t in range(width) if letters[v + t * delta] != word[(d + t) % lw])
+                width = min(room, la + lw)
+                miss = (t for t in range(width) if aword[(i + t * delta) % la] != word[(d + t) % lw])
                 read = next(miss, room)
                 lo, hi = -d % lw, min(read, room - 1, limit - d)
                 if lo <= hi:
                     found.append((range(v + lo * delta, v + (hi + 1) * delta, lw * delta), d + lo))
-                steps = [(ends[last], d + room)] if read == room else []
+                steps = [(end, d + room)] if read == room else []
             for x, dx in steps:
                 if dx <= limit and dx < dist.get((x, dx % lw), dx + 1):
                     dist[x, dx % lw] = dx
@@ -292,8 +299,8 @@ class _CanonicalDB:
     Variables are vertices 0..V-1 in the CQ's order; the |w|*n - 1
     interior positions of each atom follow in atom order, so vertex
     V + k - 1 is the one materialize names with suffix k.  Each atom adds
-    one adjacency entry per direction, one letter per interior position
-    and one span; nothing is unrolled into named atoms.
+    one adjacency entry per direction and, if it has interior positions,
+    one span (see _PathIndex); nothing is built per position.
     """
 
     def __init__(self, lam: SuccinctCQ):
@@ -301,28 +308,21 @@ class _CanonicalDB:
         nvars = len(lam.variables)
         index = {v: i for i, v in enumerate(lam.variables)}
         out_adj, in_adj = {}, {}
-        # letters read leaving / entering each vertex; variables use the adjacency
-        out_letters = [None] * nvars
-        in_letters = [None] * nvars
-        last, first = {}, {}
         spans = []
+        size = nvars
         for a in lam.atoms:
             src, dst = index[a.src], index[a.dst]
             if a.length == 1:
                 head, tail = dst, src
             else:
-                head = len(out_letters)
-                tail = head + a.length - 2
-                out_letters.extend(islice(cycle(a.word), 1, a.length))
-                in_letters.extend(islice(cycle(a.word), a.length - 1))
-                last[tail] = dst
-                first[head] = src
-                spans.append((head, tail, len(a.word)))
+                head, tail = size, size + a.length - 2
+                size = tail + 1
+                spans.append((head, tail, a.word, src, dst))
             out_adj.setdefault((src, a.word[0]), set()).add(head)
             in_adj.setdefault((dst, a.word[-1]), set()).add(tail)
-        self.vertices = range(len(out_letters))
-        self.fwd = _PathIndex(nvars, out_adj, out_letters, last, 1, spans)
-        self.bwd = _PathIndex(nvars, in_adj, in_letters, first, -1, spans)
+        self.vertices = range(size)
+        self.fwd = _PathIndex(nvars, out_adj, 1, spans)
+        self.bwd = _PathIndex(nvars, in_adj, -1, spans)
 
     def name(self, u) -> str:
         """The name materialize gives vertex u."""
@@ -449,7 +449,7 @@ def _unary_domains(d: _PreparedDisjunct, fwd: _PathIndex, bwd: _PathIndex):
     for a, _, _, longest in d.solid:
         if longest is not None:
             fits = set(range(fwd.nvars)).union(
-                *(range(lo, hi + 1) for lo, hi, _ in fwd.spans if hi - lo + 2 <= longest)
+                *(range(lo, hi + 1) for lo, hi, *_ in fwd.spans if hi - lo + 2 <= longest)
             )
             dom[a.src] = {u for u in dom[a.src] if u in fits and u in fwd.reach(a.label, u)}
     return dom

@@ -82,7 +82,6 @@ def test_analyze_letters_max_reports_summed_stats(qfile, capsys):
     assert report["stats"]["expansions_checked"] == sum(
         r.stats.expansions_checked for r in runs
     ) == 84
-    assert report["stats"]["nfa_calls"] == sum(r.stats.nfa_calls for r in runs)
     assert report["maximal_letters"] == ["c"]
     assert report["mode"]["per_letter"] == [["a", "unbounded"], ["c", "bounded"]]
 
@@ -92,7 +91,7 @@ def test_analyze_letters_max_reports_summed_stats(qfile, capsys):
     assert lines[1] == "bounds: nratoms=3 nrvars=3 N=1 Zred=1 Zcol=9 Z=81 Zplus=244"
     assert "maximal_letters: c" in lines
     assert "  a: unbounded" in lines and "  c: bounded" in lines
-    assert lines[-1].startswith("stats: expansions_checked=84 nfa_calls=84 wall_ms=")
+    assert lines[-1].startswith("stats: expansions_checked=84 wall_ms=")
 
 
 def test_letters_max_oracle_verify_runs_no_second_analysis(qfile, capsys, monkeypatch):
@@ -189,6 +188,9 @@ def test_analyze_and_eval_output_does_not_depend_on_the_hash_seed(tmp_path, qfil
     graph = tmp_path / "g.csv"
     graph.write_text("u,a,v\nv,b,w\nw,a,u\nu,b,u\n")
     runs.append(["eval", "--graph", str(graph), "--query", paths[2], "--json"])
+    phi = tmp_path / "phi.qbf"
+    phi.write_text("forall 1..2\nexists 3..4\n1 -3 4 0\n-2 3 -4 0\n")
+    runs += [["qbfgen", str(phi), "--emit", emit] for emit in ("q", "q1", "q2")]
     script = "import json, sys\nfrom crpqbound.cli import main\n"
     script += "for argv in json.loads(sys.argv[1]):\n    print(main(argv))\n"
     src = str(Path(cli.__file__).resolve().parents[1])
@@ -207,7 +209,9 @@ def test_analyze_and_eval_output_does_not_depend_on_the_hash_seed(tmp_path, qfil
     out, err, code = outputs.pop()
     assert code == 0 and not err
     codes = [line for line in out.splitlines() if line.isdigit()]
-    assert codes == ["0"] * 2 + ["1"] * 3 + ["0"] * 4 and out.count('"verdict"') == 9
+    assert codes == ["0"] * 2 + ["1"] * 3 + ["0"] * 7 and out.count('"verdict"') == 9
+    queries = out.splitlines()[-6::2]
+    assert len(set(queries)) == 3 and all(q.startswith("?") for q in queries)
 
 
 def test_missing_file_exit_64(capsys):

@@ -2,8 +2,7 @@
 
 import json
 import random
-from itertools import chain, compress, count, repeat
-from operator import eq
+import tracemalloc
 from pathlib import Path
 
 from conftest import gen_random_crpq_astar, gen_random_succinct_cq, some_stars_over_b
@@ -356,17 +355,26 @@ def _least_copies(edges, word, start, n):
 
 def test_reach_along_powers_matches_materialized_walk():
     # atom and label words of length 1-4 make periods that disagree
-    # late; the reference walks materialize's letter edges, reversed for bwd
+    # late; the reference walks materialize's letter edges, reversed for bwd.
+    # The last left sides have three-letter words with exponents in the
+    # hundreds, read from a sample of sources, mostly deep inside an atom,
+    # with labels that are often a rotation of an atom's word
     rng = random.Random(8)
 
     def word():
         return tuple(rng.choice("ab") for _ in range(rng.randint(1, 4)))
 
-    for i in range(150):
+    for i in range(154):
         pool = ("x", "y", "z")[: rng.randint(1, 3)]
+        deep = i >= 150
         atoms = tuple(
-            SuccinctAtom(rng.choice(pool), word(), rng.randint(0, 5), rng.choice(pool))
-            for _ in range(rng.randint(1, 4))
+            SuccinctAtom(
+                rng.choice(pool),
+                tuple(rng.choices("ab", k=3)) if deep else word(),
+                rng.randint(100, 400) if deep else rng.randint(0, 5),
+                rng.choice(pool),
+            )
+            for _ in range(rng.randint(1, 2 if deep else 4))
         )
         lam = normalize_succinct(SuccinctCQ(pool, atoms))
         canonical = materialize(lam)
@@ -378,12 +386,21 @@ def test_reach_along_powers_matches_materialized_walk():
         db = _CanonicalDB(lam)
         assert db.vertices == range(len(names))
         longest = max(a.length for a in lam.atoms) if lam.atoms else 0
+        sources = rng.sample(range(len(names)), 6) if deep else range(len(names))
         for _ in range(3):
             w = word()
-            n = rng.choice((None, 0, 1, 2, longest // len(w) + rng.randint(1, 3)))
+            if deep:
+                if rng.random() < 0.7:
+                    aw = rng.choice(lam.atoms).word
+                    r = rng.randrange(len(aw))
+                    w = (aw[r:] + aw[:r]) * rng.randint(1, 2)
+                n = rng.choice((None, rng.randint(2, longest // len(w)), longest // len(w) + 1))
+            else:
+                n = rng.choice((None, 0, 1, 2, longest // len(w) + rng.randint(1, 3)))
             label = Star(w) if n is None else PowerLE(w, n)
             for index, edges in ((db.fwd, fwd_edges), (db.bwd, bwd_edges)):
-                for u, name in enumerate(names):
+                for u in sources:
+                    name = names[u]
                     least = _least_copies(edges, w, name, n)
                     got = {names[v] for v in index.reach(label, u)}
                     assert got == set(least), (i, lam, label, name)
@@ -403,17 +420,12 @@ def test_self_loop_rotation_maps_to_interior_position():
         assert isinstance(expansion_contained(lam, parse_ucrpq(text)), NotContained)
 
 
-def _having_by_scan(index, symbols):
-    """having by its definition: the variables with a matching edge, and
-    every interior position whose letter is one of symbols."""
+def _having_by_scan(canonical, forward, symbols):
+    """having by its definition, on materialize's letter edges: every
+    vertex with an edge out of it (forward) or into it reading one of symbols."""
+    vertex = {v: u for u, v in enumerate(canonical.variables)}
     return frozenset(
-        chain.from_iterable(
-            chain(
-                (u for u, t in index.adj if t == s),
-                compress(count(), map(eq, index.letters, repeat(s))),
-            )
-            for s in symbols
-        )
+        vertex[a.src if forward else a.dst] for a in canonical.atoms if a.symbol in symbols
     )
 
 
@@ -428,6 +440,7 @@ def test_having_matches_a_scan_of_every_position():
             atoms.append(SuccinctAtom(rng.choice(pool), word, rng.randint(0, 5), rng.choice(pool)))
         lam = normalize_succinct(SuccinctCQ(pool, tuple(atoms)))
         db = _CanonicalDB(lam)
+        canonical = materialize(lam)
         for a in lam.atoms:
             seen.add("long word" if len(a.word) >= 2 else "one letter word")
             seen.add("exponent 1" if a.exponent == 1 else "exponent 2+")
@@ -436,9 +449,25 @@ def test_having_matches_a_scan_of_every_position():
         if any(sum(s in a.word for a in lam.atoms) >= 2 for s in "abc"):
             seen.add("symbol in several atoms")
         for symbols in (frozenset(), frozenset(rng.choice("abc")), frozenset(rng.sample("abc", 2))):
-            for index in (db.fwd, db.bwd):
-                assert index.having(symbols) == _having_by_scan(index, symbols), (i, lam, symbols)
+            for index, forward in ((db.fwd, True), (db.bwd, False)):
+                want = _having_by_scan(canonical, forward, symbols)
+                assert index.having(symbols) == want, (i, lam, symbols)
     assert len(seen) == 6, seen
+
+
+def test_canonical_db_is_built_per_atom_not_per_letter():
+    # (ab)^499999 c has 10^6 vertices; tables of one letter per position took 16 MiB
+    lam = normalize_succinct(SuccinctCQ(("x", "y", "z"), (
+        SuccinctAtom("x", ("a", "b"), 499999, "y"), SuccinctAtom("y", ("c",), 1, "z"),
+    )))
+    tracemalloc.start()
+    try:
+        db = _CanonicalDB(lam)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(db.vertices) == 10**6
+    assert peak < 2**20
 
 
 GOLDEN_HOMS = Path(__file__).parent / "data" / "contained_homs.json"
