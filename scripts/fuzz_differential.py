@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Fuzz the succinct algorithms against their brute-force counterparts.
 
-Five rounds: NFA membership (small exponents and exponents up to 10^4)
+Six rounds: NFA membership (small exponents and exponents up to 10^4)
 vs materialized membership, asked again under tight length caps where a
 decided answer must match and a cap hit counts as skipped, succinct CQ
 containment (the reachability engine behind ``crpqbound contains`` and
@@ -15,8 +15,11 @@ left whole) vs evaluation on the materialized probe, and boundedness
 verdicts cross-checked by oracle evaluation on witness databases or on
 expansions just past the threshold, and against the full-enumeration
 verdict; the letter analysis's per-letter witnesses are replayed the
-same way and its maximal set is checked for confluence.  Any
-disagreement prints a replay line and the script exits nonzero.
+same way and its maximal set is checked for confluence; and the parsers
+on token soups and on rendered random queries and automata with one
+character changed (as many texts as containment pairs), where anything
+but a value or a ParseError placed inside the text is an internal fault.
+Any disagreement prints a replay line and the script exits nonzero.
 """
 
 import argparse
@@ -32,8 +35,11 @@ from conftest import (  # noqa: E402
     gen_random_crpq_astar,
     gen_random_snfa,
     gen_random_succinct_cq,
+    gen_random_ucrpq,
     gen_random_word,
+    gen_token_soup,
     join_case_problems,
+    mutate_text,
     some_stars_over_b,
 )
 from crpqbound.boundedness import (  # noqa: E402
@@ -43,7 +49,7 @@ from crpqbound.boundedness import (  # noqa: E402
     maximal_bounded_letters,
 )
 from crpqbound.config import DEFAULT_CAPS  # noqa: E402
-from crpqbound.errors import CapExceeded  # noqa: E402
+from crpqbound.errors import CapExceeded, ParseError  # noqa: E402
 from crpqbound.expansion import (  # noqa: E402
     ExponentDomain,
     bound_letters,
@@ -66,8 +72,14 @@ from crpqbound.oracle import (  # noqa: E402
     graph_of_cq,
     nfa_membership_brute,
 )
-from crpqbound.succinct_nfa import membership  # noqa: E402
-from crpqbound.syntax import Star, parse_ucrpq  # noqa: E402
+from crpqbound.succinct_nfa import membership, parse_nfa  # noqa: E402
+from crpqbound.syntax import (  # noqa: E402
+    Power,
+    Star,
+    parse_ucrpq,
+    render_regex,
+    render_ucrpq,
+)
 
 
 @dataclass
@@ -255,6 +267,49 @@ def fuzz_boundedness(cfg: FuzzConfig) -> int:
     return bad
 
 
+def _render_nfa(nfa) -> str:
+    lines = [f"initial: {nfa.initial}", "finals: " + " ".join(nfa.finals)]
+    for t in nfa.transitions:
+        label = render_regex(Power(t.word, t.exponent)) if t.word else "eps"
+        lines.append(f"{t.src} -[{label}]-> {t.dst}")
+    return "\n".join(lines) + "\n"
+
+
+def fuzz_parse(cfg: FuzzConfig) -> int:
+    """Token soups and rendered random queries go to parse_ucrpq, rendered
+    random automata to parse_nfa, the renderings with one character
+    deleted, inserted or swapped.  A parser must return a value, and a
+    query must read back unchanged from its rendering, or raise a
+    ParseError whose line and column lie inside the text."""
+    rng = random.Random(cfg.seed + 6)
+    bad = errors = 0
+    for i in range(cfg.containment_pairs):
+        if i % 3 == 0:
+            parse, text = parse_ucrpq, gen_token_soup(rng)
+        elif i % 3 == 1:
+            parse, text = parse_ucrpq, mutate_text(rng, render_ucrpq(gen_random_ucrpq(rng)))
+        else:
+            parse, text = parse_nfa, mutate_text(rng, _render_nfa(gen_random_snfa(rng)))
+        lines = text.split("\n")
+        try:
+            got = parse(text)
+            if parse is parse_ucrpq and parse_ucrpq(render_ucrpq(got)) != got:
+                bad += 1
+                print(f"  render round trip mismatch at text {i}: {text!r}")
+        except ParseError as exc:
+            errors += 1
+            if exc.line is None or not (
+                1 <= exc.line <= len(lines) and 1 <= exc.col <= len(lines[exc.line - 1]) + 1
+            ):
+                bad += 1
+                print(f"  error placed outside text {i}: {text!r}: {exc}")
+        except Exception as exc:
+            bad += 1
+            print(f"  internal fault at text {i}: {text!r}: {type(exc).__name__}: {exc}")
+    print(f"  ({errors} parse errors)")
+    return bad
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seed", type=int, default=0)
@@ -278,6 +333,7 @@ def main() -> int:
         ("join", fuzz_join, cfg.containment_pairs),
         ("probes", fuzz_probes, cfg.probe_queries),
         ("boundedness", fuzz_boundedness, cfg.boundedness_queries),
+        ("parse", fuzz_parse, cfg.containment_pairs),
     ):
         t0 = time.monotonic()
         bad = round_fn(cfg)

@@ -97,13 +97,13 @@ def parse_qbf(text: str) -> QBF:
             ints = ints[:3]
         if len(ints) != 3:
             raise ParseError("clause needs exactly 3 literals", lineno, 1)
+        for lit in ints:
+            if lit == 0 or abs(lit) > n + l:
+                raise ParseError(f"literal out of range: {lit}", lineno, 1)
         clauses.append(tuple(ints))
     if n is None or l is None:
         raise ParseError("missing forall/exists headers", 1, 1)
-    try:
-        return QBF(n, l, tuple(clauses))
-    except ValueError as exc:  # a literal that names no variable
-        raise ParseError(str(exc)) from None
+    return QBF(n, l, tuple(clauses))
 
 
 # ------------------------------------------------------------------- gadgets

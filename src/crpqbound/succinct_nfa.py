@@ -259,16 +259,21 @@ def membership(nfa: SuccinctNFA, v, m: int, caps: Caps = DEFAULT_CAPS) -> bool:
 # ------------------------------------------------------------------- text IO
 
 
-_TRANSITION_RE = re.compile(r"^([A-Za-z0-9_@.]+)\s*-\[(.+)\]->\s*([A-Za-z0-9_@.]+)$")
+_TRANSITION_RE = re.compile(r"^\s*([A-Za-z0-9_@.]+)\s*-\[(.+)\]->\s*([A-Za-z0-9_@.]+)\s*$")
 
 
 def parse_nfa(text: str) -> SuccinctNFA:
+    """Read an automaton: 'initial:' and 'finals:' lines, then transitions
+    'src -[label]-> dst', whose label is a word, a power or eps."""
     initial = None
     finals = None
     transitions = []
     states = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+    offset = 0
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        body = raw.split("#", 1)[0]
+        start, offset = offset, offset + len(raw) + 1
+        line = body.strip()
         if not line:
             continue
         if line.startswith("initial:"):
@@ -285,13 +290,14 @@ def parse_nfa(text: str) -> SuccinctNFA:
             finals = tuple(line[len("finals:"):].replace(",", " ").split())
             states.update(finals)
             continue
-        m = _TRANSITION_RE.match(line)
+        m = _TRANSITION_RE.match(body)
         if m is None:
             raise ParseError(f"bad automaton line: {line!r}", lineno, 1)
-        src, label, dst = m.group(1), m.group(2), m.group(3)
-        pair = as_power(parse_regex(label))
+        # the label is read in place, so an error in it names its column in the file
+        pair = as_power(parse_regex(text, start + m.start(2), start + m.end(2)))
         if pair is None:
             raise ParseError("transition label must be a word, a power, or eps", lineno, 1)
+        src, dst = m.group(1), m.group(3)
         states.update((src, dst))
         transitions.append(SNFATransition(src, *pair, dst))
     if initial is None:
@@ -299,4 +305,3 @@ def parse_nfa(text: str) -> SuccinctNFA:
     if finals is None:
         raise ParseError("missing 'finals:' line", 1, 1)
     return SuccinctNFA(tuple(sorted(states)), tuple(transitions), initial, finals)
-

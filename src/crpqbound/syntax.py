@@ -1,4 +1,4 @@
-"""Query data model: regex AST, textual grammar, parser, printer, fragments.
+"""Query data model: regex AST, textual grammar, parser, printer, fragment checks.
 
 The textual grammar (UTF-8, ``#`` starts a comment running to end of line):
 
@@ -19,13 +19,17 @@ preceding token, so ``ab^3`` equals ``(ab)^3``; write ``a b^3`` when the
 power should apply to b alone.  Multi-character symbols are quoted:
 ``'x1'`` is one symbol.  ``eps`` is reserved for the empty word.  ``*``,
 ``^`` and ``^<=`` apply only to literal words.
+
+The lexer keeps each token as a (kind, text, offset) tuple; a ParseError
+works out its line and column from the offset when it is raised.  The
+analyses take a star only as a whole label: ``a b*`` parses, but the
+fragment checks refuse it.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from enum import Enum
 
 from crpqbound.errors import ParseError, UnsupportedFragment
 
@@ -168,51 +172,6 @@ def as_power(e: RegexExpr):
     return w, 1 if w else 0
 
 
-# ------------------------------------------------------------------ fragments
-
-
-class FragmentClass(Enum):
-    A_SINGLETON = "aSingleton"
-    W_SINGLETON = "wSingleton"
-    SF = "sf"
-    SSF = "ssf"
-    A_STAR = "aStar"
-    W_STAR = "wStar"
-    UNSUPPORTED = "unsupported"
-
-
-_SSF_CLASSES = frozenset(
-    {
-        FragmentClass.A_SINGLETON,
-        FragmentClass.W_SINGLETON,
-        FragmentClass.SF,
-        FragmentClass.SSF,
-    }
-)
-
-
-def classify(e: RegexExpr) -> FragmentClass:
-    """Minimal fragment class containing the expression."""
-    if isinstance(e, Letter):
-        return FragmentClass.A_SINGLETON
-    if isinstance(e, Epsilon):
-        return FragmentClass.SF
-    if isinstance(e, Star):
-        return FragmentClass.A_STAR if len(e.word) == 1 else FragmentClass.W_STAR
-    if isinstance(e, (Power, PowerLE)):
-        return FragmentClass.SSF
-    if isinstance(e, Concat) and as_word(e) is not None:
-        return FragmentClass.W_SINGLETON
-    if isinstance(e, (Concat, Union)):
-        sub = [classify(p) for p in e.parts]
-        if any(c not in _SSF_CLASSES for c in sub):
-            return FragmentClass.UNSUPPORTED
-        if any(c is FragmentClass.SSF for c in sub):
-            return FragmentClass.SSF
-        return FragmentClass.SF
-    return FragmentClass.UNSUPPORTED
-
-
 # ----------------------------------------------------------- atoms and queries
 
 
@@ -305,23 +264,24 @@ def star_letters(q: UCRPQ | CRPQ) -> frozenset:
     )
 
 
-def atom_classes(q: UCRPQ | CRPQ) -> frozenset:
-    return frozenset(map(classify, _labels(q)))
+def _holds_star(e: RegexExpr) -> bool:
+    if isinstance(e, (Concat, Union)):
+        return any(map(_holds_star, e.parts))
+    return isinstance(e, Star)
 
 
 def check_ssf_wstar(q: UCRPQ) -> None:
-    """Raise UnsupportedFragment unless every label is SSF or a word star."""
-    if FragmentClass.UNSUPPORTED in atom_classes(q):
+    """Raise UnsupportedFragment unless every label is a star or holds no star."""
+    if any(not isinstance(e, Star) and _holds_star(e) for e in _labels(q)):
         raise UnsupportedFragment(
-            "query labels fall outside the supported fragment: "
-            + FragmentClass.UNSUPPORTED.value
+            "query labels fall outside the supported fragment: unsupported"
         )
 
 
 def check_single_letter_stars(q: UCRPQ) -> None:
     """Raise UnsupportedFragment if some star spans a multi-letter word."""
     check_ssf_wstar(q)
-    if FragmentClass.W_STAR in atom_classes(q):
+    if any(isinstance(e, Star) and len(e.word) > 1 for e in _labels(q)):
         raise UnsupportedFragment(
             "letter-boundedness analysis needs single-letter stars"
         )
@@ -431,9 +391,7 @@ def reduce_free_vars(q: UCRPQ, free_vars) -> UCRPQ:
 
 _TOKEN_RE = re.compile(
     r"""
-      (?P<WS>[ \t\r]+)
-    | (?P<NL>\n)
-    | (?P<COMMENT>\#[^\n]*)
+      (?P<WS>(?:[ \t\r\n]|\#[^\n]*)+)
     | (?P<ARROWOPEN>-\[)
     | (?P<ARROWCLOSE>\]->)
     | (?P<POWLE>\^<=)
@@ -448,37 +406,30 @@ _TOKEN_RE = re.compile(
     | (?P<VAR>\?[A-Za-z0-9_]+)
     | (?P<QSYM>'[A-Za-z0-9_]+')
     | (?P<WORD>[A-Za-z0-9_]+)
+    | (?P<BAD>.)
     """,
     re.VERBOSE,
 )
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    text: str
-    line: int
-    col: int
+def _error_at(text: str, pos: int, message: str) -> ParseError:
+    """A ParseError naming the line and column of offset pos in text."""
+    return ParseError(message, text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos))
 
 
-def _lex(text: str):
+def _lex(text: str, start: int, stop: int):
+    """(kind, text, offset) per token of text[start:stop], then one END
+    token where the last token ends."""
     toks = []
-    pos, line, col = 0, 1, 1
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
+    for m in _TOKEN_RE.finditer(text, start, stop):
         kind = m.lastgroup
-        lexeme = m.group()
-        if kind == "NL":
-            line += 1
-            col = 1
-        elif kind in ("WS", "COMMENT"):
-            col += len(lexeme)
-        else:
-            toks.append(_Token(kind, lexeme, line, col))
-            col += len(lexeme)
-        pos = m.end()
+        if kind == "WS":
+            continue
+        if kind == "BAD":
+            raise _error_at(text, m.start(), f"unexpected character {m.group()!r}")
+        toks.append((kind, m.group(), m.start()))
+    end = toks[-1][2] + len(toks[-1][1]) if toks else start
+    toks.append(("END", "", end))
     return toks
 
 
@@ -491,38 +442,37 @@ MAX_NESTING = 100
 
 
 class _Parser:
-    def __init__(self, toks):
-        self.toks = toks
-        self.i = 0
+    """Recursive descent over the tokens of text[start:stop]; self.tok is
+    the current token, and the END token is never taken."""
+
+    def __init__(self, text, start, stop):
+        self.text = text
+        self.rest = iter(_lex(text, start, stop))
+        self.tok = next(self.rest)
         self.depth = 0
 
-    def peek(self):
-        return self.toks[self.i] if self.i < len(self.toks) else None
-
     def take(self):
-        tok = self.peek()
-        self.i += 1
+        tok, self.tok = self.tok, next(self.rest)
         return tok
 
+    def fail(self, pos, message):
+        raise _error_at(self.text, pos, message)
+
     def error(self, message):
-        tok = self.peek()
-        if tok is None:
-            last = self.toks[-1] if self.toks else None
-            line = last.line if last else 1
-            col = (last.col + len(last.text)) if last else 1
-            raise ParseError(message + " (at end of input)", line, col)
-        raise ParseError(f"{message}, got {tok.text!r}", tok.line, tok.col)
+        kind, lexeme, pos = self.tok
+        if kind == "END":
+            self.fail(pos, message + " (at end of input)")
+        self.fail(pos, f"{message}, got {lexeme!r}")
 
     def expect(self, kind, what):
-        tok = self.peek()
-        if tok is None or tok.kind != kind:
+        if self.tok[0] != kind:
             self.error(f"expected {what}")
         return self.take()
 
     # regex := term ("+" term)*
     def regex(self):
         terms = [self.term()]
-        while self.peek() and self.peek().kind == "PLUS":
+        while self.tok[0] == "PLUS":
             self.take()
             terms.append(self.term())
         return union(terms)
@@ -532,57 +482,51 @@ class _Parser:
     # term := factor+
     def term(self):
         factors = [self.factor()]
-        while self.peek() and self.peek().kind in self._FACTOR_START:
+        while self.tok[0] in self._FACTOR_START:
             factors.append(self.factor())
         return concat(factors)
 
     # factor := base ("^" NAT | "^<=" NAT | "*")?
     def factor(self):
-        tok = self.peek()
-        if tok is None or tok.kind not in self._FACTOR_START:
+        kind, lexeme, pos = self.tok
+        if kind not in self._FACTOR_START:
             self.error("expected an expression")
-        if tok.kind == "WORD":
-            self.take()
-            if tok.text == "eps":
+        self.take()
+        base = None
+        if kind == "WORD":
+            if lexeme == "eps":
                 word, base = None, Epsilon()
             else:
-                word = tuple(tok.text)
-                base = None
-        elif tok.kind == "QSYM":
-            self.take()
-            word = (tok.text[1:-1],)
-            base = None
+                word = tuple(lexeme)
+        elif kind == "QSYM":
+            word = (lexeme[1:-1],)
         else:
-            self.take()
             self.depth += 1
             if self.depth > MAX_NESTING:
-                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", tok.line, tok.col)
-            inner = self.regex()
+                self.fail(pos, f"parentheses nested deeper than {MAX_NESTING}")
+            base = self.regex()
             self.expect("RPAREN", "')'")
             self.depth -= 1
-            word = as_word(inner)
-            if word == ():
-                word = None
-            base = inner
+            word = as_word(base) or None
 
-        nxt = self.peek()
-        if nxt and nxt.kind in ("CARET", "POWLE"):
-            op = self.take()
-            num = self.peek()
-            if num is None or num.kind != "WORD" or not num.text.isdigit():
+        kind, _, pos = self.tok
+        if kind in ("CARET", "POWLE"):
+            self.take()
+            num_kind, digits, num_pos = self.tok
+            if num_kind != "WORD" or not digits.isdigit():
                 self.error("expected a number after the power operator")
             self.take()
             if word is None:
-                raise ParseError("power over non-word", op.line, op.col)
+                self.fail(pos, "power over non-word")
             try:
-                n = int(num.text)
+                n = int(digits)
             except ValueError as exc:  # more digits than int() converts
-                raise ParseError(str(exc), num.line, num.col) from None
-            return Power(word, n) if op.kind == "CARET" else PowerLE(word, n)
-        if nxt and nxt.kind == "STAR":
-            op = self.take()
+                raise _error_at(self.text, num_pos, str(exc)) from None
+            return Power(word, n) if kind == "CARET" else PowerLE(word, n)
+        if kind == "STAR":
+            self.take()
             if word is None:
-                raise ParseError("star over non-word", op.line, op.col)
+                self.fail(pos, "star over non-word")
             return Star(word)
         if base is not None:
             return base
@@ -590,60 +534,56 @@ class _Parser:
 
     # atom := VAR "-[" regex "]->" VAR | VAR "=" VAR
     def atom(self):
-        v1 = self.expect("VAR", "a variable like ?x")
-        nxt = self.peek()
-        if nxt and nxt.kind == "EQ":
+        v1 = self.expect("VAR", "a variable like ?x")[1][1:]
+        if self.tok[0] == "EQ":
             self.take()
-            v2 = self.expect("VAR", "a variable after '='")
-            return EqualityAtom(v1.text[1:], v2.text[1:])
-        if nxt and nxt.kind == "ARROWOPEN":
+            return EqualityAtom(v1, self.expect("VAR", "a variable after '='")[1][1:])
+        if self.tok[0] == "ARROWOPEN":
             self.take()
             label = self.regex()
             self.expect("ARROWCLOSE", "']->'")
-            v2 = self.expect("VAR", "a target variable")
-            return EdgeAtom(v1.text[1:], label, v2.text[1:])
+            return EdgeAtom(v1, label, self.expect("VAR", "a target variable")[1][1:])
         self.error("expected '-[' or '=' after variable")
 
     # crpq := atom ("," atom)*
     def crpq(self):
-        start = self.peek()
+        start = self.tok[2]
         atoms = [self.atom()]
-        while self.peek() and self.peek().kind == "COMMA":
+        while self.tok[0] == "COMMA":
             self.take()
             atoms.append(self.atom())
         if not any(isinstance(a, EdgeAtom) for a in atoms):
-            raise ParseError(
-                "conjunct needs at least one edge atom", start.line, start.col
-            )
+            self.fail(start, "conjunct needs at least one edge atom")
         return CRPQ(tuple(atoms))
 
     # query := crpq ("|" crpq)*
     def query(self):
         disjuncts = [self.crpq()]
-        while self.peek() and self.peek().kind == "PIPE":
+        while self.tok[0] == "PIPE":
             self.take()
             disjuncts.append(self.crpq())
-        if self.peek() is not None:
-            self.error("unexpected trailing input")
         return UCRPQ(tuple(disjuncts))
 
 
-def parse_ucrpq(text: str) -> UCRPQ:
-    toks = _lex(text)
-    if not toks:
-        raise ParseError("empty query", 1, 1)
-    return _Parser(toks).query()
-
-
-def parse_regex(text: str) -> RegexExpr:
-    toks = _lex(text)
-    if not toks:
-        raise ParseError("empty expression", 1, 1)
-    p = _Parser(toks)
-    e = p.regex()
-    if p.peek() is not None:
+def _parse(rule, empty, text, start=0, stop=None):
+    """Read all of text[start:stop] by one rule of the grammar."""
+    p = _Parser(text, start, len(text) if stop is None else stop)
+    if p.tok[0] == "END":
+        p.fail(p.tok[2], empty)
+    out = rule(p)
+    if p.tok[0] != "END":
         p.error("unexpected trailing input")
-    return e
+    return out
+
+
+def parse_ucrpq(text: str) -> UCRPQ:
+    return _parse(_Parser.query, "empty query", text)
+
+
+def parse_regex(text: str, start: int = 0, stop: int | None = None) -> RegexExpr:
+    """Parse text[start:stop] as a label; an error names its line and
+    column in the whole text."""
+    return _parse(_Parser.regex, "empty expression", text, start, stop)
 
 
 # ------------------------------------------------------------------- renderer
@@ -653,11 +593,16 @@ def _render_symbol(s: str) -> str:
     return s if len(s) == 1 else f"'{s}'"
 
 
+def _render_run(run: str) -> str:
+    """One-letter symbols written as one WORD; e.p.s is not the empty word."""
+    return "e ps" if run == "eps" else run
+
+
 def _render_word_base(word) -> str:
     if len(word) == 1:
         return _render_symbol(word[0])
     if all(len(c) == 1 for c in word):
-        return f"({''.join(word)})"
+        return f"({_render_run(''.join(word))})"
     return f"({' '.join(map(_render_symbol, word))})"
 
 
@@ -685,11 +630,11 @@ def _render(e: RegexExpr, prec: int) -> str:
                 run.append(p.symbol)
                 continue
             if run:
-                chunks.append("".join(run))
+                chunks.append(_render_run("".join(run)))
                 run = []
             chunks.append(_render(p, 1))
         if run:
-            chunks.append("".join(run))
+            chunks.append(_render_run("".join(run)))
         return " ".join(chunks)
     if isinstance(e, Union):
         s = " + ".join(_render(p, 0) for p in e.parts)

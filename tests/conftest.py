@@ -19,13 +19,16 @@ from crpqbound.syntax import (
     Concat,
     EdgeAtom,
     Epsilon,
+    EqualityAtom,
     Letter,
     Power,
     PowerLE,
     Star,
     Union,
+    concat,
     parse_ucrpq,
     render_ucrpq,
+    union,
 )
 
 LETTERS = ("a", "b", "c")
@@ -199,3 +202,75 @@ def join_case_problems(rng: random.Random) -> list:
     if (h is not None) != exists or (h is not None and (set(h) != set(pool) or not is_hom(h))):
         problems.append(f"cq_hom of {src.atoms} into {db.edges} gave {h}")
     return problems
+
+
+# --------------------------------------------------- texts for the parsers
+
+# pieces of the query grammar, with comments and line breaks
+_SOUP_PIECES = (
+    "?x", "?y", "?v1", "-[", "]->", "a", "ab", "ba", "'x1'", "(", ")", "^", "^<=",
+    "0", "3", "12", "*", "+", "|", ",", "=", "eps", " # note\n", "\t", "\r\n", "\n",
+    " ", " ",
+)
+_STRAY = "()[]^*+|,=?'-#$<>\n\t a1"
+
+
+def gen_token_soup(rng: random.Random, max_pieces=12) -> str:
+    """Grammar pieces in random order, half of them after an atom's opening
+    and a quarter with one stray character: mostly malformed text."""
+    pieces = [rng.choice(_SOUP_PIECES) for _ in range(rng.randint(1, max_pieces))]
+    if rng.random() < 0.5:
+        pieces.insert(0, "?x -[")
+    if rng.random() < 0.25:
+        pieces.insert(rng.randrange(len(pieces) + 1), rng.choice("$?'-]"))
+    return "".join(pieces)
+
+
+def gen_random_label(rng: random.Random, depth=0):
+    """A label over words of a, b and 'x1' with powers, stars, eps and unions."""
+
+    def factor():
+        word = tuple(rng.choice(("a", "b", "x1")) for _ in range(rng.randint(1, 3)))
+        r = rng.random()
+        if r < 0.15:
+            return Star(word)
+        if r < 0.3:
+            return Power(word, rng.randint(0, 12))
+        if r < 0.4:
+            return PowerLE(word, rng.randint(0, 12))
+        if r < 0.5 and depth < 2:
+            return gen_random_label(rng, depth + 1)
+        if r < 0.55:
+            return Epsilon()
+        return concat(map(Letter, word))
+
+    return union([
+        concat([factor() for _ in range(rng.randint(1, 3))])
+        for _ in range(rng.randint(1, 2))
+    ])
+
+
+def gen_random_ucrpq(rng: random.Random, max_disjuncts=2, max_atoms=3) -> UCRPQ:
+    """A query with random labels and, now and then, an equality atom."""
+    disjuncts = []
+    for _ in range(rng.randint(1, max_disjuncts)):
+        pool = VAR_POOL[: rng.randint(1, 3)]
+        atoms = [
+            EdgeAtom(rng.choice(pool), gen_random_label(rng), rng.choice(pool))
+            for _ in range(rng.randint(1, max_atoms))
+        ]
+        if rng.random() < 0.2:
+            atoms.insert(rng.randrange(len(atoms) + 1), EqualityAtom(*rng.sample(VAR_POOL, 2)))
+        disjuncts.append(CRPQ(tuple(atoms)))
+    return UCRPQ(tuple(disjuncts))
+
+
+def mutate_text(rng: random.Random, text: str) -> str:
+    """The text with one character deleted, inserted or swapped with the next."""
+    i = rng.randrange(len(text))
+    op = rng.randrange(3)
+    if op == 0:
+        return text[:i] + text[i + 1:]
+    if op == 1:
+        return text[:i] + rng.choice(_STRAY) + text[i:]
+    return text[:i] + text[i + 1: i + 2] + text[i] + text[i + 2:]

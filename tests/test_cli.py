@@ -468,6 +468,20 @@ def test_bad_input_exits_64(tmp_path, qfile, capsys, name, text, argv):
     assert capsys.readouterr().err.startswith("input error: ")
 
 
+@pytest.mark.parametrize(
+    "text, argv, message",
+    [
+        ("?x -[a b*]-> ?y", [], "outside the supported fragment"),
+        ("?x -[a* + b]-> ?y", [], "outside the supported fragment"),
+        ("?x -[(ab)*]-> ?y", ["--letters", "max"], "needs single-letter stars"),
+        ("?x -[(a+b)*]-> ?y", [], "star over non-word"),
+    ],
+)
+def test_labels_outside_the_fragment_exit_64(qfile, capsys, text, argv, message):
+    assert main(["analyze", qfile(text + "\n"), *argv]) == 64
+    assert message in capsys.readouterr().err
+
+
 def test_label_nested_to_the_limit_is_analyzed(qfile, capsys):
     # alternating union and concatenation, so every level stays in the tree
     label = "a"

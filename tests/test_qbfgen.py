@@ -18,11 +18,10 @@ from crpqbound.qbfgen import (
     reduction,
 )
 from crpqbound.syntax import (
-    FragmentClass,
+    Letter,
     ParseError,
     Star,
     UCRPQ,
-    classify,
     render_ucrpq,
     parse_ucrpq,
 )
@@ -47,6 +46,14 @@ def test_parse_comments_and_blank_lines():
 def test_parse_rejects_clause_before_headers():
     with pytest.raises(ParseError):
         parse_qbf("1 2 2 0\nforall 1..1\nexists 2..2\n")
+
+
+@pytest.mark.parametrize("clause, literal", [("1 0 2", 0), ("1 2 -3 0", -3)])
+def test_parse_rejects_literal_out_of_range_on_its_line(clause, literal):
+    with pytest.raises(ParseError) as err:
+        parse_qbf(f"forall 1..1\nexists 2..2\n1 2 2\n{clause}\n")
+    assert err.value.line == 4
+    assert str(err.value) == f"literal out of range: {literal} (line 4, col 1)"
 
 
 def test_qbf_validates_literals():
@@ -99,8 +106,10 @@ def test_reduction_without_clauses_is_q1():
 
 def test_reduction_stays_in_fragment():
     q = reduction(PHI)
-    kinds = {classify(a.label) for a in q.atoms}
-    assert kinds <= {FragmentClass.A_SINGLETON, FragmentClass.A_STAR}
+    for a in q.atoms:
+        assert isinstance(a.label, Letter) or (
+            isinstance(a.label, Star) and len(a.label.word) == 1
+        )
 
 
 def test_reduction_renders_and_reparses():

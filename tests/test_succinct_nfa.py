@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import gen_random_snfa, gen_random_word
 from crpqbound.config import DEFAULT_CAPS
-from crpqbound.errors import CapExceeded
+from crpqbound.errors import CapExceeded, ParseError
 from crpqbound.oracle import nfa_membership_brute
 from crpqbound.succinct_nfa import (
     SNFATransition,
@@ -175,6 +175,14 @@ def test_parse_render_roundtrip():
         states=("p", "q", "r"),
     )
     assert parse_nfa(text) == want
+
+
+def test_label_error_names_its_place_in_the_file():
+    text = "initial: p\nfinals: q\n# a label with an open parenthesis\nq -[(ab]-> p\n"
+    with pytest.raises(ParseError) as err:
+        parse_nfa(text)
+    assert (err.value.line, err.value.col) == (4, 8)
+    assert str(err.value) == "expected ')' (at end of input) (line 4, col 8)"
 
 
 def test_differential_mini():
