@@ -118,7 +118,10 @@ def rewriting_corpus(count=50, seed=11):
 
 # ------------------------------------------- the join against naive enumeration
 
-_JOIN_LABELS = ("a", "b", "a*", "(ab)*", "a+b", "ab", "b^<=2", "a(b+eps)", "eps", "a b*")
+_JOIN_LABELS = (
+    "a", "b", "a*", "(ab)*", "a+b", "ab", "b^<=2", "a(b+eps)", "eps", "a b*",
+    "a^3", "(ab)^2", "(ab)^0", "a (b^<=2) b",
+)
 
 
 def _compose(r, t):

@@ -1,14 +1,30 @@
 """Brute-force ground truth: evaluation, sampling, and the QBF solver."""
 
+import hashlib
+import json
 import random
 import time
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
-from conftest import gen_random_crpq_astar, join_case_problems
-from crpqbound.expansion import CQ, CQAtom, ExponentDomain, cq_hom, enumerate_expansions, materialize
+from conftest import _JOIN_LABELS, gen_random_crpq_astar, gen_random_label, join_case_problems
+from crpqbound.config import DEFAULT_CAPS
+from crpqbound.errors import CapExceeded
+from crpqbound.expansion import (
+    CQ,
+    CQAtom,
+    ExponentDomain,
+    SuccinctAtom,
+    SuccinctCQ,
+    cq_hom,
+    enumerate_expansions,
+    materialize,
+)
 from crpqbound.oracle import (
     GraphDB,
+    _atom_relation,
     _star_ceiling,
     eval_on_graph,
     graph_of_cq,
@@ -20,7 +36,7 @@ from crpqbound.oracle import (
 from crpqbound.expansion import bound_query
 from crpqbound.qbfgen import QBF
 from crpqbound.succinct_nfa import SNFATransition, SuccinctNFA
-from crpqbound.syntax import parse_ucrpq
+from crpqbound.syntax import parse_regex, parse_ucrpq, render_regex
 
 
 def _nfa(transitions, initial, finals):
@@ -116,6 +132,84 @@ def test_long_cycle_query_is_evaluated_by_propagation():
     t0 = time.perf_counter()
     assert eval_on_graph(q, GraphDB(vertices, tuple(edges)))
     assert time.perf_counter() - t0 < 1.0
+
+
+GOLDEN_RELATIONS = Path(__file__).parent / "data" / "atom_relations.json"
+
+
+def _golden_graphs(rng):
+    """Random graphs over a, b and 'x1' of 1-9 vertices at densities
+    0.05-0.5, then paths and cycles materialized from word powers of up to
+    about 200 vertices, the last two over bcc."""
+    graphs = []
+    for _ in range(40):
+        vertices = tuple(f"g{i}" for i in range(rng.randint(1, 9)))
+        p = rng.uniform(0.05, 0.5)
+        graphs.append(GraphDB(vertices, tuple(
+            (u, s, v) for u in vertices for s in ("a", "b", "x1") for v in vertices
+            if rng.random() < p
+        )))
+    words = [tuple(rng.choice(("a", "b", "x1")) for _ in range(rng.randint(1, 3)))
+             for _ in range(10)] + [("b", "c", "c")] * 2
+    for i, word in enumerate(words):
+        end = "x" if i % 2 else "y"
+        atom = SuccinctAtom("x", word, rng.randint(1, 200 // len(word)), end)
+        graphs.append(graph_of_cq(materialize(SuccinctCQ(("x", "y"), (atom,)))))
+    return graphs
+
+
+def _golden_relation_cases():
+    """Seeded (label, graph index) pairs: each random label on three random
+    graphs and one power graph, the join labels on every graph, and three
+    long powers on the power graphs and on five random graphs."""
+    rng = random.Random(23)
+    graphs = _golden_graphs(rng)
+    cases = []
+    for _ in range(250):
+        label = gen_random_label(rng)
+        for g in rng.sample(range(40), 3) + [rng.randrange(40, len(graphs))]:
+            cases.append((label, g))
+    cases += [(parse_regex(t), g) for t in _JOIN_LABELS for g in range(len(graphs))]
+    cases += [
+        (parse_regex(t), g)
+        for t in ("(bcc)^<=576", "(bcc)*", "a^2000")
+        for g in list(range(5)) + list(range(40, len(graphs)))
+    ]
+    return graphs, cases
+
+
+def _relation_outcome(label, db, max_length_dp):
+    """The pair count and the first 16 hex digits of the SHA-256 of the
+    sorted pairs, or the cap message."""
+    try:
+        rel = _atom_relation(label, db, replace(DEFAULT_CAPS, max_length_dp=max_length_dp))
+    except CapExceeded as exc:
+        return str(exc)
+    pairs = sorted([u, v] for u, vs in rel.items() for v in vs)
+    return [len(pairs), hashlib.sha256(json.dumps(pairs).encode()).hexdigest()[:16]]
+
+
+def _golden_relation_records():
+    """Per case, the rendered label, the graph index and the outcome under
+    max_length_dp 4, 10 and 10^6."""
+    graphs, cases = _golden_relation_cases()
+    return [
+        [render_regex(label), g, [_relation_outcome(label, graphs[g], cap) for cap in (4, 10, 10**6)]]
+        for label, g in cases
+    ]
+
+
+def test_atom_relations_match_the_golden_file():
+    # written by _golden_relation_records from the letter-automaton
+    # product search; rewriting it from the current code would pin nothing
+    want = json.loads(GOLDEN_RELATIONS.read_text())
+    got = json.loads(json.dumps(_golden_relation_records()))
+    assert len(got) == len(want)
+    for i, (g, w) in enumerate(zip(got, want)):
+        assert g == w, (i, g, w)
+    outcomes = [o for r in want for o in r[2]]
+    assert sum(isinstance(o, str) for o in outcomes) > 300
+    assert sum(isinstance(o, list) and o[0] > 0 for o in outcomes) > 3000
 
 
 def test_canonical_database_property():
