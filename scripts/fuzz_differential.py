@@ -9,7 +9,9 @@ the boundedness checks) vs cq_hom on both materialized sides, with each
 prepared right side reused for several left sides and each left side
 also read back from its rendered text, the join that cq_hom and
 query evaluation share vs trying every assignment on graphs of up to
-four vertices (as many cases as containment pairs), probe expansions
+four vertices, and the oracle's relation for a random label vs relation
+algebra on graphs of up to eight vertices (as many cases of each as
+containment pairs), probe expansions
 of random a-star queries against their bounded right sides (some stars
 left whole) vs evaluation on the materialized probe, and boundedness
 verdicts cross-checked by oracle evaluation on witness databases or on
@@ -40,6 +42,7 @@ from conftest import (  # noqa: E402
     gen_token_soup,
     join_case_problems,
     mutate_text,
+    relation_case_problems,
     some_stars_over_b,
 )
 from crpqbound.boundedness import (  # noqa: E402
@@ -153,11 +156,13 @@ def fuzz_containment(cfg: FuzzConfig) -> int:
 
 
 def fuzz_join(cfg: FuzzConfig) -> int:
-    """eval_on_graph and cq_hom against naive enumeration, one case per pair."""
+    """eval_on_graph and cq_hom against naive enumeration, and the relation
+    of a random label against relation algebra, one case each per pair."""
     rng = random.Random(cfg.seed + 5)
+    labels_rng = random.Random(cfg.seed + 7)
     bad = 0
     for i in range(cfg.containment_pairs):
-        for problem in join_case_problems(rng):
+        for problem in join_case_problems(rng) + relation_case_problems(labels_rng):
             bad += 1
             print(f"  join mismatch at case {i}: {problem}")
     return bad

@@ -107,7 +107,7 @@ _CAP_FLAGS = {
     "--cap-length": (
         "max_length_dp",
         "lengths per state in member's length search, both its pivot residues and its"
-        " acyclic length sets; longest word the oracles unroll",
+        " acyclic length sets; largest |w|*n of a power the oracles read",
     ),
     "--cap-word-len": ("max_word_len", "longest word a star-free label spells when listed"),
 }
@@ -353,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="cross-check the verdict against brute-force evaluation",
     )
     analyze.add_argument("--seed", type=int, default=0, help="sampling seed (default 0)")
-    # --cap-length bounds the oracles' unrolling under --oracle-verify
+    # --cap-length bounds the powers the oracles read under --oracle-verify
     _add_caps_flags(analyze, "--cap", "--cap-atoms", "--cap-length", "--cap-word-len")
 
     contains = subs.add_parser("contains", help="succinct CQ containment in a query")

@@ -24,7 +24,8 @@ class Caps:
     max_length_dp:
         Most lengths a state holds in the length search behind succinct-NFA
         membership, as pivot residues or acyclic length sets; also the
-        longest word, transition or power the brute-force oracles unroll.
+        longest word or transition brute-force membership unrolls, and
+        the largest |w|*n of a power that query evaluation reads.
     max_word_len:
         Longest word a star-free label spells when its language is listed.
     """

@@ -2,17 +2,18 @@
 
 Everything here works on fully materialized objects: automata are unrolled
 to letter transitions, queries are evaluated on concrete graph databases by
-per-atom product reachability plus a backtracking join, and equivalence is
-refuted by sampling.  The homomorphism module is deliberately not imported;
-agreement between these oracles and the succinct implementations is what
-the differential test suite certifies.  Its join, expansion.join, is shared
-with cq_hom, another reference, and with nothing of the engine.
+reading each atom's label over sets of vertices plus a backtracking join,
+and equivalence is refuted by sampling.  The homomorphism module is
+deliberately not imported; agreement between these oracles and the
+succinct implementations is what the differential test suite certifies.
+Its join, expansion.join, is shared with cq_hom, another reference, and
+with nothing of the engine.
 
 The independence is not complete: sampled equivalence caps the star
 exponents of its canonical databases by boundedness.compute_bounds and
 builds them with expansion.enumerate_expansions and
 expansion.materialize, code that the boundedness verdicts it checks rest
-on as well.  ROADMAP item 4 plans oracles that share none of it.
+on as well.  ROADMAP item 3 plans oracles that share none of it.
 """
 
 from __future__ import annotations
@@ -137,127 +138,61 @@ def nfa_membership_brute(
     return bool(current & set(nfa.finals))
 
 
-# ----------------------------------------------- regex compilation (letter NFA)
-
-
-def compile_regex_nfa(e, caps: Caps = DEFAULT_CAPS):
-    """Compile a star-free-or-word-star regex to a letter automaton.
-
-    Returns (transitions, initial, finals) with transitions a list of
-    (src, symbol_or_None, dst); None marks an epsilon edge.  A star over a
-    word becomes a cycle with as many states as the word has letters.
-    """
-    counter = itertools.count()
-
-    def fresh():
-        return next(counter)
-
-    def build(e):
-        if isinstance(e, Epsilon):
-            s = fresh()
-            return [], s, s
-        if isinstance(e, Letter):
-            s, t = fresh(), fresh()
-            return [(s, e.symbol, t)], s, t
-        if isinstance(e, Concat):
-            trans, start, end = build(e.parts[0])
-            for part in e.parts[1:]:
-                t2, s2, e2 = build(part)
-                trans.extend(t2)
-                trans.append((end, None, s2))
-                end = e2
-            return trans, start, end
-        if isinstance(e, Union):
-            s, t = fresh(), fresh()
-            trans = []
-            for part in e.parts:
-                tp, sp, ep = build(part)
-                trans.extend(tp)
-                trans.append((s, None, sp))
-                trans.append((ep, None, t))
-            return trans, s, t
-        if isinstance(e, (Power, PowerLE)):
-            total = len(e.word) * e.exponent
-            if total > caps.max_length_dp:
-                raise CapExceeded(caps.max_length_dp, "power too large to unroll")
-            start = fresh()
-            trans = []
-            skippable = isinstance(e, PowerLE)
-            boundaries = [start]
-            prev = start
-            for _ in range(e.exponent):
-                for sym in e.word:
-                    nxt = fresh()
-                    trans.append((prev, sym, nxt))
-                    prev = nxt
-                boundaries.append(prev)
-            end = prev
-            if skippable:
-                for b in boundaries[:-1]:
-                    trans.append((b, None, end))
-            return trans, start, end
-        if isinstance(e, Star):
-            first = fresh()
-            prev = first
-            trans = []
-            for sym in e.word[:-1]:
-                nxt = fresh()
-                trans.append((prev, sym, nxt))
-                prev = nxt
-            trans.append((prev, e.word[-1], first))
-            return trans, first, first
-        raise TypeError(f"not a supported regex: {e!r}")
-
-    return build(e)
-
-
 # ------------------------------------------------------------ graph evaluation
 
 
+def _reach(e, sources, succ, caps: Caps):
+    """The vertices that paths from sources spelling a word of e end at.
+
+    A letter steps along its edges, a concatenation runs its parts in
+    sequence and a union joins what its parts reach.  w^n reads n copies
+    of w; w^<=n and w* search breadth-first over copies of w, expanding a
+    vertex once, after the fewest copies that reach it.
+    """
+    if isinstance(e, Epsilon):
+        return sources
+    if isinstance(e, Letter):
+        return {v for u in sources for v in succ.get((u, e.symbol), ())}
+    if isinstance(e, Concat):
+        for part in e.parts:
+            sources = _reach(part, sources, succ, caps)
+        return sources
+    if isinstance(e, Union):
+        return set().union(*(_reach(part, sources, succ, caps) for part in e.parts))
+    if not isinstance(e, Star) and len(e.word) * e.exponent > caps.max_length_dp:
+        raise CapExceeded(caps.max_length_dp, "power too large to unroll")
+
+    def copy(frontier):
+        for s in e.word:
+            frontier = {v for u in frontier for v in succ.get((u, s), ())}
+        return frontier
+
+    if isinstance(e, Power):
+        for _ in range(e.exponent):
+            if not sources:
+                break
+            sources = copy(sources)
+        return sources
+    reached, frontier = set(sources), sources
+    for _ in itertools.count() if isinstance(e, Star) else range(e.exponent):
+        frontier = copy(frontier) - reached
+        if not frontier:
+            break
+        reached |= frontier
+    return reached
+
+
 def _atom_relation(label, db: GraphDB, caps: Caps):
-    """All vertex pairs (u, v) connected by a path reading a word of label."""
-    trans, start, end = compile_regex_nfa(label, caps)
-    eps_adj = {}
-    sym_adj = {}
-    for s, sym, d in trans:
-        if sym is None:
-            eps_adj.setdefault(s, set()).add(d)
-        else:
-            sym_adj.setdefault(s, set()).add((sym, d))
-    graph_adj = {}
+    """All vertex pairs (u, v) connected by a path reading a word of label,
+    as a map from each u with some v to its set of v."""
+    succ = {}
     for u, sym, v in db.edges:
-        graph_adj.setdefault((u, sym), set()).add(v)
-
-    closed = {}
-
-    def closure(q):
-        """The automaton states epsilon-reachable from q, found once per state."""
-        if q not in closed:
-            out = {q}
-            stack = [q]
-            while stack:
-                for q2 in eps_adj.get(stack.pop(), ()):
-                    if q2 not in out:
-                        out.add(q2)
-                        stack.append(q2)
-            closed[q] = out
-        return closed[q]
-
+        succ.setdefault((u, sym), set()).add(v)
     relation = {}
-    for u0 in db.vertices:
-        seen = {(u0, q) for q in closure(start)}
-        stack = list(seen)
-        while stack:
-            u, q = stack.pop()
-            for sym, q2 in sym_adj.get(q, ()):
-                for v in graph_adj.get((u, sym), ()):
-                    for q3 in closure(q2):
-                        if (v, q3) not in seen:
-                            seen.add((v, q3))
-                            stack.append((v, q3))
-        targets = {u for (u, q) in seen if q == end}
+    for u in db.vertices:
+        targets = _reach(label, {u}, succ, caps)
         if targets:
-            relation[u0] = targets
+            relation[u] = targets
     return relation
 
 

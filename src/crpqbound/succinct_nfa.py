@@ -259,7 +259,19 @@ def membership(nfa: SuccinctNFA, v, m: int, caps: Caps = DEFAULT_CAPS) -> bool:
 # ------------------------------------------------------------------- text IO
 
 
-_TRANSITION_RE = re.compile(r"^\s*([A-Za-z0-9_@.]+)\s*-\[(.+)\]->\s*([A-Za-z0-9_@.]+)\s*$")
+_STATE = r"[A-Za-z0-9_@.]+"
+_STATE_RE = re.compile(_STATE)
+_TRANSITION_RE = re.compile(rf"^\s*({_STATE})\s*-\[(.+)\]->\s*({_STATE})\s*$")
+
+
+def _state_names(names, raw: str, lineno: int):
+    """names, once each is a name a transition could use; raw is the
+    'initial:' or 'finals:' line they were read from."""
+    for name in names:
+        if not _STATE_RE.fullmatch(name):
+            col = raw.index(name, raw.index(":") + 1) + 1
+            raise ParseError(f"bad state name {name!r}", lineno, col)
+    return names
 
 
 def parse_nfa(text: str) -> SuccinctNFA:
@@ -282,13 +294,13 @@ def parse_nfa(text: str) -> SuccinctNFA:
             initial = line[len("initial:"):].strip()
             if not initial:
                 raise ParseError("missing initial state", lineno, 1)
-            states.add(initial)
+            states.update(_state_names((initial,), raw, lineno))
             continue
         if line.startswith("finals:"):
             if finals is not None:
                 raise ParseError("duplicate finals line", lineno, 1)
             finals = tuple(line[len("finals:"):].replace(",", " ").split())
-            states.update(finals)
+            states.update(_state_names(finals, raw, lineno))
             continue
         m = _TRANSITION_RE.match(body)
         if m is None:
@@ -296,7 +308,9 @@ def parse_nfa(text: str) -> SuccinctNFA:
         # the label is read in place, so an error in it names its column in the file
         pair = as_power(parse_regex(text, start + m.start(2), start + m.end(2)))
         if pair is None:
-            raise ParseError("transition label must be a word, a power, or eps", lineno, 1)
+            raise ParseError(
+                "transition label must be a word, a power, or eps", lineno, m.start(2) + 1
+            )
         src, dst = m.group(1), m.group(3)
         states.update((src, dst))
         transitions.append(SNFATransition(src, *pair, dst))

@@ -11,7 +11,8 @@ from crpqbound.expansion import (
     cq_hom,
     normalize_succinct,
 )
-from crpqbound.oracle import GraphDB, eval_on_graph
+from crpqbound.config import DEFAULT_CAPS
+from crpqbound.oracle import GraphDB, _atom_relation, eval_on_graph
 from crpqbound.succinct_nfa import SNFATransition, SuccinctNFA
 from crpqbound.syntax import (
     CRPQ,
@@ -27,6 +28,7 @@ from crpqbound.syntax import (
     Union,
     concat,
     parse_ucrpq,
+    render_regex,
     render_ucrpq,
     union,
 )
@@ -205,6 +207,23 @@ def join_case_problems(rng: random.Random) -> list:
     if (h is not None) != exists or (h is not None and (set(h) != set(pool) or not is_hom(h))):
         problems.append(f"cq_hom of {src.atoms} into {db.edges} gave {h}")
     return problems
+
+
+def relation_case_problems(rng: random.Random) -> list:
+    """Check the oracle's relation of one random label on one seeded graph
+    of at most 8 vertices over a, b and 'x1' against naive_relation.
+    Returns what disagrees."""
+    vertices = tuple(f"g{i}" for i in range(rng.randint(1, 8)))
+    p = rng.uniform(0.05, 0.5)
+    db = GraphDB(vertices, tuple(
+        (u, s, v) for u in vertices for s in ("a", "b", "x1") for v in vertices
+        if rng.random() < p
+    ))
+    label = gen_random_label(rng)
+    got = {(u, v) for u, vs in _atom_relation(label, db, DEFAULT_CAPS).items() for v in vs}
+    if got != naive_relation(label, db):
+        return [f"_atom_relation of {render_regex(label)!r} over {db.edges}"]
+    return []
 
 
 # --------------------------------------------------- texts for the parsers

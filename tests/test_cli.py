@@ -458,6 +458,8 @@ def test_internal_fault_exits_71(tmp_path, capsys, monkeypatch, fault):
         ("latin1.txt", b"\xff?x -[a]-> ?y\n", ["analyze", "{path}"]),
         ("long.txt", "?x -[a^" + "9" * 5000 + "]-> ?y\n", ["analyze", "{path}"]),
         ("deep.txt", "?x -[" + "(" * 3000 + "a" + ")" * 3000 + "]-> ?y\n", ["analyze", "{path}"]),
+        ("spaced.nfa", "initial: p q\nfinals: f\np -[a]-> f\n", ["member", "{path}", "a", "1"]),
+        ("dollar.nfa", "initial: p\nfinals: f$\np -[a]-> f\n", ["member", "{path}", "a", "1"]),
     ],
 )
 def test_bad_input_exits_64(tmp_path, qfile, capsys, name, text, argv):

@@ -9,7 +9,13 @@ from pathlib import Path
 
 import pytest
 
-from conftest import _JOIN_LABELS, gen_random_crpq_astar, gen_random_label, join_case_problems
+from conftest import (
+    _JOIN_LABELS,
+    gen_random_crpq_astar,
+    gen_random_label,
+    join_case_problems,
+    relation_case_problems,
+)
 from crpqbound.config import DEFAULT_CAPS
 from crpqbound.errors import CapExceeded
 from crpqbound.expansion import (
@@ -101,6 +107,13 @@ def test_join_matches_naive_enumeration():
     # eval_on_graph and cq_hom share one join; both must match trying every assignment
     rng = random.Random(13)
     problems = [p for _ in range(300) for p in join_case_problems(rng)]
+    assert not problems, problems[:3]
+
+
+def test_atom_relations_match_relation_algebra():
+    # the oracle reads a label over vertex sets; naive_relation composes relations
+    rng = random.Random(19)
+    problems = [p for _ in range(300) for p in relation_case_problems(rng)]
     assert not problems, problems[:3]
 
 

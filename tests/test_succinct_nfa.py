@@ -185,6 +185,28 @@ def test_label_error_names_its_place_in_the_file():
     assert str(err.value) == "expected ')' (at end of input) (line 4, col 8)"
 
 
+@pytest.mark.parametrize(
+    "text, want",
+    [
+        ("initial: p q\nfinals: f\np -[a]-> f\n", "bad state name 'p q' (line 1, col 10)"),
+        ("initial: p\nfinals: f$\np -[a]-> f\n", "bad state name 'f$' (line 2, col 9)"),
+        ("initial: p\n  finals: q, f$ # note\np -[a]-> f\n", "bad state name 'f$' (line 2, col 14)"),
+        ("initial: l:\nfinals: f\nl -[a]-> f\n", "bad state name 'l:' (line 1, col 10)"),
+    ],
+)
+def test_state_names_a_transition_could_not_use_are_refused(text, want):
+    with pytest.raises(ParseError) as err:
+        parse_nfa(text)
+    assert str(err.value) == want
+
+
+def test_label_shape_error_names_the_label_column():
+    with pytest.raises(ParseError) as err:
+        parse_nfa("initial: p\nfinals: f\n  p -[a*]-> f\n")
+    assert (err.value.line, err.value.col) == (3, 7)
+    assert "must be a word, a power, or eps" in str(err.value)
+
+
 def test_differential_mini():
     rng = random.Random(1234)
     for _ in range(150):
