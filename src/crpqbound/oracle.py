@@ -147,7 +147,10 @@ def _reach(e, sources, succ, caps: Caps):
     A letter steps along its edges, a concatenation runs its parts in
     sequence and a union joins what its parts reach.  w^n reads n copies
     of w; w^<=n and w* search breadth-first over copies of w, expanding a
-    vertex once, after the fewest copies that reach it.
+    vertex once, after the fewest copies that reach it.  A power meets the
+    length cap before it reads a copy, and no part of a concatenation or
+    union is skipped when no vertex is left, so every power of e meets the
+    cap whatever the graph.
     """
     if isinstance(e, Epsilon):
         return sources
@@ -188,12 +191,8 @@ def _atom_relation(label, db: GraphDB, caps: Caps):
     succ = {}
     for u, sym, v in db.edges:
         succ.setdefault((u, sym), set()).add(v)
-    relation = {}
-    for u in db.vertices:
-        targets = _reach(label, {u}, succ, caps)
-        if targets:
-            relation[u] = targets
-    return relation
+    relation = {u: _reach(label, {u}, succ, caps) for u in db.vertices}
+    return {u: vs for u, vs in relation.items() if vs}
 
 
 def eval_on_graph(q: UCRPQ, db: GraphDB, caps: Caps = DEFAULT_CAPS) -> bool:

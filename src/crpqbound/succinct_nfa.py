@@ -259,24 +259,14 @@ def membership(nfa: SuccinctNFA, v, m: int, caps: Caps = DEFAULT_CAPS) -> bool:
 # ------------------------------------------------------------------- text IO
 
 
-_STATE = r"[A-Za-z0-9_@.]+"
-_STATE_RE = re.compile(_STATE)
-_TRANSITION_RE = re.compile(rf"^\s*({_STATE})\s*-\[(.+)\]->\s*({_STATE})\s*$")
-
-
-def _state_names(names, raw: str, lineno: int):
-    """names, once each is a name a transition could use; raw is the
-    'initial:' or 'finals:' line they were read from."""
-    for name in names:
-        if not _STATE_RE.fullmatch(name):
-            col = raw.index(name, raw.index(":") + 1) + 1
-            raise ParseError(f"bad state name {name!r}", lineno, col)
-    return names
+_NAME = r"[A-Za-z0-9_@.]+"  # a state name
+_TRANSITION_RE = re.compile(rf"^\s*({_NAME})\s*-\[(.+)\]->\s*({_NAME})\s*$")
 
 
 def parse_nfa(text: str) -> SuccinctNFA:
     """Read an automaton: 'initial:' and 'finals:' lines, then transitions
-    'src -[label]-> dst', whose label is a word, a power or eps."""
+    'src -[label]-> dst', whose label is a word, a power or eps.  A state
+    name is letters, digits, '_', '@' and '.'."""
     initial = None
     finals = None
     transitions = []
@@ -294,26 +284,27 @@ def parse_nfa(text: str) -> SuccinctNFA:
             initial = line[len("initial:"):].strip()
             if not initial:
                 raise ParseError("missing initial state", lineno, 1)
-            states.update(_state_names((initial,), raw, lineno))
-            continue
-        if line.startswith("finals:"):
+            names = (initial,)
+        elif line.startswith("finals:"):
             if finals is not None:
                 raise ParseError("duplicate finals line", lineno, 1)
-            finals = tuple(line[len("finals:"):].replace(",", " ").split())
-            states.update(_state_names(finals, raw, lineno))
-            continue
-        m = _TRANSITION_RE.match(body)
-        if m is None:
-            raise ParseError(f"bad automaton line: {line!r}", lineno, 1)
-        # the label is read in place, so an error in it names its column in the file
-        pair = as_power(parse_regex(text, start + m.start(2), start + m.end(2)))
-        if pair is None:
-            raise ParseError(
-                "transition label must be a word, a power, or eps", lineno, m.start(2) + 1
-            )
-        src, dst = m.group(1), m.group(3)
-        states.update((src, dst))
-        transitions.append(SNFATransition(src, *pair, dst))
+            finals = names = tuple(line[len("finals:"):].replace(",", " ").split())
+        else:
+            m = _TRANSITION_RE.match(body)
+            if m is None:
+                raise ParseError(f"bad automaton line: {line!r}", lineno, 1)
+            # the label is read in place, so an error in it names its column in the file
+            pair = as_power(parse_regex(text, start + m.start(2), start + m.end(2)))
+            if pair is None:
+                message = "transition label must be a word, a power, or eps"
+                raise ParseError(message, lineno, m.start(2) + 1)
+            src, dst = names = m.group(1, 3)
+            transitions.append(SNFATransition(src, *pair, dst))
+        for name in names:
+            if not re.fullmatch(_NAME, name):  # only an 'initial:' or 'finals:' name can fail
+                col = raw.index(name, raw.index(":") + 1) + 1
+                raise ParseError(f"bad state name {name!r}", lineno, col)
+        states.update(names)
     if initial is None:
         raise ParseError("missing 'initial:' line", 1, 1)
     if finals is None:

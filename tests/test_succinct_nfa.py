@@ -192,19 +192,16 @@ def test_label_error_names_its_place_in_the_file():
         ("initial: p\nfinals: f$\np -[a]-> f\n", "bad state name 'f$' (line 2, col 9)"),
         ("initial: p\n  finals: q, f$ # note\np -[a]-> f\n", "bad state name 'f$' (line 2, col 14)"),
         ("initial: l:\nfinals: f\nl -[a]-> f\n", "bad state name 'l:' (line 1, col 10)"),
+        (
+            "initial: p\nfinals: f\n  p -[a*]-> f\n",
+            "transition label must be a word, a power, or eps (line 3, col 7)",
+        ),
     ],
 )
-def test_state_names_a_transition_could_not_use_are_refused(text, want):
+def test_automaton_errors_name_their_place_on_the_line(text, want):
     with pytest.raises(ParseError) as err:
         parse_nfa(text)
     assert str(err.value) == want
-
-
-def test_label_shape_error_names_the_label_column():
-    with pytest.raises(ParseError) as err:
-        parse_nfa("initial: p\nfinals: f\n  p -[a*]-> f\n")
-    assert (err.value.line, err.value.col) == (3, 7)
-    assert "must be a word, a power, or eps" in str(err.value)
 
 
 def test_differential_mini():
