@@ -209,16 +209,21 @@ def join_case_problems(rng: random.Random) -> list:
     return problems
 
 
-def relation_case_problems(rng: random.Random) -> list:
-    """Check the oracle's relation of one random label on one seeded graph
-    of at most 8 vertices over a, b and 'x1' against naive_relation.
-    Returns what disagrees."""
-    vertices = tuple(f"g{i}" for i in range(rng.randint(1, 8)))
+def gen_random_graph(rng: random.Random, max_vertices: int) -> GraphDB:
+    """A graph over a, b and 'x1' of 1 to max_vertices vertices, each
+    possible edge drawn with one density from 0.05-0.5."""
+    vertices = tuple(f"g{i}" for i in range(rng.randint(1, max_vertices)))
     p = rng.uniform(0.05, 0.5)
-    db = GraphDB(vertices, tuple(
+    return GraphDB(vertices, tuple(
         (u, s, v) for u in vertices for s in ("a", "b", "x1") for v in vertices
         if rng.random() < p
     ))
+
+
+def relation_case_problems(rng: random.Random) -> list:
+    """Check the oracle's relation of one random label on a random graph of
+    at most 8 vertices against naive_relation.  Returns what disagrees."""
+    db = gen_random_graph(rng, 8)
     label = gen_random_label(rng)
     got = {(u, v) for u, vs in _atom_relation(label, db, DEFAULT_CAPS).items() for v in vs}
     if got != naive_relation(label, db):

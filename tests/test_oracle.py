@@ -12,6 +12,7 @@ import pytest
 from conftest import (
     _JOIN_LABELS,
     gen_random_crpq_astar,
+    gen_random_graph,
     gen_random_label,
     join_case_problems,
     relation_case_problems,
@@ -154,14 +155,7 @@ def _golden_graphs(rng):
     """Random graphs over a, b and 'x1' of 1-9 vertices at densities
     0.05-0.5, then paths and cycles materialized from word powers of up to
     about 200 vertices, the last two over bcc."""
-    graphs = []
-    for _ in range(40):
-        vertices = tuple(f"g{i}" for i in range(rng.randint(1, 9)))
-        p = rng.uniform(0.05, 0.5)
-        graphs.append(GraphDB(vertices, tuple(
-            (u, s, v) for u in vertices for s in ("a", "b", "x1") for v in vertices
-            if rng.random() < p
-        )))
+    graphs = [gen_random_graph(rng, 9) for _ in range(40)]
     words = [tuple(rng.choice(("a", "b", "x1")) for _ in range(rng.randint(1, 3)))
              for _ in range(10)] + [("b", "c", "c")] * 2
     for i, word in enumerate(words):
@@ -207,7 +201,7 @@ def _golden_relation_records():
     max_length_dp 4, 10 and 10^6."""
     graphs, cases = _golden_relation_cases()
     return [
-        [render_regex(label), g, [_relation_outcome(label, graphs[g], cap) for cap in (4, 10, 10**6)]]
+        [render_regex(label), g, [_relation_outcome(label, graphs[g], c) for c in (4, 10, 10**6)]]
         for label, g in cases
     ]
 

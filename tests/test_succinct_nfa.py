@@ -190,7 +190,7 @@ def test_label_error_names_its_place_in_the_file():
     [
         ("initial: p q\nfinals: f\np -[a]-> f\n", "bad state name 'p q' (line 1, col 10)"),
         ("initial: p\nfinals: f$\np -[a]-> f\n", "bad state name 'f$' (line 2, col 9)"),
-        ("initial: p\n  finals: q, f$ # note\np -[a]-> f\n", "bad state name 'f$' (line 2, col 14)"),
+        ("initial: p\n  finals: q, f$ # c\np -[a]-> f\n", "bad state name 'f$' (line 2, col 14)"),
         ("initial: l:\nfinals: f\nl -[a]-> f\n", "bad state name 'l:' (line 1, col 10)"),
         (
             "initial: p\nfinals: f\n  p -[a*]-> f\n",
