@@ -54,7 +54,6 @@ from crpqbound.boundedness import (  # noqa: E402
 from crpqbound.config import DEFAULT_CAPS  # noqa: E402
 from crpqbound.errors import CapExceeded, ParseError  # noqa: E402
 from crpqbound.expansion import (  # noqa: E402
-    ExponentDomain,
     bound_letters,
     bound_query,
     enumerate_expansions,
@@ -188,7 +187,7 @@ def fuzz_probes(cfg: FuzzConfig) -> int:
             values = [rng.choice((0, 1, 2, z, z + 1, 2 * z + 1)) for _ in stars]
             if stars and max(values) <= z:
                 values[rng.randrange(len(values))] = z + 1
-            dom = ExponentDomain(tuple((j, (v,)) for j, v in zip(stars, values)))
+            dom = {j: (v,) for j, v in zip(stars, values)}
             for lam in enumerate_expansions(d, dom):
                 pairs += 1
                 got = isinstance(expansion_contained(lam, rhs), Contained)
@@ -242,7 +241,7 @@ def fuzz_boundedness(cfg: FuzzConfig) -> int:
                 if isinstance(a.label, Star)
             ]
             for exponent in (z + 1, z + 2):
-                dom = ExponentDomain.uniform(star_idx, (exponent,))
+                dom = dict.fromkeys(star_idx, (exponent,))
                 for lam in enumerate_expansions(d, dom, caps=caps):
                     db = graph_of_cq(materialize(lam, caps=caps))
                     if db.vertices and not eval_on_graph(report.rewriting, db):

@@ -10,7 +10,6 @@ low-exponent containment check recovers the truth value.
 
 import argparse
 import sys
-from dataclasses import dataclass
 
 from crpqbound.boundedness import is_bounded
 from crpqbound.oracle import qbf_satisfiable
@@ -24,15 +23,12 @@ exists 2..2
 """
 
 
-@dataclass
-class DemoConfig:
-    path: str | None = None
-    show_query: bool = False
-
-
-def run(cfg: DemoConfig) -> int:
-    if cfg.path:
-        text = sys.stdin.read() if cfg.path == "-" else open(cfg.path).read()
+def run(path: str | None, show_query: bool) -> int:
+    if path == "-":
+        text = sys.stdin.read()
+    elif path:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
     else:
         text = DEFAULT_QBF
         print("using the built-in example formula")
@@ -49,7 +45,7 @@ def run(cfg: DemoConfig) -> int:
     if q2 is not None:
         parts += f" + {len(q2.atoms)} clause-side atoms"
     print(f"compiled query: {len(q.atoms)} atoms ({parts})")
-    if cfg.show_query:
+    if show_query:
         print(render_ucrpq(UCRPQ((q,))))
 
     report = is_bounded(UCRPQ((q,)))
@@ -69,7 +65,7 @@ def main() -> int:
     parser.add_argument("qbf", nargs="?", help="formula file ('-' for stdin)")
     parser.add_argument("--show-query", action="store_true", help="print the compiled query")
     args = parser.parse_args()
-    return run(DemoConfig(path=args.qbf, show_query=args.show_query))
+    return run(args.qbf, args.show_query)
 
 
 if __name__ == "__main__":

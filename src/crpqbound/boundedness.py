@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from crpqbound.config import DEFAULT_CAPS, Caps, Stats
 from crpqbound.errors import CapExceeded
 from crpqbound.expansion import (
-    ExponentDomain,
     SuccinctCQ,
     bound_letters,
     enumerate_expansions,
@@ -28,7 +27,7 @@ from crpqbound.expansion import (
     max_word_len,
     star_free_choice_count,
 )
-from crpqbound.homomorphism import NotContained, RightSide, expansion_contained
+from crpqbound.homomorphism import RightSide, expansion_contained
 from crpqbound.syntax import (
     UCRPQ,
     Star,
@@ -135,40 +134,29 @@ class AnalysisReport:
 # ------------------------------------------------------------ the decision
 
 
-def _probe_grid(d, z: int, probe: int, full: bool, letters):
-    """The star exponent domain of one disjunct and its capped star atoms."""
+def _stars(d, letters):
+    """A disjunct's star atom indices and, among them, the capped ones."""
     stars = [i for i, a in enumerate(d.edge_atoms) if isinstance(a.label, Star)]
-    values = tuple(range(probe + 1)) if full else tuple(range(z + 1)) + (probe,)
-    capped = frozenset(
-        i for i in stars if is_capped(d.edge_atoms[i].label.word, letters)
-    )
-    return ExponentDomain(tuple((i, values) for i in stars)), capped
+    return stars, frozenset(i for i in stars if is_capped(d.edge_atoms[i].label.word, letters))
 
 
-def _probe_counts(qc, z, probe, full, letters, caps):
+def _probe_counts(splits, z, per, caps):
     """Raw combination count and probe check count, summed over disjuncts.
 
-    A probe combination has at least one capped star above z; the others
-    are expansions of q(Z) and need no check.  Pure arithmetic, so that
-    astronomically large Z never materializes a value tuple before the
-    budget check.
+    Each star of ``splits`` (see _stars) takes ``per`` exponents.  A probe
+    combination has at least one capped star above z; the others are
+    expansions of q(Z) and need no check.  Pure arithmetic, so that
+    astronomically large Z never materializes a value before the budget.
     """
     raw = real = 0
-    per = probe + 1 if full else z + 2
-    for d in qc.disjuncts:
+    for d, stars, capped in splits:
         base = 1
-        capped_stars = free_stars = 0
         for a in d.edge_atoms:
-            if isinstance(a.label, Star):
-                if is_capped(a.label.word, letters):
-                    capped_stars += 1
-                else:
-                    free_stars += 1
-            else:
+            if not isinstance(a.label, Star):
                 base *= star_free_choice_count(a.label, caps)
-        total = base * per ** (capped_stars + free_stars)
+        total = base * per ** len(stars)
         raw += total
-        real += total - base * (z + 1) ** capped_stars * per**free_stars
+        real += total - base * (z + 1) ** len(capped) * per ** (len(stars) - len(capped))
     return raw, real
 
 
@@ -186,12 +174,13 @@ def _decide(qc, rhs, z, probe, letters, caps, full, stats, mode):
         mode["shortcut"] = "nullable-disjunct"
         return "bounded", None, None
 
+    splits = [(d, *_stars(d, letters)) for d in qc.disjuncts]
     try:
-        raw, real = _probe_counts(qc, z, probe, full, letters, caps)
+        raw, real = _probe_counts(splits, z, probe + 1 if full else z + 2, caps)
         if full and raw > caps.max_expansions:
             # full enumeration over budget; fall back to the restricted grid
             full = False
-            raw, real = _probe_counts(qc, z, probe, full, letters, caps)
+            raw, real = _probe_counts(splits, z, z + 2, caps)
     except CapExceeded as exc:
         return "inconclusive", None, str(exc)
     mode["full_enumeration_effective"] = full
@@ -205,9 +194,10 @@ def _decide(qc, rhs, z, probe, letters, caps, full, stats, mode):
         return "inconclusive", None, reason
 
     # the budget check bounds every enumeration below the expansion cap
+    values = range(probe + 1) if full else (*range(z + 1), probe)
     capped = False
-    for d in qc.disjuncts:
-        dom, probed = _probe_grid(d, z, probe, full, letters)
+    for d, stars, probed in splits:
+        dom = dict.fromkeys(stars, values)
         for lam in enumerate_expansions(d, dom, caps=caps, above=(probed, z)):
             stats.expansions_checked += 1
             try:
@@ -215,7 +205,7 @@ def _decide(qc, rhs, z, probe, letters, caps, full, stats, mode):
             except CapExceeded:
                 capped = True
                 continue
-            if isinstance(result, NotContained):
+            if result is None:
                 return "unbounded", lam, None
     if capped:
         return "inconclusive", None, "a containment check exceeded caps"
@@ -242,7 +232,7 @@ def _analyze(q, letters, caps, full_enumeration, zplus_mode) -> AnalysisReport:
         "full_enumeration": full_enumeration,
         "probe": probe,
         "z": z,
-        "letters": None if letters is None else "".join(sorted(letters)),
+        "letters": None if letters is None else ",".join(sorted(letters)),
         "shortcut": None,
     }
     if letters == frozenset():

@@ -92,32 +92,6 @@ class CQ:
     atoms: tuple
 
 
-@dataclass(frozen=True)
-class ExponentDomain:
-    """Finite exponent sets for the recursive (starred) atoms of a CRPQ.
-
-    Keys are atom indices into the collapsed query's atom tuple.
-    """
-
-    per_atom: tuple
-
-    def __post_init__(self):
-        for _, values in self.per_atom:
-            if not values:
-                raise ValueError("exponent domains must be non-empty")
-
-    @classmethod
-    def uniform(cls, atom_indices, values) -> "ExponentDomain":
-        vals = tuple(sorted(set(values)))
-        return cls(tuple((i, vals) for i in sorted(atom_indices)))
-
-    def values_for(self, atom_index: int):
-        for i, values in self.per_atom:
-            if i == atom_index:
-                return values
-        raise KeyError(f"no exponent domain for atom {atom_index}")
-
-
 # ------------------------------------------------------------ bounded queries
 
 
@@ -359,15 +333,16 @@ def star_free_choice_count(label: RegexExpr, caps: Caps = DEFAULT_CAPS) -> int:
 
 def enumerate_expansions(
     q: CRPQ,
-    dom: ExponentDomain,
+    dom: dict,
     cap: int | None = None,
     caps: Caps = DEFAULT_CAPS,
     above: tuple | None = None,
 ):
     """Yield the expansions of q, as normalized succinct CQs.
 
-    Recursive atoms draw exponents from ``dom``; star-free atoms range
-    over their finite languages.  Enumeration order is lexicographic over
+    Recursive atoms draw exponents from ``dom``, a dict from atom index to
+    exponent values; star-free atoms range over their finite languages.
+    Enumeration order is lexicographic over
     (atom index, choice index), and structurally equal expansions are
     emitted once.  With ``above=(atoms, z)`` only the combinations in
     which at least one of those atom indices takes an exponent above z
@@ -379,7 +354,7 @@ def enumerate_expansions(
     limit = caps.max_expansions if cap is None else cap
     q = collapse(q) if q.equality_atoms else q
     choice_lists = [
-        _atom_choices(a.label, dom.values_for(i) if isinstance(a.label, Star) else None, caps)
+        _atom_choices(a.label, dom[i] if isinstance(a.label, Star) else None, caps)
         for i, a in enumerate(q.atoms)
     ]
     variables = q.variables()

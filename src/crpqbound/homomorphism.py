@@ -99,10 +99,6 @@ class Contained:
         return SuccinctCQ(self._disjunct.variables(), tuple(atoms))
 
 
-class NotContained:
-    """No expansion of the right side maps into lam's canonical database."""
-
-
 def _reverse_expr(e):
     if isinstance(e, (Epsilon, Letter)):
         return e
@@ -385,7 +381,7 @@ class _PreparedDisjunct:
 
 def expansion_contained(
     lam: SuccinctCQ, right: UCRPQ | RightSide, caps: Caps = DEFAULT_CAPS
-):
+) -> Contained | None:
     """Is the expansion lam subsumed by some expansion of the right side?
 
     The right side is star-free apart from whole-label stars, which the
@@ -395,7 +391,7 @@ def expansion_contained(
     by positions (see _CanonicalDB), not unrolled; its length, the sum of
     |w|*n over its atoms, is bounded by ``max_materialized_atoms``.
     Returns Contained, which recovers the chosen right-side expansion and
-    homomorphism on demand, or NotContained.
+    homomorphism on demand, or None when no expansion maps.
     """
     if isinstance(right, UCRPQ):
         lam, right = normalize_succinct(lam), RightSide(right)
@@ -405,7 +401,7 @@ def expansion_contained(
         h = _disjunct_hom(d, db)
         if h is not None:
             return Contained(d.crpq, h, db)
-    return NotContained()
+    return None
 
 
 def succinct_containment(
@@ -424,7 +420,7 @@ def succinct_containment(
         EdgeAtom(a.src, Power(a.word, a.exponent), a.dst) for a in right.atoms
     )
     query = UCRPQ((CRPQ(atoms),))
-    return isinstance(expansion_contained(left, query, caps), Contained)
+    return expansion_contained(left, query, caps) is not None
 
 
 def _unary_domains(d: _PreparedDisjunct, fwd: _PathIndex, bwd: _PathIndex):

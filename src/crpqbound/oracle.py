@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from crpqbound.boundedness import compute_bounds
 from crpqbound.config import DEFAULT_CAPS, Caps
 from crpqbound.errors import CapExceeded, ParseError, UnsupportedFragment
-from crpqbound.expansion import CQ, ExponentDomain, enumerate_expansions, join, materialize
+from crpqbound.expansion import CQ, enumerate_expansions, join, materialize
 from crpqbound.qbfgen import QBF
 from crpqbound.succinct_nfa import SuccinctNFA
 from crpqbound.syntax import (
@@ -241,9 +241,7 @@ def _canonical_dbs(query: UCRPQ, star_max: int, caps: Caps):
     """Graphs induced by expansions of the query, star exponents <= star_max."""
     out = []
     for d in collapse(query).disjuncts:
-        dom = ExponentDomain.uniform(
-            range(len(d.edge_atoms)), tuple(range(star_max + 1))
-        )
+        dom = dict.fromkeys(range(len(d.edge_atoms)), range(star_max + 1))
         lams = []
         try:
             for lam in enumerate_expansions(d, dom, cap=_CANONICAL_BUDGET, caps=caps):

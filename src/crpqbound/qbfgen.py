@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from crpqbound.config import DEFAULT_CAPS, Caps
 from crpqbound.errors import ParseError, UnsupportedFragment
-from crpqbound.expansion import ExponentDomain, cq_hom, enumerate_expansions, materialize
+from crpqbound.expansion import cq_hom, enumerate_expansions, materialize
 from crpqbound.syntax import CRPQ, EdgeAtom, Letter, Star
 
 # ----------------------------------------------------------------------- QBF
@@ -109,15 +109,6 @@ def parse_qbf(text: str) -> QBF:
 # ------------------------------------------------------------------- gadgets
 
 
-@dataclass(frozen=True)
-class Gadget:
-    """A query fragment hanging off a root, exposing its port variables."""
-
-    atoms: tuple
-    root: str
-    ports: tuple
-
-
 def _edge(src, symbol, dst):
     return EdgeAtom(src, Letter(symbol), dst)
 
@@ -199,11 +190,11 @@ def build_q1(phi: QBF) -> CRPQ:
     return CRPQ(tuple(atoms))
 
 
-def clause_gadget(phi: QBF, ci: int, clause) -> Gadget:
-    """One clause sub-query: an s.s* loop at the root, a j-chain of three
-    attachment points, and per literal a variable-labeled edge into a port
-    carrying the t-pattern (positive) or f-pattern (negative).  Ends of
-    y-literal patterns share the global y{j}_tf variable.
+def clause_gadget(phi: QBF, ci: int, clause) -> tuple:
+    """One clause sub-query's atoms: an s.s* loop at the root c{ci}, a
+    j-chain of three attachment points, and per literal an edge into a port
+    c{ci}_p{k} carrying the t-pattern (positive) or f-pattern (negative).
+    Ends of y-literal patterns share the global y{j}_tf variable.
     """
     root = f"c{ci}"
     atoms = [
@@ -213,11 +204,9 @@ def clause_gadget(phi: QBF, ci: int, clause) -> Gadget:
         _edge(f"{root}_j1", "j", f"{root}_j2"),
     ]
     attach_points = (root, f"{root}_j1", f"{root}_j2")
-    ports = []
     for p, lit in enumerate(clause, start=1):
         index = abs(lit)
         port = f"{root}_p{p}"
-        ports.append(port)
         atoms.append(_edge(attach_points[p - 1], _var_symbol(phi, index), port))
         mid = f"{root}_p{p}_m"
         if index > phi.n:
@@ -228,7 +217,7 @@ def clause_gadget(phi: QBF, ci: int, clause) -> Gadget:
             atoms.extend(_true_pattern(end, mid, port))
         else:
             atoms.extend(_false_pattern(end, mid, port))
-    return Gadget(tuple(atoms), root, tuple(ports))
+    return tuple(atoms)
 
 
 def build_q2(phi: QBF) -> CRPQ:
@@ -238,7 +227,7 @@ def build_q2(phi: QBF) -> CRPQ:
         raise UnsupportedFragment("q2 needs at least one clause (empty conjunction)")
     atoms = []
     for ci, clause in enumerate(phi.clauses, start=1):
-        atoms.extend(clause_gadget(phi, ci, clause).atoms)
+        atoms.extend(clause_gadget(phi, ci, clause))
     return CRPQ(tuple(atoms))
 
 
@@ -275,8 +264,8 @@ def capped_containment(phi: QBF, caps: Caps = DEFAULT_CAPS) -> bool:
         return True
     q1 = build_q1(phi)
     q2 = build_q2(phi)
-    dom1 = ExponentDomain.uniform(_star_indices(q1), (0, 1))
-    dom2 = ExponentDomain.uniform(_star_indices(q2), (0, 1, 2))
+    dom1 = dict.fromkeys(_star_indices(q1), (0, 1))
+    dom2 = dict.fromkeys(_star_indices(q2), (0, 1, 2))
     rights = [
         materialize(lam2, caps=caps)
         for lam2 in enumerate_expansions(q2, dom2, caps=caps)

@@ -88,18 +88,12 @@ def _epsilon_free(nfa: SuccinctNFA) -> SuccinctNFA:
 
 
 def _power_matches_at_phase(w, n: int, i: int, v) -> bool:
-    """Does w^n read correctly against the periodic stream of v at phase i?"""
+    """Does w^n read correctly against the periodic stream of v at phase i?
+    w^n has period |w| and the stream period |v|: by Fine and Wilf, if they
+    agree on |w| + |v| - gcd(|w|, |v|) letters they agree on all of w^n."""
     lv, lw = len(v), len(w)
-
-    def ok(p):
-        return all(w[s] == v[(p + s) % lv] for s in range(lw))
-
-    delta = lw % lv
-    period = 1 if delta == 0 else lv // gcd(delta, lv)
-    for t in range(min(n, period)):
-        if not ok((i + t * delta) % lv):
-            return False
-    return True
+    window = min(n * lw, lw + lv - gcd(lw, lv))
+    return all(w[k % lw] == v[(i + k) % lv] for k in range(window))
 
 
 def build_product(nfa: SuccinctNFA, v) -> SuccinctNFA:

@@ -134,6 +134,15 @@ def test_analyze_letters_set(qfile, capsys):
     assert main(["analyze", qfile(ASTARB), "--letters", "a"]) == 1
 
 
+def test_analyze_letters_prints_the_set_comma_separated(qfile, capsys):
+    # joined without commas, {x1, b} would read as the letters b, x and 1
+    path = qfile("?x -['x1'*]-> ?y, ?x -[b]-> ?y, ?x -[b*]-> ?z\n")
+    assert main(["analyze", path, "--letters", "x1,b"]) == 1
+    assert "letters: b,x1" in capsys.readouterr().out.splitlines()
+    assert main(["analyze", path, "--letters", "x1,b", "--json"]) == 1
+    assert json.loads(capsys.readouterr().out)["mode"]["letters"] == "b,x1"
+
+
 def test_analyze_oracle_verify(qfile, capsys):
     assert main(["analyze", qfile(ASTARB), "--oracle-verify", "--json"]) == 1
     captured = capsys.readouterr()

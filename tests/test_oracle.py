@@ -22,7 +22,6 @@ from crpqbound.errors import CapExceeded
 from crpqbound.expansion import (
     CQ,
     CQAtom,
-    ExponentDomain,
     SuccinctAtom,
     SuccinctCQ,
     cq_hom,
@@ -227,7 +226,7 @@ def test_canonical_database_property():
         star_idx = [
             i for i, a in enumerate(d.atoms) if a.label.__class__.__name__ == "Star"
         ]
-        dom = ExponentDomain(tuple((i, (0, 1, 3)) for i in star_idx))
+        dom = dict.fromkeys(star_idx, (0, 1, 3))
         for lam in enumerate_expansions(d, dom):
             db = graph_of_cq(materialize(lam))
             if not db.vertices:

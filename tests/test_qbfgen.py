@@ -5,7 +5,7 @@ import itertools
 import pytest
 
 from crpqbound.boundedness import is_bounded
-from crpqbound.expansion import ExponentDomain, bound_query, enumerate_expansions
+from crpqbound.expansion import bound_query, enumerate_expansions
 from crpqbound.homomorphism import Contained, expansion_contained
 from crpqbound.oracle import qbf_satisfiable, sampled_equivalence
 from crpqbound.qbfgen import (
@@ -74,17 +74,24 @@ def test_q1_shape():
 
 
 def test_clause_gadget_ports():
-    g = clause_gadget(PHI, 1, (1, 2, 2))
-    assert g.root == "c1"
-    assert len(g.ports) == 3
-    port_names = set(g.ports)
-    assert port_names <= {a.dst for a in g.atoms}
+    atoms = clause_gadget(PHI, 1, (1, 2, 2))
+    # each literal's variable edge leaves one point of the root's j-chain
+    literal_edges = [
+        a for a in atoms if isinstance(a.label, Letter) and a.label.symbol[0] in "xy"
+    ]
+    assert [(a.src, a.label.symbol) for a in literal_edges] == [
+        ("c1", "x1"), ("c1_j1", "y1"), ("c1_j2", "y1")
+    ]
+    ports = [a.dst for a in literal_edges]
+    assert ports == ["c1_p1", "c1_p2", "c1_p3"]
+    # and ends in a port that a pattern's b-edge enters
+    assert all(any(a.dst == p and a.label == Letter("b") for a in atoms) for p in ports)
 
 
 def test_q2_one_gadget_per_clause():
     phi = QBF(1, 1, ((1, 2, 2), (-1, 2, 2)))
     q2 = build_q2(phi)
-    single = len(clause_gadget(phi, 1, phi.clauses[0]).atoms)
+    single = len(clause_gadget(phi, 1, phi.clauses[0]))
     assert len(q2.atoms) == 2 * single
 
 
@@ -141,7 +148,7 @@ def test_q1_alone_is_bounded_evidence():
     star_idx = [i for i, a in enumerate(d.edge_atoms) if isinstance(a.label, Star)]
     rhs = bound_query(q1, 1)
     for m in range(5):
-        dom = ExponentDomain.uniform(star_idx, (m,))
+        dom = dict.fromkeys(star_idx, (m,))
         for lam in enumerate_expansions(d, dom):
             assert isinstance(expansion_contained(lam, rhs), Contained), m
 

@@ -2,6 +2,7 @@
 
 import random
 from dataclasses import replace
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -52,6 +53,52 @@ def test_build_product_wrong_letter_prunes():
 def test_build_product_even_power_split():
     nfa = _nfa([SNFATransition("p", ("a",), 6, "f")], "p", ["f"])
     assert membership(nfa, ("a", "a"), 3)
+
+
+def _reads_along(w, n, i, v):
+    """Read w^n copy by copy, letter by letter, along v's stream from phase
+    i.  Once a copy starts at a phase some earlier copy started at, the
+    rest repeats what was read already."""
+    started = set()
+    for _ in range(n):
+        if i in started:
+            return True
+        started.add(i)
+        for s in w:
+            if s != v[i]:
+                return False
+            i = (i + 1) % len(v)
+    return True
+
+
+def test_build_product_matches_a_letter_by_letter_read():
+    rng = random.Random(18)
+    deep = {True: 0, False: 0}  # past the Fine-Wilf window, by answer
+    for _ in range(400):
+        v = tuple(rng.choice("ab") for _ in range(rng.randint(1, 6)))
+        transitions = set()
+        for src, dst in (("p", "q"), ("q", "q"), ("q", "f")):
+            # words cut from v's stream, one letter sometimes flipped
+            start, size = rng.randrange(len(v)), rng.randint(1, 7)
+            w = [v[(start + k) % len(v)] for k in range(size)]
+            if rng.random() < 0.4:
+                k = rng.randrange(size)
+                w[k] = "b" if w[k] == "a" else "a"
+            n = rng.randint(1, 12) if rng.random() < 0.5 else rng.randint(1, 10**9)
+            transitions.add(SNFATransition(src, tuple(w), n, dst))
+        nfa = _nfa(sorted(transitions), "p", ["f"])
+        want = set()
+        for t in nfa.transitions:
+            window = len(t.word) + len(v) - gcd(len(t.word), len(v))
+            for i in range(len(v)):
+                ok = _reads_along(t.word, t.exponent, i, v)
+                if t.length > window:
+                    deep[ok] += 1
+                if ok:
+                    j = (i + t.length) % len(v)
+                    want.add(SNFATransition(f"{t.src}@{i}", t.word, t.exponent, f"{t.dst}@{j}"))
+        assert set(build_product(nfa, v).transitions) == want, (nfa, v)
+    assert min(deep.values()) > 100, deep
 
 
 def test_product_soundness_sampled():
