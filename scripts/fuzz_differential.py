@@ -7,7 +7,8 @@ decided answer must match and a cap hit counts as skipped, succinct CQ
 containment (the reachability engine behind ``crpqbound contains`` and
 the boundedness checks) vs cq_hom on both materialized sides, with each
 prepared right side reused for several left sides and each left side
-also read back from its rendered text, the join that cq_hom and
+also read back from its rendered text, plus a quarter as many pairs of a
+cyclic right side against longer left atoms, the join that cq_hom and
 query evaluation share vs trying every assignment on graphs of up to
 four vertices, and the oracle's relation for a random label vs relation
 algebra on graphs of up to eight vertices (as many cases of each as
@@ -29,11 +30,15 @@ import random
 import sys
 import time
 from dataclasses import dataclass, replace
+from itertools import chain
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
 from conftest import (  # noqa: E402
+    VAR_POOL,
+    gen_cycle,
+    gen_cyclic_succinct_cq,
     gen_random_crpq_astar,
     gen_random_snfa,
     gen_random_succinct_cq,
@@ -54,6 +59,8 @@ from crpqbound.boundedness import (  # noqa: E402
 from crpqbound.config import DEFAULT_CAPS  # noqa: E402
 from crpqbound.errors import CapExceeded, ParseError  # noqa: E402
 from crpqbound.expansion import (  # noqa: E402
+    SuccinctAtom,
+    SuccinctCQ,
     bound_letters,
     bound_query,
     enumerate_expansions,
@@ -128,9 +135,32 @@ def fuzz_containment(cfg: FuzzConfig) -> int:
     the next four left sides; each answer must also match a fresh check
     and succinct_containment.  Each left side is also rendered, parsed and
     normalized back: the atoms must return unchanged (the text omits
-    isolated variables)."""
+    isolated variables).
+
+    Then a quarter as many pairs again, from a stream of their own: right
+    sides that close a directed cycle of short powers (exponents up to 4)
+    against one loop reading the cycle's word one to three times from a
+    rotation (one letter at times changed), or a random left side with
+    exponents up to 30, most of them cyclic too.  So left atoms fall on
+    both sides of the closed-walk bound by which the search skips
+    positions, and on it."""
     rng = random.Random(cfg.seed + 1)
     bad = 0
+    contained = [0, 0]  # plain pairs, cyclic pairs
+
+    def check(i, left, right, query, prepared):
+        want = cq_hom(materialize(right), materialize(left)) is not None
+        got = (
+            isinstance(expansion_contained(left, prepared), Contained),
+            isinstance(expansion_contained(left, query), Contained),
+            succinct_containment(left, right),
+        )
+        if got != (want,) * 3:
+            print(f"  containment mismatch at pair {i}: {left} vs {right}: {got}, want {want}")
+            return 1
+        contained[i >= cfg.containment_pairs] += want
+        return 0
+
     for i in range(cfg.containment_pairs):
         if i % 4 == 0:
             right = gen_random_succinct_cq(rng)
@@ -142,15 +172,32 @@ def fuzz_containment(cfg: FuzzConfig) -> int:
         if back.atoms != left.atoms or not set(back.variables) <= set(left.variables):
             bad += 1
             print(f"  text round trip mismatch at pair {i}: {text!r} read back as {back}")
-        want = cq_hom(materialize(right), materialize(left)) is not None
-        got = (
-            isinstance(expansion_contained(left, prepared), Contained),
-            isinstance(expansion_contained(left, query), Contained),
-            succinct_containment(left, right),
-        )
-        if got != (want,) * 3:
-            bad += 1
-            print(f"  containment mismatch at pair {i}: {left} vs {right}: {got}, want {want}")
+        bad += check(i, left, right, query, prepared)
+
+    cyclic = random.Random(cfg.seed + 8)
+    for i in range(cfg.containment_pairs, cfg.containment_pairs + cfg.containment_pairs // 4):
+        cycle = gen_cycle(cyclic, 4)
+        right = normalize_succinct(SuccinctCQ(VAR_POOL[: len(cycle)], cycle))
+        query = parse_ucrpq(render_succinct_cq(right))
+        pick = cyclic.random()
+        if pick < 0.4:
+            # one loop that reads the cycle's word k times from a rotation,
+            # at times with one letter changed: it holds the cycle for k = 1
+            word = list(chain.from_iterable(a.word * a.exponent for a in cycle))
+            r = cyclic.randrange(len(word))
+            word = word[r:] + word[:r]
+            if cyclic.random() < 0.3:
+                j = cyclic.randrange(len(word))
+                word[j] = "b" if word[j] == "a" else "a"
+            loop = SuccinctAtom("x", tuple(word), cyclic.randint(1, 3), "x")
+            left = SuccinctCQ(("x",), (loop,))
+        elif pick < 0.8:
+            left = gen_cyclic_succinct_cq(cyclic, max_exp=30)
+        else:
+            left = gen_random_succinct_cq(cyclic, max_exp=30)
+        bad += check(i, left, right, query, RightSide(query))
+    print(f"  ({cfg.containment_pairs // 4} cyclic pairs; contained: "
+          f"{contained[0]} plain, {contained[1]} cyclic)")
     return bad
 
 

@@ -26,6 +26,20 @@ positions reading a letter as one range per offset of an atom's word.
 Each atom is kept as one span, from which a position's letter and the
 vertex after it are computed; only the reach sets and the candidate
 domains stay linear in the expansion's length.
+
+A homomorphism maps a closed walk of the right side, its atoms read
+forwards, to a closed walk in the canonical database that spells one
+word of each atom's label in turn (Chandra and Merlin, STOC 1977;
+Figueira et al., KR 2020, for simple CRPQs).  An interior position has
+one edge in and one edge out, both on its own atom, so a closed walk of
+positive length through it reads that whole atom.  So let v be a
+right-side variable on a closed walk with no star and at least one
+non-nullable atom, and L the sum of its atoms' max_word_len: the walk's
+image has positive length and at most L letters, and v never maps inside
+an atom of more than L letters.  The search skips those candidates when
+it assigns v, before reading any label from them.  No homomorphism uses
+a skipped candidate, so the answer and the homomorphism found do not
+change.
 """
 
 from __future__ import annotations
@@ -180,6 +194,11 @@ class _PathIndex:
                 if word[(k + shift) % len(word)] in symbols
             ),
         ))
+
+    def atom_length(self, p):
+        """The number of letters of interior position p's atom."""
+        head, tail, *_ = self.spans[bisect_right(self.spans, (p, inf)) - 1]
+        return tail - head + 2
 
     def walk_word(self, frontier, word):
         nvars, adj, delta = self.nvars, self.adj, self.delta
@@ -353,7 +372,9 @@ class RightSide:
     """A union query's collapsed disjuncts, each with what every check
     against it reads: its non-nullable atoms' first and last letters (and
     a self-loop's longest word), the links along which assigning one
-    variable narrows another, and the search's variable order."""
+    variable narrows another, the search's variable order, and per
+    variable the least, over the closed walks through it, of the most
+    letters the walk can spell (see _closed_walk_bounds)."""
 
     def __init__(self, q: UCRPQ):
         self.disjuncts = tuple(_PreparedDisjunct(d) for d in collapse(q).disjuncts)
@@ -377,6 +398,36 @@ class _PreparedDisjunct:
                 self.links[a.dst].append((a.src, _reverse_expr(a.label), False))
         self.order = sorted(by_var, key=lambda v: (-len(by_var[v]), v))
         self.rank = {v: i for i, v in enumerate(self.order)}
+        self.closed = _closed_walk_bounds(d)
+
+
+def _closed_walk_bounds(d: CRPQ) -> dict:
+    """Per variable v on such a walk, the least sum of max_word_len over a
+    closed walk through v along atoms read forwards, one or more of them
+    non-nullable (see the module docstring).  A star spells words of every
+    length, so a star atom is no edge of the walk.  One Dijkstra over
+    (variable, non-nullable atom read yet) from each variable with atoms
+    both into and out of it."""
+    arcs = {}
+    for a in d.edge_atoms:
+        if not isinstance(a.label, Star):
+            arcs.setdefault(a.src, []).append((a.dst, max_word_len(a.label), not nullable(a.label)))
+    entered = {x for out in arcs.values() for x, _, _ in out}
+    bounds = {}
+    for v in filter(entered.__contains__, arcs):
+        dist, heap = {(v, False): 0}, [(0, v, False)]
+        while heap:
+            n, u, solid = heappop(heap)
+            if u == v and solid:
+                bounds[v] = n
+                break
+            if dist[u, solid] < n:
+                continue
+            for x, m, s in arcs.get(u, ()):
+                if n + m < dist.get((x, solid or s), inf):
+                    dist[x, solid or s] = n + m
+                    heappush(heap, (n + m, x, solid or s))
+    return bounds
 
 
 def expansion_contained(
@@ -455,8 +506,13 @@ def _disjunct_hom(d: _PreparedDisjunct, db: _CanonicalDB):
     """Backtracking with forward checking: assigning a variable narrows
     the candidates of the unassigned ones it shares an atom with, undone
     on backtrack.  Fewest candidates (then least rank) goes next, and
-    tries its candidates in ascending order."""
+    tries its candidates in ascending order.  A variable on a closed walk
+    of at most L letters (d.closed) passes over the interior positions of
+    atoms longer than L without trying them: no homomorphism maps it there
+    (see the module docstring).  The domains keep those positions, so the
+    variable order and the homomorphism found are those of trying them."""
     fwd, bwd = db.fwd, db.bwd
+    nvars = fwd.nvars
     dom = _unary_domains(d, fwd, bwd)
     cands = {v: dom.get(v, db.vertices) for v in d.order}
     assign = {}
@@ -466,7 +522,11 @@ def _disjunct_hom(d: _PreparedDisjunct, db: _CanonicalDB):
             return True
         v = min(todo, key=lambda u: (len(cands[u]), d.rank[u]))
         rest = [u for u in todo if u != v]
-        for u in sorted(cands[v]):
+        tries = sorted(cands[v])
+        if v in d.closed:
+            longest = d.closed[v]
+            tries = (u for u in tries if u < nvars or fwd.atom_length(u) <= longest)
+        for u in tries:
             assign[v] = u
             saved = []
             for w, label, forward in d.links[v]:

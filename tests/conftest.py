@@ -70,6 +70,29 @@ def gen_random_succinct_cq(rng: random.Random, max_atoms=4, max_exp=12) -> Succi
     return normalize_succinct(SuccinctCQ(tuple(pool), tuple(atoms)))
 
 
+def gen_cycle(rng: random.Random, max_exp: int) -> tuple:
+    """The atoms of a directed cycle x -> ... -> x through one to three
+    variables, words of one or two letters over a, b, exponents 1..max_exp."""
+    n = rng.randint(1, 3)
+    return tuple(
+        SuccinctAtom(
+            VAR_POOL[i], gen_random_word(rng, 2), rng.randint(1, max_exp), VAR_POOL[(i + 1) % n]
+        )
+        for i in range(n)
+    )
+
+
+def gen_cyclic_succinct_cq(rng: random.Random, max_exp: int) -> SuccinctCQ:
+    """gen_cycle's atoms and, at even odds, one more atom (exponent
+    0..max_exp) between any two of its variables and one more variable."""
+    atoms = gen_cycle(rng, max_exp)
+    pool = VAR_POOL[: len(atoms) + 1]
+    if rng.random() < 0.5:
+        word, exponent = gen_random_word(rng, 2), rng.randint(0, max_exp)
+        atoms += (SuccinctAtom(rng.choice(pool), word, exponent, rng.choice(pool)),)
+    return normalize_succinct(SuccinctCQ(pool, atoms))
+
+
 def gen_random_crpq_astar(rng: random.Random, max_atoms=3, star_prob=0.4) -> UCRPQ:
     """A conjunctive query whose labels are the letter a or a-star."""
     n_vars = rng.randint(2, 3)

@@ -3,9 +3,16 @@
 import json
 import random
 import tracemalloc
+from itertools import chain
 from pathlib import Path
 
-from conftest import gen_random_crpq_astar, gen_random_succinct_cq, some_stars_over_b
+from conftest import (
+    gen_cyclic_succinct_cq,
+    gen_cycle,
+    gen_random_crpq_astar,
+    gen_random_succinct_cq,
+    some_stars_over_b,
+)
 from crpqbound.boundedness import compute_bounds
 from crpqbound.expansion import (
     SuccinctAtom,
@@ -18,7 +25,9 @@ from crpqbound.expansion import (
 )
 from crpqbound.homomorphism import (
     Contained,
+    RightSide,
     _CanonicalDB,
+    _PathIndex,
     cq_hom,
     expansion_contained,
     succinct_containment,
@@ -416,6 +425,144 @@ def test_self_loop_rotation_maps_to_interior_position():
     assert expansion_contained(lam, parse_ucrpq("?u -[aba]-> ?u")).hom == {"u": "z1"}
     for text in ("?u -[ab]-> ?u", "?u -[aba]-> ?u, ?u -[b]-> ?v"):
         assert expansion_contained(lam, parse_ucrpq(text)) is None
+
+
+def test_closed_walk_rule_at_its_boundary():
+    # x -[(ab)^3]-> x is a six-letter atom; u lies on a closed walk of
+    # b and the second label, which fits inside the atom only from z1
+    lam = SuccinctCQ(("x",), (SuccinctAtom("x", ("a", "b"), 3, "x"),))
+    cases = (
+        ("?u -[b]-> ?v, ?v -[(ab)^2 a]-> ?u", "z1"),  # exactly six letters
+        ("?u -[b]-> ?v, ?v -[(ab)^<=2 a]-> ?u", "z1"),  # the longest word bounds it
+        ("?u -[b]-> ?v, ?v -[(ab)^<=1 a]-> ?u", None),
+        ("?u -[b a]-> ?v, ?v -[(ba)*]-> ?u", "z1"),  # a star bounds no walk
+    )
+    for text, image in cases:
+        result = expansion_contained(lam, parse_ucrpq(text))
+        assert (result and result.hom["u"]) == image, text
+    # a cycle of nullable atoms alone may spell the empty word
+    lam = SuccinctCQ(("x", "y"), (SuccinctAtom("x", ("a",), 5, "y"),))
+    q = parse_ucrpq("?u -[a^<=2]-> ?v, ?v -[a^<=1]-> ?u, ?t -[a a]-> ?u, ?u -[a a]-> ?s")
+    assert expansion_contained(lam, q).hom["u"] == "z2"
+
+
+def test_long_cycle_probe_reads_no_label_inside_the_long_atom(monkeypatch):
+    # y -[a^<=81]-> x -[a]-> y spells at most 82 letters, so neither y nor
+    # x is tried inside the 244-letter atom: one a^<=81 read from each
+    # variable, where trying every position read 245
+    copies = _PathIndex._copies
+    calls = []
+
+    def counted(self, *args):
+        calls.append(args)
+        return copies(self, *args)
+
+    monkeypatch.setattr(_PathIndex, "_copies", counted)
+    lam = SuccinctCQ(("x", "y"), (
+        SuccinctAtom("x", ("a",), 1, "y"), SuccinctAtom("y", ("a",), 244, "x"),
+    ))
+    q = bound_query(parse_ucrpq("?y -[a*]-> ?z, ?y -[a*]-> ?x, ?x -[a]-> ?y"), 81)
+    assert expansion_contained(lam, q) is None
+    assert len(calls) <= 4
+
+
+def _random_cycle_label(rng, kind):
+    word = tuple(rng.choice("ab") for _ in range(rng.randint(1, 2)))
+    if kind == "star":
+        return Star(word)
+    if kind == "nullable":
+        return rng.choice((PowerLE(word, rng.randint(0, 6)), Epsilon()))
+    return rng.choice((
+        Letter(rng.choice("ab")),
+        Power(word, rng.randint(1, 8)),
+        concat((Letter(rng.choice("ab")), PowerLE(word, rng.randint(0, 8)))),
+        union((Power(word, rng.randint(1, 5)), Letter(rng.choice("ab")))),
+    ))
+
+
+def _random_cyclic_right_side(rng):
+    """A directed cycle through one to three variables, whose labels are all
+    non-nullable, or one is a star, or all are nullable; at times an atom
+    off the cycle."""
+    pool = ("u", "v", "t")[: rng.randint(1, 3)]
+    kinds = ["solid"] * len(pool)
+    shape = rng.random()
+    if shape < 0.2:
+        kinds[rng.randrange(len(pool))] = "star"
+    elif shape < 0.35:
+        kinds = ["nullable"] * len(pool)
+    elif shape < 0.5:
+        kinds[rng.randrange(len(pool))] = "nullable"
+    atoms = [
+        EdgeAtom(pool[i], _random_cycle_label(rng, kind), pool[(i + 1) % len(pool)])
+        for i, kind in enumerate(kinds)
+    ]
+    if rng.random() < 0.4:
+        atoms.append(EdgeAtom(rng.choice(pool), _random_cycle_label(rng, "solid"), "s"))
+    if rng.random() < 0.4:
+        atoms.append(EdgeAtom("r", _random_cycle_label(rng, "solid"), rng.choice(pool)))
+    return UCRPQ((CRPQ(tuple(atoms)),))
+
+
+def _left_cycle_and_a_walk_around_it(rng):
+    """A left cycle, and a right-side cycle through one to three variables
+    that reads the left cycle's word once from a random rotation, each
+    label spelling its piece among other words."""
+    cycle = gen_cycle(rng, 30)
+    word = tuple(chain.from_iterable(a.word * a.exponent for a in cycle))
+    r = rng.randrange(len(word))
+    word = word[r:] + word[:r]
+    cuts = sorted(rng.sample(range(1, len(word)), min(len(word) - 1, rng.randint(0, 2))))
+    pieces = [word[i:j] for i, j in zip([0, *cuts], [*cuts, len(word)])]
+
+    def label(piece):
+        if len(piece) > 1 and rng.random() < 0.3:
+            # spells piece, and words as short as one letter
+            return concat((Letter(piece[0]), PowerLE(piece[1:], rng.randint(1, 3))))
+        if rng.random() < 0.3:
+            return union((Power(piece, 1), Letter(rng.choice("ab"))))
+        return Power(piece, 1)
+
+    right = ("u", "v", "t")[: len(pieces)]
+    atoms = tuple(
+        EdgeAtom(v, label(p), right[(i + 1) % len(right)])
+        for i, (v, p) in enumerate(zip(right, pieces))
+    )
+    q = UCRPQ((CRPQ(atoms),))
+    lam = SuccinctCQ(tuple(sorted({a.src for a in cycle})), cycle)
+    return normalize_succinct(lam), q
+
+
+def test_cyclic_right_sides_match_evaluation_on_materialized_left():
+    # left atoms of up to 60 letters against closed walks of a few to about
+    # 40 letters, so atoms fall on both sides of each bound; a walk once
+    # around a left cycle meets its bound at a loop atom's length
+    rng = random.Random(19)
+    seen = {"contained": 0, "not contained": 0, "atom past a bound": 0,
+            "bounded variable inside an atom": 0}
+    for i in range(300):
+        pick = rng.random()
+        if pick < 0.35:
+            lam, q = _left_cycle_and_a_walk_around_it(rng)
+        else:
+            if pick < 0.8:
+                lam = gen_cyclic_succinct_cq(rng, max_exp=30)
+            else:
+                lam = gen_random_succinct_cq(rng, max_exp=30)
+            q = _random_cyclic_right_side(rng)
+        closed = RightSide(q).disjuncts[0].closed
+        canonical = materialize(lam)
+        want = eval_on_graph(q, graph_of_cq(canonical))
+        result = expansion_contained(lam, q)
+        assert isinstance(result, Contained) == want, (i, lam, q)
+        seen["contained" if want else "not contained"] += 1
+        if any(a.length > bound for a in lam.atoms for bound in closed.values()):
+            seen["atom past a bound"] += 1
+        if want:
+            assert _realizes(result, canonical), (i, lam, q)
+            if any(result.hom[v] not in lam.variables for v in closed):
+                seen["bounded variable inside an atom"] += 1
+    assert min(seen.values()) > 20, seen
 
 
 def _having_by_scan(canonical, forward, symbols):
