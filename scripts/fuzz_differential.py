@@ -30,7 +30,6 @@ import random
 import sys
 import time
 from dataclasses import dataclass, replace
-from itertools import chain
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
@@ -44,6 +43,7 @@ from conftest import (  # noqa: E402
     gen_random_succinct_cq,
     gen_random_ucrpq,
     gen_random_word,
+    gen_rotated_cycle_word,
     gen_token_soup,
     join_case_problems,
     mutate_text,
@@ -183,9 +183,7 @@ def fuzz_containment(cfg: FuzzConfig) -> int:
         if pick < 0.4:
             # one loop that reads the cycle's word k times from a rotation,
             # at times with one letter changed: it holds the cycle for k = 1
-            word = list(chain.from_iterable(a.word * a.exponent for a in cycle))
-            r = cyclic.randrange(len(word))
-            word = word[r:] + word[:r]
+            word = list(gen_rotated_cycle_word(cyclic, cycle))
             if cyclic.random() < 0.3:
                 j = cyclic.randrange(len(word))
                 word[j] = "b" if word[j] == "a" else "a"

@@ -79,6 +79,7 @@ from crpqbound.syntax import (
     as_power,
     collapse,
     concat,
+    holds_star,
     union,
 )
 
@@ -370,11 +371,11 @@ def _witness_atom(fwd, e, hu, hv):
 
 class RightSide:
     """A union query's collapsed disjuncts, each with what every check
-    against it reads: its non-nullable atoms' first and last letters (and
-    a self-loop's longest word), the links along which assigning one
-    variable narrows another, the search's variable order, and per
-    variable the least, over the closed walks through it, of the most
-    letters the walk can spell (see _closed_walk_bounds)."""
+    against it reads: its non-nullable atoms' first and last letters, the
+    links along which assigning one variable narrows another, the search's
+    variable order, and per variable the least, over the closed walks
+    through it, of the most letters the walk can spell (see
+    _closed_walk_bounds)."""
 
     def __init__(self, q: UCRPQ):
         self.disjuncts = tuple(_PreparedDisjunct(d) for d in collapse(q).disjuncts)
@@ -384,8 +385,7 @@ class _PreparedDisjunct:
     def __init__(self, d: CRPQ):
         self.crpq = d
         self.solid = [
-            (a, _first_letters(a.label), _first_letters(_reverse_expr(a.label)),
-             max_word_len(a.label) if a.src == a.dst else None)
+            (a, _first_letters(a.label), _first_letters(_reverse_expr(a.label)))
             for a in d.edge_atoms if not nullable(a.label)
         ]
         by_var = {v: [] for v in d.variables()}
@@ -404,13 +404,14 @@ class _PreparedDisjunct:
 def _closed_walk_bounds(d: CRPQ) -> dict:
     """Per variable v on such a walk, the least sum of max_word_len over a
     closed walk through v along atoms read forwards, one or more of them
-    non-nullable (see the module docstring).  A star spells words of every
-    length, so a star atom is no edge of the walk.  One Dijkstra over
+    non-nullable (see the module docstring).  A label holding a star, whole
+    or inside a concatenation or union, spells words of unbounded length,
+    so its atom is no edge of the walk.  One Dijkstra over
     (variable, non-nullable atom read yet) from each variable with atoms
     both into and out of it."""
     arcs = {}
     for a in d.edge_atoms:
-        if not isinstance(a.label, Star):
+        if not holds_star(a.label):
             arcs.setdefault(a.src, []).append((a.dst, max_word_len(a.label), not nullable(a.label)))
     entered = {x for out in arcs.values() for x, _, _ in out}
     bounds = {}
@@ -435,12 +436,14 @@ def expansion_contained(
 ) -> Contained | None:
     """Is the expansion lam subsumed by some expansion of the right side?
 
-    The right side is star-free apart from whole-label stars, which the
-    reachability engine evaluates natively.  A UCRPQ is prepared, and lam
-    normalized, for this one check; with a RightSide lam must be
-    normalized already, as enumerate_expansions yields it.  lam is indexed
-    by positions (see _CanonicalDB), not unrolled; its length, the sum of
-    |w|*n over its atoms, is bounded by ``max_materialized_atoms``.
+    The reachability engine reads every right-side label, stars included,
+    whole or inside a concatenation or union; only Contained.expansion
+    needs the right side star-free apart from whole-label stars.  A UCRPQ
+    is prepared, and lam normalized, for this one check; with a RightSide
+    lam must be normalized already, as enumerate_expansions yields it.
+    lam is indexed by positions (see _CanonicalDB), not unrolled; its
+    length, the sum of |w|*n over its atoms, is bounded by
+    ``max_materialized_atoms``.
     Returns Contained, which recovers the chosen right-side expansion and
     homomorphism on demand, or None when no expansion maps.
     """
@@ -479,26 +482,30 @@ def _unary_domains(d: _PreparedDisjunct, fwd: _PathIndex, bwd: _PathIndex):
 
     A non-nullable atom's source must have an edge out on one of the
     label's first letters and its target an edge in on one of its last
-    letters; a non-nullable self-loop's variable must reach itself.  A
-    closed walk through an interior position reads its whole atom, so a
-    self-loop whose words are all shorter skips the atom's positions.  A
-    nullable label constrains nothing (the empty path joins every vertex
-    to itself), and variables left out are unconstrained.
+    letters; a non-nullable self-loop's variable must reach itself.  Such
+    a variable is on a closed walk (the loop alone, if nothing shorter),
+    so it also drops the interior positions of atoms longer than its bound
+    in d.closed (see the module docstring).  A nullable label constrains
+    nothing (the empty path joins every vertex to itself), and variables
+    left out are unconstrained.
     """
     dom = {}
 
     def restrict(v, allowed):
         dom[v] = allowed if v not in dom else dom[v] & allowed
 
-    for a, first, last, _ in d.solid:
+    for a, first, last in d.solid:
         restrict(a.src, fwd.having(first))
         restrict(a.dst, bwd.having(last))
-    for a, _, _, longest in d.solid:
-        if longest is not None:
-            fits = set(range(fwd.nvars)).union(
-                *(range(lo, hi + 1) for lo, hi, *_ in fwd.spans if hi - lo + 2 <= longest)
-            )
-            dom[a.src] = {u for u in dom[a.src] if u in fits and u in fwd.reach(a.label, u)}
+    for a, _, _ in d.solid:
+        if a.src == a.dst:
+            keep = dom[a.src]
+            if a.src in d.closed:
+                longest = d.closed[a.src]
+                keep = keep & set(range(fwd.nvars)).union(
+                    *(range(lo, hi + 1) for lo, hi, *_ in fwd.spans if hi - lo + 2 <= longest)
+                )
+            dom[a.src] = {u for u in keep if u in fwd.reach(a.label, u)}
     return dom
 
 
@@ -509,8 +516,9 @@ def _disjunct_hom(d: _PreparedDisjunct, db: _CanonicalDB):
     tries its candidates in ascending order.  A variable on a closed walk
     of at most L letters (d.closed) passes over the interior positions of
     atoms longer than L without trying them: no homomorphism maps it there
-    (see the module docstring).  The domains keep those positions, so the
-    variable order and the homomorphism found are those of trying them."""
+    (see the module docstring).  Only a self-loop's variable has them
+    dropped from its domain; the other domains keep them, so the variable
+    order and the homomorphism found are those of trying them."""
     fwd, bwd = db.fwd, db.bwd
     nvars = fwd.nvars
     dom = _unary_domains(d, fwd, bwd)

@@ -264,15 +264,15 @@ def star_letters(q: UCRPQ | CRPQ) -> frozenset:
     )
 
 
-def _holds_star(e: RegexExpr) -> bool:
+def holds_star(e: RegexExpr) -> bool:
     if isinstance(e, (Concat, Union)):
-        return any(map(_holds_star, e.parts))
+        return any(map(holds_star, e.parts))
     return isinstance(e, Star)
 
 
 def check_ssf_wstar(q: UCRPQ) -> None:
     """Raise UnsupportedFragment unless every label is a star or holds no star."""
-    if any(not isinstance(e, Star) and _holds_star(e) for e in _labels(q)):
+    if any(not isinstance(e, Star) and holds_star(e) for e in _labels(q)):
         raise UnsupportedFragment(
             "query labels fall outside the supported fragment: unsupported"
         )

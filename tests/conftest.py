@@ -82,6 +82,14 @@ def gen_cycle(rng: random.Random, max_exp: int) -> tuple:
     )
 
 
+def gen_rotated_cycle_word(rng: random.Random, cycle) -> tuple:
+    """The word a gen_cycle cycle spells once around, read from a random
+    position."""
+    word = tuple(itertools.chain.from_iterable(a.word * a.exponent for a in cycle))
+    r = rng.randrange(len(word))
+    return word[r:] + word[:r]
+
+
 def gen_cyclic_succinct_cq(rng: random.Random, max_exp: int) -> SuccinctCQ:
     """gen_cycle's atoms and, at even odds, one more atom (exponent
     0..max_exp) between any two of its variables and one more variable."""

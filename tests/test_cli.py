@@ -247,6 +247,24 @@ def test_contains_directions(qfile, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "left_text, right_text, code",
+    [
+        ("?x -[a b b]-> ?y\n", "?x -[a b*]-> ?y\n", 0),
+        ("?x -[a b]-> ?x\n", "?x -[a b*]-> ?x\n", 0),
+        ("?x -[a b]-> ?x\n", "?x -[a c*]-> ?x\n", 1),
+        ("?x -[a b b]-> ?y, ?y -[a]-> ?x\n", "?x -[a b*]-> ?y, ?y -[a]-> ?x\n", 0),
+        ("?x -[a b b]-> ?y\n", "?x -[a b*]-> ?y, ?y -[a]-> ?x\n", 1),
+    ],
+    ids=["path", "loop", "loop-fails", "cycle", "cycle-fails"],
+)
+def test_contains_reads_a_star_inside_a_right_side_label(qfile, capsys, left_text, right_text, code):
+    # a label holding a star spells unbounded words, so no closed-walk bound counts it
+    left, right = qfile(left_text, "l.txt"), qfile(right_text, "r.txt")
+    assert main(["contains", left, right]) == code
+    capsys.readouterr()
+
+
 def test_contains_materializes_a_long_left_side(qfile, capsys):
     # 12,000 letters: decided within --cap-atoms, agreeing with cq_hom
     text = "?x -[(ab)^6000]-> ?y\n"

@@ -3,7 +3,6 @@
 import json
 import random
 import tracemalloc
-from itertools import chain
 from pathlib import Path
 
 from conftest import (
@@ -11,6 +10,7 @@ from conftest import (
     gen_cycle,
     gen_random_crpq_astar,
     gen_random_succinct_cq,
+    gen_rotated_cycle_word,
     some_stars_over_b,
 )
 from crpqbound.boundedness import compute_bounds
@@ -436,6 +436,7 @@ def test_closed_walk_rule_at_its_boundary():
         ("?u -[b]-> ?v, ?v -[(ab)^<=2 a]-> ?u", "z1"),  # the longest word bounds it
         ("?u -[b]-> ?v, ?v -[(ab)^<=1 a]-> ?u", None),
         ("?u -[b a]-> ?v, ?v -[(ba)*]-> ?u", "z1"),  # a star bounds no walk
+        ("?u -[b]-> ?v, ?v -[a (ba)*]-> ?u", "z1"),  # nor does a star inside a label
     )
     for text, image in cases:
         result = expansion_contained(lam, parse_ucrpq(text))
@@ -509,9 +510,7 @@ def _left_cycle_and_a_walk_around_it(rng):
     that reads the left cycle's word once from a random rotation, each
     label spelling its piece among other words."""
     cycle = gen_cycle(rng, 30)
-    word = tuple(chain.from_iterable(a.word * a.exponent for a in cycle))
-    r = rng.randrange(len(word))
-    word = word[r:] + word[:r]
+    word = gen_rotated_cycle_word(rng, cycle)
     cuts = sorted(rng.sample(range(1, len(word)), min(len(word) - 1, rng.randint(0, 2))))
     pieces = [word[i:j] for i, j in zip([0, *cuts], [*cuts, len(word)])]
 
