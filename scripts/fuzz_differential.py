@@ -16,9 +16,11 @@ containment pairs), probe expansions
 of random a-star queries against their bounded right sides (some stars
 left whole) vs evaluation on the materialized probe, and boundedness
 verdicts cross-checked by oracle evaluation on witness databases or on
-expansions just past the threshold, and against the full-enumeration
-verdict; the letter analysis's per-letter witnesses are replayed the
-same way and its maximal set is checked for confluence; and the parsers
+expansions just past the threshold, against the full-enumeration
+verdict, and, restricted and full, against the plain probe loop that
+checks every probe without covers; the letter analysis's per-letter
+witnesses are replayed the same way and its maximal set is checked for
+confluence; and the parsers
 on token soups and on rendered random queries and automata with one
 character changed (as many texts as containment pairs), where anything
 but a value or a ParseError placed inside the text is an internal fault.
@@ -36,6 +38,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
 from conftest import (  # noqa: E402
     VAR_POOL,
+    enumerate_then_skip,
     gen_cycle,
     gen_cyclic_succinct_cq,
     gen_random_crpq_astar,
@@ -250,7 +253,9 @@ def fuzz_boundedness(cfg: FuzzConfig) -> int:
     Bounded verdicts are probed just past the threshold: the canonical
     database of every expansion at exponents z+1 and z+2 must still
     satisfy the star-free rewriting.  Every query is also decided with
-    full enumeration, whose conclusive verdict must agree.
+    full enumeration, whose conclusive verdict must agree.  Both runs must
+    give the verdict, witness and probe count of the plain probe loop,
+    which checks every probe itself instead of deciding some by covers.
 
     The letter analysis runs on each query with some stars renamed to b*.
     Every unbounded letter's witness is replayed against q with only that
@@ -260,14 +265,26 @@ def fuzz_boundedness(cfg: FuzzConfig) -> int:
     rng = random.Random(cfg.seed + 2)
     letters_rng = random.Random(cfg.seed + 4)
     caps = replace(DEFAULT_CAPS, max_expansions=20000)
-    bad = inconclusive = letter_runs = 0
+    bad = inconclusive = letter_runs = covered = 0
     for i in range(cfg.boundedness_queries):
         q = gen_random_crpq_astar(rng)
         report = is_bounded(q, caps)
-        full = is_bounded(q, caps, full_enumeration=True).verdict
+        full_report = is_bounded(q, caps, full_enumeration=True)
+        full = full_report.verdict
         if "inconclusive" not in (report.verdict, full) and full != report.verdict:
             bad += 1
             print(f"  full enumeration says {full} at query {i}: {q}")
+        for run in (report, full_report):
+            covered += run.stats.covered
+            if run.verdict == "inconclusive" or run.mode["shortcut"]:
+                continue
+            mode = run.mode
+            want = enumerate_then_skip(
+                q, None, mode["z"], mode["probe"], mode["full_enumeration_effective"], caps
+            )
+            if (run.verdict, run.witness, run.stats.expansions_checked) != want:
+                bad += 1
+                print(f"  the plain probe loop says {want[0]} at query {i}: {q}")
         if report.verdict == "inconclusive":
             inconclusive += 1
         elif report.verdict == "unbounded":
@@ -311,7 +328,7 @@ def fuzz_boundedness(cfg: FuzzConfig) -> int:
                 print(f"  not bounded in the maximal letters at query {i}: {lq}")
     print(
         f"  ({inconclusive} queries inconclusive under the fuzz budget, "
-        f"{letter_runs} letter runs)"
+        f"{covered} probes decided by covers, {letter_runs} letter runs)"
     )
     return bad
 

@@ -10,6 +10,18 @@ exponent), counts the probe grid arithmetically against the budget, runs
 the containment checks, and derives star-free rewritings,
 letter-restricted verdicts, and the maximal set of individually bounded
 star letters.
+
+Most probes need no check of their own.  Homomorphisms compose with the
+inclusion of a sub-database (Chandra and Merlin, STOC 1977): if q(Z)
+maps into the canonical database of a sub-expansion, lambda minus one
+atom, it maps into that of every probe holding that sub-expansion.  The
+probe grid is a product over star atoms, so neighbouring probes share
+sub-expansions.  A sub-expansion met for the second time gets one check
+of its own, a cover check; when it is contained, it decides every probe
+that holds it, that one and the later ones, without a check.  Only
+probes proved contained are skipped this way, so the verdict and the
+witness, the first uncontained probe in enumeration order, are those of
+checking every probe.
 """
 
 from __future__ import annotations
@@ -160,12 +172,58 @@ def _probe_counts(splits, z, per, caps):
     return raw, real
 
 
+_ONCE, _SPENT, _COVER = 1, 2, 3
+
+
+def _covered(lam, rhs, caps, met, stats):
+    """Whether a sub-expansion of lam is known, or now found, contained.
+
+    lam's keys are its sub-expansions, lam minus one atom, as plain
+    (variables, atoms) tuples.  Each keeps all of lam's variables, and
+    dropping an atom from a normalized expansion leaves it normalized.
+    met maps each key met by a probe no cover decided, in this _decide
+    call, to _ONCE, to _SPENT once its cover check found no map (or hit
+    a cap), or to _COVER once it found one.  The first of lam's keys met
+    for the second time gets the one cover check it will ever have.
+    """
+    atoms = lam.atoms
+    keys = [(lam.variables, atoms[:i] + atoms[i + 1:]) for i in range(len(atoms))]
+    states = [met.get(k) for k in keys]
+    if _COVER in states:
+        return True
+    again = None
+    for k, state in zip(keys, states):
+        if state is None:
+            met[k] = _ONCE
+        elif state == _ONCE and again is None:
+            again = k
+    if again is None:
+        return False
+    met[again] = _SPENT
+    stats.cover_checks += 1
+    try:
+        if expansion_contained(SuccinctCQ(*again), rhs, caps) is None:
+            return False
+    except CapExceeded:
+        return False
+    met[again] = _COVER
+    return True
+
+
 def _decide(qc, rhs, z, probe, letters, caps, full, stats, mode):
     """Check every probe expansion of qc against rhs.
 
     Returns (verdict, witness, reason); the witness is the first
     uncontained probe expansion in enumeration order.  The budget bounds
     the raw combinations, which are never fewer than the probe checks.
+
+    A probe with a contained sub-expansion is decided without its own
+    check (see _covered).  It is contained, since q(Z)'s map into the
+    sub-expansion is one into the probe too.  An uncontained probe has
+    no contained sub-expansion, so it is always checked itself, and
+    the first of them in enumeration order is still the witness.  A
+    cover check that hits a cap records nothing and leaves the probe to
+    its own check, so it never makes the verdict inconclusive.
     """
     rhs = RightSide(rhs)
     if any(not d.solid for d in rhs.disjuncts):
@@ -196,10 +254,14 @@ def _decide(qc, rhs, z, probe, letters, caps, full, stats, mode):
     # the budget check bounds every enumeration below the expansion cap
     values = range(probe + 1) if full else (*range(z + 1), probe)
     capped = False
+    met = {}  # sub-expansion key -> _ONCE, _SPENT or _COVER
     for d, stars, probed in splits:
         dom = dict.fromkeys(stars, values)
         for lam in enumerate_expansions(d, dom, caps=caps, above=(probed, z)):
             stats.expansions_checked += 1
+            if _covered(lam, rhs, caps, met, stats):
+                stats.covered += 1
+                continue
             try:
                 result = expansion_contained(lam, rhs, caps)
             except CapExceeded:
@@ -321,7 +383,8 @@ def maximal_bounded_letters(
         (v for v in ("inconclusive", "unbounded") if v in verdicts), "bounded"
     )
     bounded = frozenset(a for a, r in per_letter if r.verdict == "bounded")
-    stats = Stats(expansions_checked=sum(r.stats.expansions_checked for _, r in per_letter))
+    counts = ("expansions_checked", "covered", "cover_checks")
+    stats = Stats(**{f: sum(getattr(r.stats, f) for _, r in per_letter) for f in counts})
     report = AnalysisReport(
         verdict=verdict,
         bounds=compute_bounds(q),

@@ -165,6 +165,8 @@ def _report_json(report: AnalysisReport, seed: int, cli_mode: dict) -> dict:
         "maximal_letters": None if report.per_letter is None else sorted(report.letters),
         "stats": {
             "expansions_checked": report.stats.expansions_checked,
+            "covered": report.stats.covered,
+            "cover_checks": report.stats.cover_checks,
             # wall time is pinned so identical runs stay byte-identical
             "wall_ms": 0,
             "seed": seed,
@@ -197,7 +199,10 @@ def _print_report(report: AnalysisReport) -> None:
     if report.inconclusive_reason:
         print(f"reason: {report.inconclusive_reason}")
     stats = report.stats
-    print(f"stats: expansions_checked={stats.expansions_checked} wall_ms={stats.wall_ms:.1f}")
+    print(
+        f"stats: expansions_checked={stats.expansions_checked} covered={stats.covered} "
+        f"cover_checks={stats.cover_checks} wall_ms={stats.wall_ms:.1f}"
+    )
 
 
 def _verify_report(q: UCRPQ, report: AnalysisReport, caps: Caps, seed: int):

@@ -38,9 +38,17 @@ class Caps:
 
 @dataclass
 class Stats:
-    """Mutable counters accumulated during an analysis run."""
+    """Mutable counters accumulated during an analysis run.
+
+    expansions_checked counts the probe expansions decided, covered
+    counts those among them that a contained sub-expansion decided
+    without a check of their own, and cover_checks counts the checks run
+    on sub-expansions.
+    """
 
     expansions_checked: int = 0
+    covered: int = 0
+    cover_checks: int = 0
     wall_ms: float = 0.0
 
 

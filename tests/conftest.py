@@ -8,10 +8,13 @@ from crpqbound.expansion import (
     CQAtom,
     SuccinctAtom,
     SuccinctCQ,
+    bound_letters,
     cq_hom,
+    enumerate_expansions,
     normalize_succinct,
 )
 from crpqbound.config import DEFAULT_CAPS
+from crpqbound.homomorphism import expansion_contained
 from crpqbound.oracle import GraphDB, _atom_relation, eval_on_graph
 from crpqbound.succinct_nfa import SNFATransition, SuccinctNFA
 from crpqbound.syntax import (
@@ -26,6 +29,7 @@ from crpqbound.syntax import (
     PowerLE,
     Star,
     Union,
+    collapse,
     concat,
     parse_ucrpq,
     render_regex,
@@ -122,6 +126,32 @@ def some_stars_over_b(q: UCRPQ, rng: random.Random) -> UCRPQ:
         for a in q.disjuncts[0].atoms
     )
     return UCRPQ((CRPQ(atoms),))
+
+
+def enumerate_then_skip(q, letters, z, probe, full, caps=DEFAULT_CAPS):
+    """The plain probe loop: enumerate every combination, skip the trivial
+    ones, and check each other one on its own.
+
+    An expansion is trivial when every atom over a capped word has an
+    exponent of at most z.  Returns (verdict, witness, checks made).
+    """
+    qc = collapse(q)
+    rhs = bound_letters(qc, letters, z)
+    values = tuple(range(probe + 1)) if full else tuple(range(z + 1)) + (probe,)
+    checks = 0
+    for d in qc.disjuncts:
+        dom = {i: values for i, a in enumerate(d.edge_atoms) if isinstance(a.label, Star)}
+        for lam in enumerate_expansions(d, dom, caps=caps):
+            if all(
+                a.exponent <= z
+                for a in lam.atoms
+                if letters is None or (len(a.word) == 1 and a.word[0] in letters)
+            ):
+                continue
+            checks += 1
+            if expansion_contained(lam, rhs, caps) is None:
+                return "unbounded", lam, checks
+    return "bounded", None, checks
 
 
 _CORPUS_SHAPES = (

@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import gen_random_crpq_astar, some_stars_over_b
+from conftest import enumerate_then_skip, gen_random_crpq_astar, some_stars_over_b
 from crpqbound import boundedness, homomorphism
 from crpqbound.config import DEFAULT_CAPS
 from crpqbound.expansion import (
@@ -352,29 +352,30 @@ def test_star_free_cap_in_budget_count_is_inconclusive():
         assert "concat language too large" in report.inconclusive_reason
 
 
-def _enumerate_then_skip(q, letters, z, probe, full):
-    """Reference loop: enumerate every combination, skip the trivial ones.
+def _plain_loop(q, letters, report, caps=DEFAULT_CAPS):
+    """Check a report against the plain probe loop; return the loop's answer."""
+    mode = report.mode
+    want = enumerate_then_skip(
+        q, letters, mode["z"], mode["probe"], mode["full_enumeration_effective"], caps
+    )
+    got = (report.verdict, report.witness, report.stats.expansions_checked)
+    assert got == want, (q, letters)
+    return want
 
-    An expansion is trivial when every atom over a capped word has an
-    exponent of at most z.  Returns (verdict, witness, checks made).
-    """
-    qc = collapse(q)
-    rhs = bound_letters(qc, letters, z)
-    values = tuple(range(probe + 1)) if full else tuple(range(z + 1)) + (probe,)
-    checks = 0
-    for d in qc.disjuncts:
-        dom = {i: values for i, a in enumerate(d.edge_atoms) if isinstance(a.label, Star)}
-        for lam in enumerate_expansions(d, dom):
-            if all(
-                a.exponent <= z
-                for a in lam.atoms
-                if letters is None or (len(a.word) == 1 and a.word[0] in letters)
-            ):
-                continue
-            checks += 1
-            if expansion_contained(lam, rhs) is None:
-                return "unbounded", lam, checks
-    return "bounded", None, checks
+
+LEAFY = "?x -[a*]-> ?y, ?x -[b]-> ?y, ?x -[c*]-> ?w"
+TWO_STAR = "?x -[a]-> ?y, ?y -[a*]-> ?z, ?z -[b]-> ?w, ?x -[b*]-> ?u"
+THREE_STARS = "?x -[c*]-> ?y, ?x -[a*]-> ?y, ?x -[a]-> ?y, ?y -[c*]-> ?x"
+# a star beside w^<=n; the first is bounded, the second unbounded
+BESIDE_POWER_LE = (
+    "?x -[a]-> ?y, ?y -[a^<=2]-> ?z, ?x -[a*]-> ?z",
+    "?x -[b]-> ?y, ?y -[b^<=1]-> ?x, ?y -[a*]-> ?x",
+)
+
+
+def _counts(report):
+    s = report.stats
+    return s.expansions_checked, s.covered, s.cover_checks
 
 
 def test_probe_generator_matches_enumerate_then_skip():
@@ -385,6 +386,7 @@ def test_probe_generator_matches_enumerate_then_skip():
         parse_ucrpq("?x -[a*]-> ?x, ?x -[b*]-> ?x, ?x -[c]-> ?x"),
         parse_ucrpq("?x -[a*]-> ?x, ?x -[c]-> ?x, ?x -[b*]-> ?x"),
     ]
+    queries += [parse_ucrpq(text) for text in BESIDE_POWER_LE]
     seen = set()
     for q in queries:
         runs = [
@@ -396,16 +398,78 @@ def test_probe_generator_matches_enumerate_then_skip():
         for letters, report in runs:
             if report.verdict == "inconclusive" or report.mode["shortcut"]:
                 continue
-            want = _enumerate_then_skip(
-                q,
-                letters,
-                report.mode["z"],
-                report.mode["probe"],
-                report.mode["full_enumeration_effective"],
-            )
-            got = (report.verdict, report.witness, report.stats.expansions_checked)
-            assert got == want, (q, letters)
+            want = _plain_loop(q, letters, report)
             full = report.mode["full_enumeration_effective"]
             seen.add((letters is None, full, want[0]))
     # restricted, full and single-letter runs, each with both verdicts
     assert len(seen) == 6, seen
+
+    # three stars need a wider budget; their witnesses come early enough
+    # for the plain loop
+    wide = replace(DEFAULT_CAPS, max_expansions=3 * 10**6)
+    q = parse_ucrpq(THREE_STARS)
+    for letters, report in (
+        (None, is_bounded(q, wide)),
+        (frozenset("c"), is_bounded_in(q, {"c"}, wide)),
+    ):
+        assert _plain_loop(q, letters, report, wide)[0] == "unbounded"
+        assert report.stats.covered > 0
+
+
+def test_covers_keep_the_full_enumeration_witness():
+    q = parse_ucrpq(LEAFY)
+    report = is_bounded(q, full_enumeration=True)
+    assert report.mode["full_enumeration_effective"]
+    assert _plain_loop(q, None, report)[0] == "unbounded"
+    # 84 probe checks and 84 cover checks decide 13,367 probes
+    assert _counts(report) == (13367, 13283, 84)
+
+
+def test_covers_decide_the_two_star_query():
+    report = is_bounded(parse_ucrpq(TWO_STAR), replace(DEFAULT_CAPS, max_expansions=10**6))
+    assert report.verdict == "bounded"
+    # 323 probe checks and 2 cover checks decide 643 probes
+    assert _counts(report) == (643, 320, 2)
+
+
+def test_every_probe_a_cover_decides_is_contained(monkeypatch):
+    decided = []
+    covered = boundedness._covered
+
+    def recording(lam, *args):
+        hit = covered(lam, *args)
+        if hit:
+            decided.append(lam)
+        return hit
+
+    monkeypatch.setattr(boundedness, "_covered", recording)
+    rng = random.Random(37)
+    # atoms sort by their words, so leafy comes in two letter orders
+    leafy_orders = (LEAFY, "?x -[c*]-> ?y, ?x -[b]-> ?y, ?x -[b*]-> ?w")
+    queries = [parse_ucrpq(text) for text in (*leafy_orders, *BESIDE_POWER_LE)]
+    while len(queries) < 15:
+        q = gen_random_crpq_astar(rng)
+        if sum(isinstance(a.label, Star) for a in q.disjuncts[0].atoms) > 1:
+            queries.append(some_stars_over_b(q, rng))
+    wide = replace(DEFAULT_CAPS, max_expansions=10**4)
+    # short probes only, so that some cover checks hit the cap
+    short = replace(wide, max_materialized_atoms=120)
+    verdicts = set()
+    for q, caps in itertools.product(queries, (wide, short)):
+        runs = [(None, False), (None, True)]
+        runs += [(frozenset(a), False) for a in sorted(star_letters(q))]
+        for letters, full in runs:
+            if letters is None:
+                report = is_bounded(q, caps, full_enumeration=full)
+            else:
+                report = is_bounded_in(q, letters, caps)
+            rhs = bound_letters(collapse(q), letters, report.mode["z"])
+            for lam in decided:
+                assert isinstance(expansion_contained(lam, rhs), Contained), (q, letters, lam)
+            assert report.stats.covered == len(decided)
+            decided.clear()
+            if report.stats.covered:
+                verdicts.add((caps.max_materialized_atoms, report.verdict))
+    # covers decided probes under both caps in runs of every verdict
+    # they can reach; only the short cap makes a run inconclusive
+    assert len(verdicts) == 5, verdicts
