@@ -19,8 +19,9 @@ verdicts cross-checked by oracle evaluation on witness databases or on
 expansions just past the threshold, against the full-enumeration
 verdict, and, restricted and full, against the plain probe loop that
 checks every probe without covers; the letter analysis's per-letter
-witnesses are replayed the same way and its maximal set is checked for
-confluence; and the parsers
+runs are compared with fresh single-letter analyses (verdict, witness,
+rewriting and counters), their witnesses are replayed the same way and
+the maximal set is checked for confluence; and the parsers
 on token soups and on rendered random queries and automata with one
 character changed (as many texts as containment pairs), where anything
 but a value or a ParseError placed inside the text is an internal fault.
@@ -258,10 +259,17 @@ def fuzz_boundedness(cfg: FuzzConfig) -> int:
     which checks every probe itself instead of deciding some by covers.
 
     The letter analysis runs on each query with some stars renamed to b*.
-    Every unbounded letter's witness is replayed against q with only that
-    letter's stars capped, and when no letter is inconclusive the query
-    must be bounded in the maximal set (confluence).
+    Each letter run must give the verdict, witness, rewriting and
+    counters of a fresh is_bounded_in(q, {a}), since the analysis
+    prepares q once for all its letter runs.  Every unbounded letter's
+    witness is replayed against q with only that letter's stars capped,
+    and when no letter is inconclusive the query must be bounded in the
+    maximal set (confluence).
     """
+
+    def outcome(run):
+        return run.verdict, run.witness, run.rewriting, replace(run.stats, wall_ms=0)
+
     rng = random.Random(cfg.seed + 2)
     letters_rng = random.Random(cfg.seed + 4)
     caps = replace(DEFAULT_CAPS, max_expansions=20000)
@@ -314,6 +322,9 @@ def fuzz_boundedness(cfg: FuzzConfig) -> int:
         letters = maximal_bounded_letters(lq, caps)
         letter_runs += len(letters.per_letter)
         for a, run in letters.per_letter:
+            if outcome(run) != outcome(is_bounded_in(lq, {a}, caps)):
+                bad += 1
+                print(f"  letter {a} run differs from is_bounded_in at query {i}: {lq}")
             if run.verdict != "unbounded":
                 continue
             db = graph_of_cq(materialize(run.witness))

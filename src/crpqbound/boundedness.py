@@ -27,7 +27,7 @@ checking every probe.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from crpqbound.config import DEFAULT_CAPS, Caps, Stats
 from crpqbound.errors import CapExceeded
@@ -101,9 +101,13 @@ def _disjunct_profile(d) -> BoundsProfile:
     )
 
 
+def _largest(qc: UCRPQ) -> BoundsProfile:
+    return max(map(_disjunct_profile, qc.disjuncts), key=lambda p: p.z)
+
+
 def compute_bounds(q: UCRPQ) -> BoundsProfile:
     """The profile of the disjunct with the largest z (first on ties)."""
-    return max(map(_disjunct_profile, collapse(q).disjuncts), key=lambda p: p.z)
+    return _largest(collapse(q))
 
 
 def _safe_probe(profile: BoundsProfile) -> int:
@@ -120,9 +124,9 @@ class AnalysisReport:
 
     letters is the letter set asked about (None for is_bounded), or, from
     maximal_bounded_letters, the maximal set found.  Only that entry point
-    fills per_letter, with one (letter, is_bounded_in report) pair per
-    star letter; its stats are their sum, and rewriting and witness stay
-    None because they belong to the single letters.
+    fills per_letter, with one (letter a, is_bounded_in(q, {a}) report)
+    pair per star letter; its stats are their sum, and rewriting and
+    witness stay None because they belong to the single letters.
     """
 
     verdict: str  # "bounded" | "unbounded" | "inconclusive"
@@ -146,16 +150,10 @@ class AnalysisReport:
 # ------------------------------------------------------------ the decision
 
 
-def _stars(d, letters):
-    """A disjunct's star atom indices and, among them, the capped ones."""
-    stars = [i for i, a in enumerate(d.edge_atoms) if isinstance(a.label, Star)]
-    return stars, frozenset(i for i in stars if is_capped(d.edge_atoms[i].label.word, letters))
-
-
 def _probe_counts(splits, z, per, caps):
     """Raw combination count and probe check count, summed over disjuncts.
 
-    Each star of ``splits`` (see _stars) takes ``per`` exponents.  A probe
+    Each star of ``splits`` (see _decide) takes ``per`` exponents.  A probe
     combination has at least one capped star above z; the others are
     expansions of q(Z) and need no check.  Pure arithmetic, so that
     astronomically large Z never materializes a value before the budget.
@@ -210,12 +208,15 @@ def _covered(lam, rhs, caps, met, stats):
     return True
 
 
-def _decide(qc, rhs, z, probe, letters, caps, full, stats, mode):
-    """Check every probe expansion of qc against rhs.
+def _decide(starred, rhs, z, probe, letters, caps, full, stats, mode):
+    """Check every probe expansion of the collapsed query against rhs.
 
-    Returns (verdict, witness, reason); the witness is the first
-    uncontained probe expansion in enumeration order.  The budget bounds
-    the raw combinations, which are never fewer than the probe checks.
+    starred pairs each collapsed disjunct with its star atom indices; the
+    stars capped under letters (see is_capped) are probed above z, and
+    rhs is q with them capped.  Returns (verdict, witness, reason); the
+    witness is the first uncontained probe expansion in enumeration
+    order.  The budget bounds the raw combinations, which are never fewer
+    than the probe checks.
 
     A probe with a contained sub-expansion is decided without its own
     check (see _covered).  It is contained, since q(Z)'s map into the
@@ -232,7 +233,10 @@ def _decide(qc, rhs, z, probe, letters, caps, full, stats, mode):
         mode["shortcut"] = "nullable-disjunct"
         return "bounded", None, None
 
-    splits = [(d, *_stars(d, letters)) for d in qc.disjuncts]
+    splits = [
+        (d, s, frozenset(i for i in s if is_capped(d.edge_atoms[i].label.word, letters)))
+        for d, s in starred
+    ]
     try:
         raw, real = _probe_counts(splits, z, probe + 1 if full else z + 2, caps)
         if full and raw > caps.max_expansions:
@@ -274,48 +278,55 @@ def _decide(qc, rhs, z, probe, letters, caps, full, stats, mode):
     return "bounded", None, None
 
 
-def _analyze(q, letters, caps, full_enumeration, zplus_mode) -> AnalysisReport:
-    """The analysis core of is_bounded (letters=None) and is_bounded_in."""
-    t0 = time.monotonic()
+def _analyze(q, letter_sets, caps, full_enumeration, zplus_mode):
+    """Check, collapse and bound q once, then run each letter set on it.
+
+    The checks run even when no letter set follows.  A letter set is None
+    (every star capped) or a frozenset of letters.  A run builds only its
+    capped query, its right side and its rewriting when bounded, and the
+    stars it probes.  Returns the bounds and one report per set; a run's
+    wall_ms starts where the one before ended, so the first's includes
+    the shared work.
+    """
+    t = time.monotonic()
     if zplus_mode not in ("paper", "safe"):
         raise ValueError(f"unknown zplus_mode: {zplus_mode!r}")
-    if letters is None:
-        check_ssf_wstar(q)
-    else:
-        check_single_letter_stars(q)
-        letters = frozenset(letters)
+    (check_ssf_wstar if letter_sets == [None] else check_single_letter_stars)(q)
     qc = collapse(q)
-    agg = compute_bounds(q)
-    z = agg.z
+    agg = _largest(qc)
     probe = agg.z_plus if zplus_mode == "paper" else _safe_probe(agg)
-    stats = Stats()
-    mode = {
-        "zplus_mode": zplus_mode,
-        "full_enumeration": full_enumeration,
-        "probe": probe,
-        "z": z,
-        "letters": None if letters is None else ",".join(sorted(letters)),
-        "shortcut": None,
-    }
-    if letters == frozenset():
-        # nothing is capped, so q is its own rewriting
-        verdict, witness, reason = "bounded", None, None
-    else:
-        verdict, witness, reason = _decide(
-            qc, bound_letters(qc, letters, z), z, probe, letters, caps,
-            full_enumeration, stats, mode,
+    starred = [
+        (d, [i for i, a in enumerate(d.edge_atoms) if isinstance(a.label, Star)])
+        for d in qc.disjuncts
+    ]
+    reports = []
+    for letters in letter_sets:
+        stats = Stats()
+        mode = dict(
+            zplus_mode=zplus_mode, full_enumeration=full_enumeration, probe=probe, z=agg.z,
+            letters=None if letters is None else ",".join(sorted(letters)), shortcut=None,
         )
-    stats.wall_ms = (time.monotonic() - t0) * 1000.0
-    return AnalysisReport(
-        verdict=verdict,
-        bounds=agg,
-        rewriting=bound_letters(q, letters, z) if verdict == "bounded" else None,
-        witness=witness,
-        letters=letters,
-        stats=stats,
-        mode=mode,
-        inconclusive_reason=reason,
-    )
+        capped = bound_letters(q, letters, agg.z)
+        if letters == frozenset():
+            # nothing is capped, so q is its own rewriting
+            verdict, witness, reason = "bounded", None, None
+        else:
+            verdict, witness, reason = _decide(
+                starred, capped, agg.z, probe, letters, caps, full_enumeration, stats, mode
+            )
+        t0, t = t, time.monotonic()
+        stats.wall_ms = (t - t0) * 1000.0
+        reports.append(AnalysisReport(
+            verdict=verdict,
+            bounds=agg,
+            rewriting=capped if verdict == "bounded" else None,
+            witness=witness,
+            letters=letters,
+            stats=stats,
+            mode=mode,
+            inconclusive_reason=reason,
+        ))
+    return agg, reports
 
 
 def is_bounded(
@@ -335,7 +346,7 @@ def is_bounded(
     enumeration order, is returned as the witness.  Caps yield
     Inconclusive, never a wrong verdict.
     """
-    return _analyze(q, None, caps, full_enumeration, zplus_mode)
+    return _analyze(q, [None], caps, full_enumeration, zplus_mode)[1][0]
 
 
 def is_bounded_in(
@@ -352,7 +363,7 @@ def is_bounded_in(
     exponent domain.  Stars must be over single letters for the
     letter-restricted analysis.
     """
-    return _analyze(q, letters, caps, full_enumeration, zplus_mode)
+    return _analyze(q, [frozenset(letters)], caps, full_enumeration, zplus_mode)[1][0]
 
 
 def maximal_bounded_letters(
@@ -363,41 +374,37 @@ def maximal_bounded_letters(
 ) -> AnalysisReport:
     """The union of star letters a with q bounded in {a}, as one report.
 
-    Each star letter gets its own is_bounded_in(q, {a}) run, kept in
+    q is checked, collapsed and bounded once; then each star letter a
+    gets its own run, the report is_bounded_in(q, {a}) gives, kept in
     per_letter.  Single-letter boundedness is confluent, so the union of
     the bounded letters is itself a set the query is bounded in, and it
     is maximal among star letters; it becomes the report's letters.  A
     query with no stars is vacuously bounded in every alphabet letter.
-    The verdict is inconclusive if some letter's run is (the set then
-    under-approximates), else unbounded if some letter is unbounded, else
-    bounded.
+    The verdict is the gravest letter verdict: inconclusive (the set then
+    under-approximates), then unbounded, then bounded.
     """
     t0 = time.monotonic()
-    check_single_letter_stars(q)
-    per_letter = tuple(
-        (a, is_bounded_in(q, {a}, caps, full_enumeration, zplus_mode))
-        for a in sorted(star_letters(q))
+    letters = sorted(star_letters(q))
+    agg, runs = _analyze(
+        q, [frozenset({a}) for a in letters], caps, full_enumeration, zplus_mode
     )
-    verdicts = {r.verdict for _, r in per_letter}
-    verdict = next(
-        (v for v in ("inconclusive", "unbounded") if v in verdicts), "bounded"
-    )
+    per_letter = tuple(zip(letters, runs))
+    gravest = ("inconclusive", "unbounded", "bounded")
+    verdict = min((r.verdict for r in runs), key=gravest.index, default="bounded")
     bounded = frozenset(a for a, r in per_letter if r.verdict == "bounded")
-    counts = ("expansions_checked", "covered", "cover_checks")
-    stats = Stats(**{f: sum(getattr(r.stats, f) for _, r in per_letter) for f in counts})
+    counters = [f.name for f in fields(Stats) if f.name != "wall_ms"]
+    stats = Stats(**{f: sum(getattr(r.stats, f) for r in runs) for f in counters})
     report = AnalysisReport(
         verdict=verdict,
-        bounds=compute_bounds(q),
+        bounds=agg,
         rewriting=None,
         witness=None,
         letters=bounded if per_letter else alphabet(q),
         stats=stats,
-        mode={
-            "letters": "max",
-            "zplus_mode": zplus_mode,
-            "full_enumeration": full_enumeration,
-            "per_letter": [[a, r.verdict] for a, r in per_letter],
-        },
+        mode=dict(
+            letters="max", zplus_mode=zplus_mode, full_enumeration=full_enumeration,
+            per_letter=[[a, r.verdict] for a, r in per_letter],
+        ),
         per_letter=per_letter,
     )
     report.mode["inconclusive_letters"] = sorted(report.inconclusive)

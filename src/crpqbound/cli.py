@@ -20,7 +20,7 @@ import contextlib
 import functools
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 from crpqbound.boundedness import (
     AnalysisReport,
@@ -163,14 +163,8 @@ def _report_json(report: AnalysisReport, seed: int, cli_mode: dict) -> dict:
         "rewriting": render_ucrpq(report.rewriting) if report.rewriting else None,
         "witness": render_succinct_cq(report.witness) if report.witness else None,
         "maximal_letters": None if report.per_letter is None else sorted(report.letters),
-        "stats": {
-            "expansions_checked": report.stats.expansions_checked,
-            "covered": report.stats.covered,
-            "cover_checks": report.stats.cover_checks,
-            # wall time is pinned so identical runs stay byte-identical
-            "wall_ms": 0,
-            "seed": seed,
-        },
+        # wall time is pinned so identical runs stay byte-identical
+        "stats": {**asdict(report.stats), "wall_ms": 0, "seed": seed},
         "mode": mode,
     }
 
@@ -198,11 +192,9 @@ def _print_report(report: AnalysisReport) -> None:
         print(f"witness: {render_succinct_cq(report.witness)}")
     if report.inconclusive_reason:
         print(f"reason: {report.inconclusive_reason}")
-    stats = report.stats
-    print(
-        f"stats: expansions_checked={stats.expansions_checked} covered={stats.covered} "
-        f"cover_checks={stats.cover_checks} wall_ms={stats.wall_ms:.1f}"
-    )
+    stats = asdict(report.stats)
+    wall_ms = stats.pop("wall_ms")
+    print("stats:", *(f"{k}={v}" for k, v in stats.items()), f"wall_ms={wall_ms:.1f}")
 
 
 def _verify_report(q: UCRPQ, report: AnalysisReport, caps: Caps, seed: int):

@@ -1,7 +1,9 @@
 """The boundedness decision, bounds arithmetic, and letter analyses."""
 
+import inspect
 import itertools
 import random
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -217,7 +219,11 @@ def test_maximal_letters_report_keeps_each_letter_run():
             assert (run.verdict, run.witness, run.rewriting) == (
                 fresh.verdict, fresh.witness, fresh.rewriting
             ), q
-            assert run.stats.expansions_checked == fresh.stats.expansions_checked
+            assert (run.mode, run.inconclusive_reason) == (
+                fresh.mode, fresh.inconclusive_reason
+            ), q
+            # every counter, wall time aside
+            assert replace(run.stats, wall_ms=0) == replace(fresh.stats, wall_ms=0), q
         letter_verdicts = [run.verdict for _, run in report.per_letter]
         if "inconclusive" in letter_verdicts:
             want = "inconclusive"
@@ -242,14 +248,14 @@ def test_maximal_letters_report_keeps_each_letter_run():
 
 def test_maximal_letters_verdict_is_the_gravest_letter_verdict(monkeypatch):
     q = parse_ucrpq("?x -[a*]-> ?y, ?x -[b*]-> ?y")
-    run = is_bounded_in(q, {"a"})
+    bind = inspect.signature(boundedness._decide).bind
     grave = ("inconclusive", "unbounded", "bounded")
     for va, vb in itertools.product(grave, repeat=2):
         given = {"a": va, "b": vb}
         monkeypatch.setattr(
             boundedness,
-            "is_bounded_in",
-            lambda q, letters, *args: replace(run, verdict=given[min(letters)]),
+            "_decide",
+            lambda *args: (given[min(bind(*args).arguments["letters"])], None, None),
         )
         report = maximal_bounded_letters(q)
         assert report.verdict == min((va, vb), key=grave.index)
@@ -312,6 +318,40 @@ def test_unknown_zplus_mode_rejected():
         is_bounded(q, zplus_mode="fast")
     with pytest.raises(ValueError):
         is_bounded_in(q, {"a"}, zplus_mode="fast")
+    # no star letter, so no letter run: the mode is still checked
+    with pytest.raises(ValueError):
+        maximal_bounded_letters(q, zplus_mode="fast")
+
+
+def test_each_analysis_prepares_its_query_once(monkeypatch):
+    # q is collapsed and bounded once per call, whatever the letter runs
+    # that follow, and each run caps q once, for its right side and its
+    # rewriting alike
+    q = parse_ucrpq(
+        "?x -[a*]-> ?y, ?y = ?z, ?z -[b*]-> ?w, ?x -[c]-> ?w | ?x -[a*]-> ?x"
+    )
+    calls = Counter()
+
+    def counting(name):
+        original = getattr(boundedness, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return original(*args)
+
+        return counted
+
+    for name in ("collapse", "_disjunct_profile", "bound_letters"):
+        monkeypatch.setattr(boundedness, name, counting(name))
+    for analyze, runs in (
+        (lambda: is_bounded(q), 1),
+        (lambda: is_bounded_in(q, {"a"}), 1),
+        (lambda: is_bounded_in(q, set()), 1),
+        (lambda: maximal_bounded_letters(q), 2),
+    ):
+        calls.clear()
+        assert analyze().verdict != "inconclusive"
+        assert calls == {"collapse": 1, "_disjunct_profile": 2, "bound_letters": runs}
 
 
 def test_budget_overflow_is_inconclusive_with_reason():

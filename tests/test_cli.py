@@ -1,5 +1,6 @@
 """End-to-end command behaviour: exit codes, JSON shape, determinism."""
 
+import inspect
 import json
 import os
 import subprocess
@@ -96,10 +97,11 @@ def test_analyze_letters_max_reports_summed_stats(qfile, capsys):
 def test_letters_max_oracle_verify_runs_no_second_analysis(qfile, capsys, monkeypatch):
     calls = []
     decide = boundedness._decide
+    bind = inspect.signature(decide).bind
 
-    def counted(*args):
-        calls.append(args[4])  # the letter set
-        return decide(*args)
+    def counted(*args, **kwargs):
+        calls.append(bind(*args, **kwargs).arguments["letters"])
+        return decide(*args, **kwargs)
 
     monkeypatch.setattr(boundedness, "_decide", counted)
     sampled = []
