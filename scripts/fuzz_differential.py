@@ -13,8 +13,10 @@ query evaluation share vs trying every assignment on graphs of up to
 four vertices, and the oracle's relation for a random label vs relation
 algebra on graphs of up to eight vertices (as many cases of each as
 containment pairs), probe expansions
-of random a-star queries against their bounded right sides (some stars
-left whole) vs evaluation on the materialized probe, and boundedness
+of random a-star queries, a third of them with stars into leaf
+variables, against their bounded right sides (some stars left whole) vs
+evaluation on the materialized probe, where a probe that a pendant star's
+exponent-0 probe decides must be contained too, and boundedness
 verdicts cross-checked by oracle evaluation on witness databases or on
 expansions just past the threshold, against the full-enumeration
 verdict, and, restricted and full, against the plain probe loop that
@@ -29,6 +31,7 @@ Any disagreement prints a replay line and the script exits nonzero.
 """
 
 import argparse
+import itertools
 import random
 import sys
 import time
@@ -42,6 +45,7 @@ from conftest import (  # noqa: E402
     enumerate_then_skip,
     gen_cycle,
     gen_cyclic_succinct_cq,
+    gen_pendant_crpq,
     gen_random_crpq_astar,
     gen_random_snfa,
     gen_random_succinct_cq,
@@ -67,7 +71,9 @@ from crpqbound.expansion import (  # noqa: E402
     SuccinctCQ,
     bound_letters,
     bound_query,
+    choice_lists,
     enumerate_expansions,
+    expansion_of,
     materialize,
     normalize_succinct,
     render_succinct_cq,
@@ -216,34 +222,70 @@ def fuzz_join(cfg: FuzzConfig) -> int:
     return bad
 
 
+def _leaf_stars(d):
+    """The star atoms of d that join two variables, one of them touched by
+    no other atom."""
+    atoms = d.edge_atoms
+    return [
+        i for i, a in enumerate(atoms)
+        if isinstance(a.label, Star) and a.src != a.dst and any(
+            all(v not in (b.src, b.dst) for j, b in enumerate(atoms) if j != i)
+            for v in (a.src, a.dst)
+        )
+    ]
+
+
 def fuzz_probes(cfg: FuzzConfig) -> int:
     """Probe expansions against q(z), as the boundedness checks pose them.
 
     Each query's stars get exponents around z (at least one above it);
     the right side caps every star, or only the a-stars so that b-stars
-    stay whole-label stars.  The engine's answer must match evaluating
-    the right side on the materialized probe.
+    stay whole-label stars.  Every third query has one or two pendant
+    stars, into a leaf variable, some over the word ab, and a z of at most
+    8 instead of its threshold.  The engine's answer must match evaluating
+    the right side on the materialized probe.  A probe whose pendant star,
+    set to exponent 0, gives a probe that evaluation finds contained is
+    one the boundedness walk decides without a check: it must be
+    contained too.
     """
     rng = random.Random(cfg.seed + 3)
-    bad = pairs = 0
+    bad = pairs = pendant = 0
     for i in range(cfg.probe_queries):
-        q = some_stars_over_b(gen_random_crpq_astar(rng), rng)
-        z = compute_bounds(q).z
+        if i % 3 == 2:
+            # a z far below the threshold keeps the oracle's graphs small
+            q, z = gen_pendant_crpq(rng), rng.randint(1, 8)
+        else:
+            q = some_stars_over_b(gen_random_crpq_astar(rng), rng)
+            z = compute_bounds(q).z
         rhs = bound_query(q, z) if rng.random() < 0.5 else bound_letters(q, {"a"}, z)
         d = q.disjuncts[0]
-        stars = [j for j, a in enumerate(d.edge_atoms) if isinstance(a.label, Star)]
+        atoms, variables = d.edge_atoms, d.variables()
+        stars = [j for j, a in enumerate(atoms) if isinstance(a.label, Star)]
+        leaves = _leaf_stars(d)
+
+        def contained(v):
+            return eval_on_graph(rhs, graph_of_cq(materialize(expansion_of(atoms, v, variables))))
+
         for _ in range(4 if stars else 1):
             values = [rng.choice((0, 1, 2, z, z + 1, 2 * z + 1)) for _ in stars]
             if stars and max(values) <= z:
                 values[rng.randrange(len(values))] = z + 1
             dom = {j: (v,) for j, v in zip(stars, values)}
-            for lam in enumerate_expansions(d, dom):
+            for v in itertools.product(*choice_lists(d, dom)):
                 pairs += 1
-                got = isinstance(expansion_contained(lam, rhs), Contained)
-                if got != eval_on_graph(rhs, graph_of_cq(materialize(lam))):
+                lam = expansion_of(atoms, v, variables)
+                want = eval_on_graph(rhs, graph_of_cq(materialize(lam)))
+                if isinstance(expansion_contained(lam, rhs), Contained) != want:
                     bad += 1
                     print(f"  probe mismatch at query {i}: {lam} vs {rhs}")
-    print(f"  ({pairs} probe pairs)")
+                if any(
+                    v[j][1] and contained(v[:j] + ((v[j][0], 0),) + v[j + 1:]) for j in leaves
+                ):
+                    pendant += 1
+                    if not want:
+                        bad += 1
+                        print(f"  pendant cover of an uncontained probe at query {i}: {lam}")
+    print(f"  ({pairs} probe pairs, {pendant} decided by pendant covers without a check)")
     return bad
 
 
@@ -256,9 +298,12 @@ def fuzz_boundedness(cfg: FuzzConfig) -> int:
     satisfy the star-free rewriting.  Every query is also decided with
     full enumeration, whose conclusive verdict must agree.  Both runs must
     give the verdict, witness and probe count of the plain probe loop,
-    which checks every probe itself instead of deciding some by covers.
+    which builds and checks every probe vector itself instead of deciding
+    some by covers.  Every third query has one or two pendant stars, into
+    a leaf variable, some over the word ab.
 
-    The letter analysis runs on each query with some stars renamed to b*.
+    The letter analysis runs on each query without a word star, with some
+    stars renamed to b*.
     Each letter run must give the verdict, witness, rewriting and
     counters of a fresh is_bounded_in(q, {a}), since the analysis
     prepares q once for all its letter runs.  Every unbounded letter's
@@ -275,7 +320,7 @@ def fuzz_boundedness(cfg: FuzzConfig) -> int:
     caps = replace(DEFAULT_CAPS, max_expansions=20000)
     bad = inconclusive = letter_runs = covered = 0
     for i in range(cfg.boundedness_queries):
-        q = gen_random_crpq_astar(rng)
+        q = gen_pendant_crpq(rng) if i % 3 == 2 else gen_random_crpq_astar(rng)
         report = is_bounded(q, caps)
         full_report = is_bounded(q, caps, full_enumeration=True)
         full = full_report.verdict
@@ -293,6 +338,7 @@ def fuzz_boundedness(cfg: FuzzConfig) -> int:
             if (run.verdict, run.witness, run.stats.expansions_checked) != want:
                 bad += 1
                 print(f"  the plain probe loop says {want[0]} at query {i}: {q}")
+        d = q.disjuncts[0]
         if report.verdict == "inconclusive":
             inconclusive += 1
         elif report.verdict == "unbounded":
@@ -304,7 +350,6 @@ def fuzz_boundedness(cfg: FuzzConfig) -> int:
                 print(f"  witness not confirmed at query {i}: {q}")
         else:
             z = report.bounds.z
-            d = q.disjuncts[0]
             star_idx = [
                 j
                 for j, a in enumerate(d.edge_atoms)
@@ -318,6 +363,8 @@ def fuzz_boundedness(cfg: FuzzConfig) -> int:
                         bad += 1
                         print(f"  rewriting refuted at query {i}: {q}")
 
+        if any(isinstance(a.label, Star) and len(a.label.word) > 1 for a in d.edge_atoms):
+            continue  # the letter analysis takes single-letter stars only
         lq = some_stars_over_b(q, letters_rng)
         letters = maximal_bounded_letters(lq, caps)
         letter_runs += len(letters.per_letter)
@@ -339,7 +386,7 @@ def fuzz_boundedness(cfg: FuzzConfig) -> int:
                 print(f"  not bounded in the maximal letters at query {i}: {lq}")
     print(
         f"  ({inconclusive} queries inconclusive under the fuzz budget, "
-        f"{covered} probes decided by covers, {letter_runs} letter runs)"
+        f"{covered} probes decided without a check, {letter_runs} letter runs)"
     )
     return bad
 

@@ -4,29 +4,50 @@ A query whose stars range over single words is bounded exactly when every
 expansion, with star exponents drawn from a finite probe set, is already
 subsumed by the star-capped query q(Z).  An expansion whose capped stars
 all sit at or below Z is an expansion of q(Z), so only the probe
-expansions, with at least one capped star above Z, are enumerated and
+expansions, with at least one capped star above Z, are walked and
 checked.  This module computes the numeric thresholds (Z and the probe
 exponent), counts the probe grid arithmetically against the budget, runs
 the containment checks, and derives star-free rewritings,
 letter-restricted verdicts, and the maximal set of individually bounded
 star letters.
 
-Most probes need no check of their own.  Homomorphisms compose with the
-inclusion of a sub-database (Chandra and Merlin, STOC 1977): if q(Z)
-maps into the canonical database of a sub-expansion, lambda minus one
-atom, it maps into that of every probe holding that sub-expansion.  The
-probe grid is a product over star atoms, so neighbouring probes share
-sub-expansions.  A sub-expansion met for the second time gets one check
-of its own, a cover check; when it is contained, it decides every probe
-that holds it, that one and the later ones, without a check.  Only
-probes proved contained are skipped this way, so the verdict and the
-witness, the first uncontained probe in enumeration order, are those of
+The probes are walked as vectors, one choice (word, exponent) per atom
+of the collapsed disjunct, in lexicographic order; a vector is built and
+normalized into its expansion only when it needs a check.  Most need
+none.  Homomorphisms compose (Chandra and Merlin, STOC 1977): if q(Z)
+maps into a database that maps into the probe's canonical database, it
+maps into the probe.  The vectors that differ in one axis, the choice of
+one atom, form a line, and they share a sub-expansion: the probe minus
+that atom, with all variables kept.  It maps into each probe of the
+line, as a sub-database when the atom's exponent is positive and by
+identifying the atom's two ends when it is 0.
+
+- A line's sub-expansion met for the second time gets one check of its
+  own, a cover check; when it is contained, it decides that vector and
+  every later vector on the line without a check.
+- A pendant cover needs no check at all.  Take a star atom of the
+  collapsed disjunct, not a self-loop, one of whose ends is a leaf that
+  no other atom touches.  Setting its exponent to 0 merges the leaf into
+  the other end and changes nothing else, so the line's sub-expansion is
+  the vector with that star at 0 plus an isolated leaf.  That vector
+  comes earlier in the walk, since 0 is every star's first exponent.  It
+  is trivial (every probed star at most Z, an expansion of q(Z)) or was
+  already decided, and when it is contained, so is every vector of the
+  line.  The leaf is judged on the disjunct, never on the normalized
+  probe: normalizing merges a star at exponent 1 with an atom of the
+  same word between the same variables, and on the probe the star's end
+  can then look like a leaf while dropping the merged atom drops both.
+
+Only vectors proved contained are skipped this way, so the verdict and
+the witness, the first uncontained vector in walk order, are those of
 checking every probe.
 """
 
 from __future__ import annotations
 
+import itertools
 import time
+from collections import Counter
 from dataclasses import dataclass, fields
 
 from crpqbound.config import DEFAULT_CAPS, Caps, Stats
@@ -34,11 +55,15 @@ from crpqbound.errors import CapExceeded
 from crpqbound.expansion import (
     SuccinctCQ,
     bound_letters,
-    enumerate_expansions,
+    choice_lists,
+    expansion_of,
     is_capped,
     max_word_len,
     star_free_choice_count,
 )
+
+# unused here; kept importable because the benchmark's layer trace patches it
+from crpqbound.expansion import enumerate_expansions  # noqa: F401
 from crpqbound.homomorphism import RightSide, expansion_contained
 from crpqbound.syntax import (
     UCRPQ,
@@ -170,61 +195,128 @@ def _probe_counts(splits, z, per, caps):
     return raw, real
 
 
+def _probe_vectors(lists, probed, z):
+    """The product of the choice lists, pruned to the vectors in which at
+    least one atom of ``probed``, which is not empty, takes an exponent
+    above z.
+
+    Lexicographic order is kept: each prefix up to the last probed atom is
+    followed by that atom's full choice list if the prefix already exceeds
+    z, and by its choices above z otherwise.
+    """
+    last = max(probed)
+    earlier = [i for i in probed if i < last]
+    high = [c for c in lists[last] if c[1] > z]
+    tail = lists[last + 1:]
+    for prefix in itertools.product(*lists[:last]):
+        here = lists[last] if any(prefix[i][1] > z for i in earlier) else high
+        for rest in itertools.product(here, *tail):
+            yield prefix + rest
+
+
 _ONCE, _SPENT, _COVER = 1, 2, 3
 
 
-def _covered(lam, rhs, caps, met, stats):
-    """Whether a sub-expansion of lam is known, or now found, contained.
+class _Walk:
+    """One disjunct's walk over its probe vectors, and what it has learned.
 
-    lam's keys are its sub-expansions, lam minus one atom, as plain
-    (variables, atoms) tuples.  Each keeps all of lam's variables, and
-    dropping an atom from a normalized expansion leaves it normalized.
-    met maps each key met by a probe no cover decided, in this _decide
-    call, to _ONCE, to _SPENT once its cover check found no map (or hit
-    a cap), or to _COVER once it found one.  The first of lam's keys met
-    for the second time gets the one cover check it will ever have.
+    A line key is (axis, the vector without that axis), for each atom with
+    more than one choice.  lines maps a key to _ONCE once a vector that no
+    line decided met it, to _SPENT once its cover check found no map (or
+    hit a cap), and to _COVER once it found one.  pendant maps each
+    pendant star (a star atom into a leaf, see the module docstring) to
+    the probed stars besides it, and contained holds the vectors known
+    contained with a pendant star at exponent 0, the only ones a pendant
+    lookup asks about.
     """
-    atoms = lam.atoms
-    keys = [(lam.variables, atoms[:i] + atoms[i + 1:]) for i in range(len(atoms))]
-    states = [met.get(k) for k in keys]
-    if _COVER in states:
-        return True
-    again = None
-    for k, state in zip(keys, states):
-        if state is None:
-            met[k] = _ONCE
-        elif state == _ONCE and again is None:
-            again = k
-    if again is None:
-        return False
-    met[again] = _SPENT
-    stats.cover_checks += 1
-    try:
-        if expansion_contained(SuccinctCQ(*again), rhs, caps) is None:
+
+    def __init__(self, d, lists, probed, z, rhs, caps, stats):
+        self.atoms = d.edge_atoms
+        self.variables = d.variables()
+        self.z, self.rhs, self.caps, self.stats = z, rhs, caps, stats
+        self.axes = [i for i, choices in enumerate(lists) if len(choices) > 1]
+        ends = Counter(v for a in self.atoms for v in (a.src, a.dst))
+        self.pendant = {
+            i: [k for k in probed if k != i]
+            for i, a in enumerate(self.atoms)
+            if isinstance(a.label, Star) and a.src != a.dst and 1 in (ends[a.src], ends[a.dst])
+        }
+        self.lines = {}
+        self.contained = set()
+
+    def expansion(self, v, drop=None):
+        """The probe of vector v, or its sub-expansion without atom ``drop``."""
+        if drop is None:
+            return expansion_of(self.atoms, v, self.variables)
+        return expansion_of(self.atoms[:drop] + self.atoms[drop + 1:], v, self.variables)
+
+    def covers(self, v) -> bool:
+        """Whether a line through v is known, or now found, contained.
+
+        A pendant star's line is contained when v with that star at
+        exponent 0 is: that vector comes earlier in the walk, and it is
+        trivial (every probed star at most z) or was decided and, being
+        contained, recorded by learn.  Otherwise the first of v's keys met
+        for the second time gets the one cover check it will ever have.
+        """
+        for i, others in self.pendant.items():
+            word, e = v[i]
+            if e and (
+                all(v[k][1] <= self.z for k in others)
+                or v[:i] + ((word, 0),) + v[i + 1:] in self.contained
+            ):
+                return True
+        keys = [(i, v[:i] + v[i + 1:]) for i in self.axes]
+        lines = self.lines
+        states = [lines.get(k) for k in keys]
+        if _COVER in states:
+            return True
+        again = None
+        for k, state in zip(keys, states):
+            if state is None:
+                lines[k] = _ONCE
+            elif state == _ONCE and again is None:
+                again = k
+        if again is None:
             return False
-    except CapExceeded:
-        return False
-    met[again] = _COVER
-    return True
+        lines[again] = _SPENT
+        self.stats.cover_checks += 1
+        try:
+            if expansion_contained(self.expansion(again[1], again[0]), self.rhs, self.caps) is None:
+                return False
+        except CapExceeded:
+            return False
+        lines[again] = _COVER
+        return True
+
+    def learn(self, v) -> None:
+        """Record v, now known contained, if a pendant lookup can reach it."""
+        for i in self.pendant:
+            if not v[i][1]:
+                self.contained.add(v)
+                return
 
 
 def _decide(starred, rhs, z, probe, letters, caps, full, stats, mode):
-    """Check every probe expansion of the collapsed query against rhs.
+    """Check every probe vector of the collapsed query against rhs.
 
     starred pairs each collapsed disjunct with its star atom indices; the
     stars capped under letters (see is_capped) are probed above z, and
     rhs is q with them capped.  Returns (verdict, witness, reason); the
-    witness is the first uncontained probe expansion in enumeration
-    order.  The budget bounds the raw combinations, which are never fewer
-    than the probe checks.
+    witness is the expansion of the first uncontained probe vector in
+    walk order.  The budget bounds the raw combinations, which are never
+    fewer than the probe vectors.
 
-    A probe with a contained sub-expansion is decided without its own
-    check (see _covered).  It is contained, since q(Z)'s map into the
-    sub-expansion is one into the probe too.  An uncontained probe has
-    no contained sub-expansion, so it is always checked itself, and
-    the first of them in enumeration order is still the witness.  A
-    cover check that hits a cap records nothing and leaves the probe to
-    its own check, so it never makes the verdict inconclusive.
+    A vector is a tuple of atom choices, walked per disjunct in the
+    lexicographic order of _probe_vectors, and every one counts in
+    expansions_checked, also one that normalizes like an earlier one.  A
+    vector on a line known contained is decided without being built (see
+    _Walk.covers), since q(Z)'s map into the line's sub-expansion is one
+    into the probe too.  An uncontained probe has no contained line, so
+    it is always built and checked itself, and the first of them in walk
+    order is still the witness.  A cover check that hits a cap records
+    nothing and leaves the probe to its own check, so it never makes the
+    verdict inconclusive.
     """
     rhs = RightSide(rhs)
     if any(not d.solid for d in rhs.disjuncts):
@@ -255,24 +347,28 @@ def _decide(starred, rhs, z, probe, letters, caps, full, stats, mode):
         )
         return "inconclusive", None, reason
 
-    # the budget check bounds every enumeration below the expansion cap
+    # the budget check bounds every walk below the expansion cap
     values = range(probe + 1) if full else (*range(z + 1), probe)
     capped = False
-    met = {}  # sub-expansion key -> _ONCE, _SPENT or _COVER
     for d, stars, probed in splits:
-        dom = dict.fromkeys(stars, values)
-        for lam in enumerate_expansions(d, dom, caps=caps, above=(probed, z)):
+        if not probed:
+            continue
+        lists = choice_lists(d, dict.fromkeys(stars, values), caps)
+        walk = _Walk(d, lists, probed, z, rhs, caps, stats)
+        for v in _probe_vectors(lists, probed, z):
             stats.expansions_checked += 1
-            if _covered(lam, rhs, caps, met, stats):
+            if walk.covers(v):
                 stats.covered += 1
-                continue
-            try:
-                result = expansion_contained(lam, rhs, caps)
-            except CapExceeded:
-                capped = True
-                continue
-            if result is None:
-                return "unbounded", lam, None
+            else:
+                lam = walk.expansion(v)
+                try:
+                    result = expansion_contained(lam, rhs, caps)
+                except CapExceeded:
+                    capped = True
+                    continue
+                if result is None:
+                    return "unbounded", lam, None
+            walk.learn(v)
     if capped:
         return "inconclusive", None, "a containment check exceeded caps"
     return "bounded", None, None
@@ -343,7 +439,7 @@ def is_bounded(
     other expansions are expansions of q(Z) already.  Each check indexes
     the expansion's canonical database by positions, without unrolling
     it (see expansion_contained).  The first uncontained expansion, in
-    enumeration order, is returned as the witness.  Caps yield
+    walk order (see _decide), is returned as the witness.  Caps yield
     Inconclusive, never a wrong verdict.
     """
     return _analyze(q, [None], caps, full_enumeration, zplus_mode)[1][0]

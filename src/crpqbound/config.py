@@ -40,10 +40,11 @@ class Caps:
 class Stats:
     """Mutable counters accumulated during an analysis run.
 
-    expansions_checked counts the probe expansions decided, covered
-    counts those among them that a contained sub-expansion decided
-    without a check of their own, and cover_checks counts the checks run
-    on sub-expansions.
+    expansions_checked counts the probe vectors decided, one per
+    combination of atom choices, also when two normalize to the same
+    expansion; covered counts those among them that a contained line
+    decided without a check of their own, and cover_checks counts the
+    checks run on the lines' sub-expansions.
     """
 
     expansions_checked: int = 0

@@ -331,68 +331,51 @@ def star_free_choice_count(label: RegexExpr, caps: Caps = DEFAULT_CAPS) -> int:
     return _ssf_size(label, caps)[0]
 
 
-def enumerate_expansions(
-    q: CRPQ,
-    dom: dict,
-    cap: int | None = None,
-    caps: Caps = DEFAULT_CAPS,
-    above: tuple | None = None,
-):
-    """Yield the expansions of q, as normalized succinct CQs.
+def choice_lists(q: CRPQ, dom: dict, caps: Caps = DEFAULT_CAPS) -> list:
+    """One choice list per atom of q, which holds no equality atom.
 
-    Recursive atoms draw exponents from ``dom``, a dict from atom index to
-    exponent values; star-free atoms range over their finite languages.
-    Enumeration order is lexicographic over
-    (atom index, choice index), and structurally equal expansions are
-    emitted once.  With ``above=(atoms, z)`` only the combinations in
-    which at least one of those atom indices takes an exponent above z
-    are visited, in the same order.  Raises CapExceeded after visiting
-    ``cap`` combinations.
+    A choice is a pair (word, exponent).  Star atoms draw their exponents
+    from ``dom``, a dict from atom index to exponent values; star-free
+    atoms range over their finite languages, in canonical order.
     """
-    if above is not None and not above[0]:
-        return
-    limit = caps.max_expansions if cap is None else cap
-    q = collapse(q) if q.equality_atoms else q
-    choice_lists = [
+    return [
         _atom_choices(a.label, dom[i] if isinstance(a.label, Star) else None, caps)
         for i, a in enumerate(q.atoms)
     ]
+
+
+def expansion_of(atoms, combo, variables) -> SuccinctCQ:
+    """The normalized expansion that puts each choice of combo on its atom.
+
+    ``variables`` are all kept, so an endpoint of no listed atom stays as
+    an isolated variable.
+    """
+    return normalize_succinct(SuccinctCQ(variables, tuple(
+        SuccinctAtom(a.src, w, e, a.dst) for a, (w, e) in zip(atoms, combo)
+    )))
+
+
+def enumerate_expansions(q: CRPQ, dom: dict, cap: int | None = None, caps: Caps = DEFAULT_CAPS):
+    """Yield the expansions of q, as normalized succinct CQs.
+
+    Atoms take their choices from choice_lists(q, dom, caps).  Enumeration
+    order is lexicographic over (atom index, choice index), and
+    structurally equal expansions are emitted once.  Raises CapExceeded
+    after visiting ``cap`` combinations.
+    """
+    limit = caps.max_expansions if cap is None else cap
+    q = collapse(q) if q.equality_atoms else q
     variables = q.variables()
     seen = set()
     visited = 0
-    for combo in _combinations(choice_lists, above):
+    for combo in itertools.product(*choice_lists(q, dom, caps)):
         visited += 1
         if visited > limit:
             raise CapExceeded(limit, "expansion enumeration over cap")
-        atoms = tuple(
-            SuccinctAtom(a.src, w, e, a.dst)
-            for a, (w, e) in zip(q.atoms, combo)
-        )
-        scq = normalize_succinct(SuccinctCQ(tuple(variables), atoms))
+        scq = expansion_of(q.atoms, combo, variables)
         if scq not in seen:
             seen.add(scq)
             yield scq
-
-
-def _combinations(choice_lists, above):
-    """The product of the choice lists, pruned to ``above`` if given.
-
-    Lexicographic order is kept: each prefix up to the last listed atom
-    is followed by that atom's full choice list if the prefix already
-    exceeds z, and by its choices above z otherwise.
-    """
-    if above is None:
-        yield from itertools.product(*choice_lists)
-        return
-    atoms, z = above
-    last = max(atoms)
-    earlier = [i for i in atoms if i < last]
-    high = [c for c in choice_lists[last] if c[1] > z]
-    tail = choice_lists[last + 1:]
-    for prefix in itertools.product(*choice_lists[:last]):
-        here = choice_lists[last] if any(prefix[i][1] > z for i in earlier) else high
-        for rest in itertools.product(here, *tail):
-            yield prefix + rest
 
 
 # -------------------------------------------------------------- materializing

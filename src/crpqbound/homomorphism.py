@@ -440,7 +440,7 @@ def expansion_contained(
     whole or inside a concatenation or union; only Contained.expansion
     needs the right side star-free apart from whole-label stars.  A UCRPQ
     is prepared, and lam normalized, for this one check; with a RightSide
-    lam must be normalized already, as enumerate_expansions yields it.
+    lam must be normalized already, as expansion_of builds it.
     lam is indexed by positions (see _CanonicalDB), not unrolled; its
     length, the sum of |w|*n over its atoms, is bounded by
     ``max_materialized_atoms``.

@@ -9,8 +9,10 @@ from crpqbound.expansion import (
     SuccinctAtom,
     SuccinctCQ,
     bound_letters,
+    choice_lists,
     cq_hom,
-    enumerate_expansions,
+    expansion_of,
+    is_capped,
     normalize_succinct,
 )
 from crpqbound.config import DEFAULT_CAPS
@@ -128,27 +130,50 @@ def some_stars_over_b(q: UCRPQ, rng: random.Random) -> UCRPQ:
     return UCRPQ((CRPQ(atoms),))
 
 
-def enumerate_then_skip(q, letters, z, probe, full, caps=DEFAULT_CAPS):
-    """The plain probe loop: enumerate every combination, skip the trivial
-    ones, and check each other one on its own.
+def gen_pendant_crpq(rng: random.Random) -> UCRPQ:
+    """A query of gen_random_crpq_astar (at most two atoms, the first made
+    the letter a if all are stars, so that q(Z) is not nullable) with one
+    or two pendant stars: each joins a variable of the query to a fresh
+    leaf, in either direction, over a, b or ab.  Two of them share their
+    variable at even odds."""
+    atoms = list(gen_random_crpq_astar(rng, max_atoms=2).disjuncts[0].atoms)
+    if all(isinstance(a.label, Star) for a in atoms):
+        atoms[0] = EdgeAtom(atoms[0].src, Letter("a"), atoms[0].dst)
+    pool = sorted({v for a in atoms for v in (a.src, a.dst)})
+    root = rng.choice(pool)
+    for leaf in ("u", "v")[: rng.randint(1, 2)]:
+        if rng.random() < 0.5:
+            root = rng.choice(pool)
+        ends = (root, leaf) if rng.random() < 0.5 else (leaf, root)
+        atoms.append(EdgeAtom(ends[0], Star(rng.choice((("a",), ("b",), ("a", "b")))), ends[1]))
+    return UCRPQ((CRPQ(tuple(atoms)),))
 
-    An expansion is trivial when every atom over a capped word has an
-    exponent of at most z.  Returns (verdict, witness, checks made).
+
+def enumerate_then_skip(q, letters, z, probe, full, caps=DEFAULT_CAPS):
+    """The plain probe loop: walk every combination of atom choices, skip
+    the trivial ones, and build and check each other one on its own.
+
+    A combination is trivial when every star over a capped word takes an
+    exponent of at most z.  Every other one counts, also one that
+    normalizes like an earlier one.  Returns (verdict, witness, checks
+    made).
     """
     qc = collapse(q)
     rhs = bound_letters(qc, letters, z)
     values = tuple(range(probe + 1)) if full else tuple(range(z + 1)) + (probe,)
     checks = 0
     for d in qc.disjuncts:
-        dom = {i: values for i, a in enumerate(d.edge_atoms) if isinstance(a.label, Star)}
-        for lam in enumerate_expansions(d, dom, caps=caps):
-            if all(
-                a.exponent <= z
-                for a in lam.atoms
-                if letters is None or (len(a.word) == 1 and a.word[0] in letters)
-            ):
+        atoms = d.edge_atoms
+        probed = [
+            i for i, a in enumerate(atoms)
+            if isinstance(a.label, Star) and is_capped(a.label.word, letters)
+        ]
+        dom = {i: values for i, a in enumerate(atoms) if isinstance(a.label, Star)}
+        for combo in itertools.product(*choice_lists(d, dom, caps)):
+            if all(combo[i][1] <= z for i in probed):
                 continue
             checks += 1
+            lam = expansion_of(atoms, combo, d.variables())
             if expansion_contained(lam, rhs, caps) is None:
                 return "unbounded", lam, checks
     return "bounded", None, checks

@@ -8,12 +8,18 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import enumerate_then_skip, gen_random_crpq_astar, some_stars_over_b
+from conftest import (
+    enumerate_then_skip,
+    gen_pendant_crpq,
+    gen_random_crpq_astar,
+    some_stars_over_b,
+)
 from crpqbound import boundedness, homomorphism
 from crpqbound.config import DEFAULT_CAPS
 from crpqbound.expansion import (
     bound_letters,
     bound_query,
+    choice_lists,
     enumerate_expansions,
     materialize,
     normalize_succinct,
@@ -124,7 +130,7 @@ def test_bounded_side_soundness_probe_past_z():
 
 
 def test_analysis_normalizes_each_left_side_once(monkeypatch):
-    # enumerate_expansions yields normalized left sides; the engine must
+    # the walk builds normalized left sides; the engine must
     # not normalize them again
     calls = []
 
@@ -461,43 +467,90 @@ def test_covers_keep_the_full_enumeration_witness():
     report = is_bounded(q, full_enumeration=True)
     assert report.mode["full_enumeration_effective"]
     assert _plain_loop(q, None, report)[0] == "unbounded"
-    # 84 probe checks and 84 cover checks decide 13,367 probes
-    assert _counts(report) == (13367, 13283, 84)
+    # pendant covers decide every probe before the witness, the one
+    # probe check
+    assert _counts(report) == (13367, 13366, 0)
 
 
 def test_covers_decide_the_two_star_query():
     report = is_bounded(parse_ucrpq(TWO_STAR), replace(DEFAULT_CAPS, max_expansions=10**6))
     assert report.verdict == "bounded"
-    # 323 probe checks and 2 cover checks decide 643 probes
-    assert _counts(report) == (643, 320, 2)
+    # b* ends in the leaf u: one probe check, (probe, 0), decides the a
+    # line through pendant covers, and the b line holds only trivial
+    # lookups
+    assert _counts(report) == (643, 642, 0)
+
+
+# the a* atom and the a atom both end in u, so u is no leaf of the disjunct
+SAME_WORD_BESIDE = "?x -[a*]-> ?u, ?x -[a]-> ?u, ?x -[a]-> ?y, ?y -[b*]-> ?x"
+
+
+def test_a_star_beside_a_same_word_atom_is_not_pendant():
+    q = parse_ucrpq(SAME_WORD_BESIDE)
+    report = is_bounded(q)
+    _plain_loop(q, None, report)
+    z, probe = report.mode["z"], report.mode["probe"]
+    d = collapse(q).disjuncts[0]
+    stars = [i for i, a in enumerate(d.edge_atoms) if isinstance(a.label, Star)]
+    lists = choice_lists(d, dict.fromkeys(stars, (*range(z + 1), probe)))
+    walk = boundedness._Walk(d, lists, frozenset(stars), z, None, DEFAULT_CAPS, None)
+    assert walk.pendant == {}
+    # at a = 1 the star and the a atom normalize to one atom, whose end u
+    # no other atom touches; were the star judged pendant there, the
+    # contained vector with a = 0 would decide this uncontained probe
+    a = next(i for i in stars if d.edge_atoms[i].label.word == ("a",))
+    v = tuple(choices[1 if i == a else -1] for i, choices in enumerate(lists))
+    rhs = bound_query(q, z)
+    probe_cq = walk.expansion(v)
+    assert [atom.dst for atom in probe_cq.atoms].count("u") == 1
+    assert expansion_contained(probe_cq, rhs) is None
+    zero = v[:a] + (lists[a][0],) + v[a + 1:]
+    assert isinstance(expansion_contained(walk.expansion(zero), rhs), Contained)
+
+
+def test_pendant_stars_are_those_into_a_leaf_of_the_disjunct():
+    d = collapse(parse_ucrpq(
+        "?x -[a*]-> ?u, ?v -[(ab)*]-> ?x, ?x -[b*]-> ?y, ?y -[a]-> ?x, ?w -[c*]-> ?w"
+    )).disjuncts[0]
+    stars = [i for i, a in enumerate(d.edge_atoms) if isinstance(a.label, Star)]
+    lists = choice_lists(d, dict.fromkeys(stars, range(4)))
+    walk = boundedness._Walk(d, lists, frozenset(stars), 2, None, DEFAULT_CAPS, None)
+    pendant = {d.edge_atoms[i].label.word for i in walk.pendant}
+    assert pendant == {("a",), ("a", "b")}
 
 
 def test_every_probe_a_cover_decides_is_contained(monkeypatch):
     decided = []
-    covered = boundedness._covered
+    covers = boundedness._Walk.covers
 
-    def recording(lam, *args):
-        hit = covered(lam, *args)
+    def recording(walk, v):
+        hit = covers(walk, v)
         if hit:
-            decided.append(lam)
+            decided.append(walk.expansion(v))
         return hit
 
-    monkeypatch.setattr(boundedness, "_covered", recording)
+    monkeypatch.setattr(boundedness._Walk, "covers", recording)
     rng = random.Random(37)
     # atoms sort by their words, so leafy comes in two letter orders
     leafy_orders = (LEAFY, "?x -[c*]-> ?y, ?x -[b]-> ?y, ?x -[b*]-> ?w")
-    queries = [parse_ucrpq(text) for text in (*leafy_orders, *BESIDE_POWER_LE)]
+    texts = (*leafy_orders, *BESIDE_POWER_LE, SAME_WORD_BESIDE)
+    queries = [parse_ucrpq(text) for text in texts]
     while len(queries) < 15:
         q = gen_random_crpq_astar(rng)
         if sum(isinstance(a.label, Star) for a in q.disjuncts[0].atoms) > 1:
             queries.append(some_stars_over_b(q, rng))
+    # leaf variables, with word stars such as (ab)*
+    queries += [gen_pendant_crpq(rng) for _ in range(12)]
     wide = replace(DEFAULT_CAPS, max_expansions=10**4)
     # short probes only, so that some cover checks hit the cap
     short = replace(wide, max_materialized_atoms=120)
     verdicts = set()
+    kinds = Counter()
     for q, caps in itertools.product(queries, (wide, short)):
         runs = [(None, False), (None, True)]
-        runs += [(frozenset(a), False) for a in sorted(star_letters(q))]
+        stars = [a.label for a in q.disjuncts[0].atoms if isinstance(a.label, Star)]
+        if all(len(s.word) == 1 for s in stars):
+            runs += [(frozenset(a), False) for a in sorted(star_letters(q))]
         for letters, full in runs:
             if letters is None:
                 report = is_bounded(q, caps, full_enumeration=full)
@@ -510,6 +563,9 @@ def test_every_probe_a_cover_decides_is_contained(monkeypatch):
             decided.clear()
             if report.stats.covered:
                 verdicts.add((caps.max_materialized_atoms, report.verdict))
+                kinds[letters is None, report.mode.get("full_enumeration_effective")] += 1
     # covers decided probes under both caps in runs of every verdict
     # they can reach; only the short cap makes a run inconclusive
     assert len(verdicts) == 5, verdicts
+    # and in restricted, full and letter runs
+    assert len(kinds) == 3, kinds

@@ -1,11 +1,13 @@
 """Bounded queries, expansion enumeration, and materialization."""
 
+import itertools
 import random
 import tracemalloc
 from dataclasses import replace
 
 import pytest
 
+from crpqbound import boundedness
 from crpqbound.config import DEFAULT_CAPS
 from crpqbound.errors import CapExceeded
 from crpqbound.expansion import (
@@ -14,6 +16,7 @@ from crpqbound.expansion import (
     SuccinctCQ,
     bound_letters,
     bound_query,
+    choice_lists,
     enumerate_expansions,
     materialize,
     normalize_succinct,
@@ -111,22 +114,17 @@ def test_enumeration_is_lexicographic_and_counted():
 
 
 def test_enumerate_above_keeps_order_of_filtered_product():
-    # distinct words, so an atom of an expansion names its query atom
+    # the boundedness walk visits the probe vectors, those with a probed
+    # atom above z, in the order of the whole product
     q = parse_ucrpq(
         "?x -[a*]-> ?y, ?y -[b^<=1]-> ?z, ?z -[c*]-> ?w, ?w -[d*]-> ?x"
     ).disjuncts[0]
-    values = (0, 1, 2, 5)
-    dom = dict.fromkeys((0, 2, 3), values)
-    everything = list(enumerate_expansions(q, dom))
-    for probed in ({0}, {2}, {0, 2}, {0, 3}, {0, 2, 3}, set()):
-        words = {q.atoms[i].label.word for i in probed}
+    lists = choice_lists(q, dict.fromkeys((0, 2, 3), (0, 1, 2, 5)))
+    everything = list(itertools.product(*lists))
+    for probed in ({0}, {2}, {0, 2}, {0, 3}, {0, 2, 3}):
         for z in (0, 1, 2):
-            want = [
-                lam
-                for lam in everything
-                if any(a.exponent > z and a.word in words for a in lam.atoms)
-            ]
-            got = list(enumerate_expansions(q, dom, above=(probed, z)))
+            want = [v for v in everything if any(v[i][1] > z for i in probed)]
+            got = list(boundedness._probe_vectors(lists, probed, z))
             assert got == want, (probed, z)
 
 
