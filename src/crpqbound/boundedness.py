@@ -13,34 +13,39 @@ star letters.
 
 The probes are walked as vectors, one choice (word, exponent) per atom
 of the collapsed disjunct, in lexicographic order; a vector is built and
-normalized into its expansion only when it needs a check.  Most need
-none.  Homomorphisms compose (Chandra and Merlin, STOC 1977): if q(Z)
-maps into a database that maps into the probe's canonical database, it
-maps into the probe.  The vectors that differ in one axis, the choice of
-one atom, form a line, and they share a sub-expansion: the probe minus
-that atom, with all variables kept.  It maps into each probe of the
-line, as a sub-database when the atom's exponent is positive and by
-identifying the atom's two ends when it is 0.
+normalized into its expansion only when it needs a check.  Homomorphisms
+compose (Chandra and Merlin, STOC 1977): if q(Z) maps into a database
+that maps into the probe's canonical database, it maps into the probe.
+Two rules follow.
 
-- A line's sub-expansion met for the second time gets one check of its
-  own, a cover check; when it is contained, it decides that vector and
-  every later vector on the line without a check.
-- A pendant cover needs no check at all.  Take a star atom of the
-  collapsed disjunct, not a self-loop, one of whose ends is a leaf that
-  no other atom touches.  Setting its exponent to 0 merges the leaf into
-  the other end and changes nothing else, so the line's sub-expansion is
-  the vector with that star at 0 plus an isolated leaf.  That vector
-  comes earlier in the walk, since 0 is every star's first exponent.  It
-  is trivial (every probed star at most Z, an expansion of q(Z)) or was
-  already decided, and when it is contained, so is every vector of the
-  line.  The leaf is judged on the disjunct, never on the normalized
-  probe: normalizing merges a star at exponent 1 with an atom of the
-  same word between the same variables, and on the probe the star's end
-  can then look like a leaf while dropping the merged atom drops both.
+- Pendant stars sit at exponent 0.  A pendant star is a star atom of the
+  collapsed disjunct, not a self-loop, with an end, its leaf, that no
+  other atom touches.  Setting its exponent to 0 merges the leaf into
+  the other end and changes nothing else.  A vector v with pendant star
+  i above 0 comes after v[i<-0] in walk order, since 0 is every star's
+  first exponent, and v[i<-0] is one of four things: trivial (every
+  probed star at most Z, an expansion of q(Z)), contained, the witness
+  (the walk stops there), or capped.  Trivial or contained, it makes v
+  contained, since it is v without the star's atom and the leaf, which
+  maps into v.  Capped, it makes v cap too: v is strictly longer, since
+  the star's atom adds |w|*e letters that normalizing cannot merge.  So
+  the grid gives each pendant star the one choice (word, 0), and its
+  exponent is neither probed nor counted.  The atom is pinned, not
+  deleted: normalizing names the merged vertex by the least name, which
+  can be the leaf's.  The leaf is judged on the disjunct, never on the
+  normalized probe, where a star at exponent 1 merges with an atom of
+  the same word between the same variables.
+- The vectors that differ in one axis, the choice of one atom, form a
+  line, and they share a sub-expansion: the probe minus that atom, with
+  all variables kept.  It maps into each probe of the line, as a
+  sub-database when the atom's exponent is positive and by identifying
+  the atom's two ends when it is 0.  A line's sub-expansion met for the
+  second time gets one check of its own, a cover check; when it is
+  contained, it decides that vector and every later vector on the line
+  without a check.
 
-Only vectors proved contained are skipped this way, so the verdict and
-the witness, the first uncontained vector in walk order, are those of
-checking every probe.
+So the verdict, the witness (the first uncontained vector in walk order),
+the rewriting and the reason are those of checking every probe.
 """
 
 from __future__ import annotations
@@ -178,13 +183,14 @@ class AnalysisReport:
 def _probe_counts(splits, z, per, caps):
     """Raw combination count and probe check count, summed over disjuncts.
 
-    Each star of ``splits`` (see _decide) takes ``per`` exponents.  A probe
-    combination has at least one capped star above z; the others are
-    expansions of q(Z) and need no check.  Pure arithmetic, so that
-    astronomically large Z never materializes a value before the budget.
+    Each star of ``splits`` (see _decide) takes ``per`` exponents, and a
+    pinned star the one exponent 0.  A probe combination has at least one
+    capped star above z; the others are expansions of q(Z) and need no
+    check.  Pure arithmetic, so that astronomically large Z never
+    materializes a value before the budget.
     """
     raw = real = 0
-    for d, stars, capped in splits:
+    for d, stars, capped, _ in splits:
         base = 1
         for a in d.edge_atoms:
             if not isinstance(a.label, Star):
@@ -214,35 +220,34 @@ def _probe_vectors(lists, probed, z):
             yield prefix + rest
 
 
+def _pendant(d) -> frozenset:
+    """The pendant stars of disjunct d (see the module docstring); a
+    self-loop counts its variable twice, so it is never one."""
+    ends = Counter(v for a in d.edge_atoms for v in (a.src, a.dst))
+    return frozenset(
+        i for i, a in enumerate(d.edge_atoms)
+        if isinstance(a.label, Star) and 1 in (ends[a.src], ends[a.dst])
+    )
+
+
 _ONCE, _SPENT, _COVER = 1, 2, 3
 
 
 class _Walk:
-    """One disjunct's walk over its probe vectors, and what it has learned.
+    """One disjunct's walk over its probe vectors, and the lines it has met.
 
     A line key is (axis, the vector without that axis), for each atom with
     more than one choice.  lines maps a key to _ONCE once a vector that no
     line decided met it, to _SPENT once its cover check found no map (or
-    hit a cap), and to _COVER once it found one.  pendant maps each
-    pendant star (a star atom into a leaf, see the module docstring) to
-    the probed stars besides it, and contained holds the vectors known
-    contained with a pendant star at exponent 0, the only ones a pendant
-    lookup asks about.
+    hit a cap), and to _COVER once it found one.
     """
 
-    def __init__(self, d, lists, probed, z, rhs, caps, stats):
+    def __init__(self, d, lists, rhs, caps, stats):
         self.atoms = d.edge_atoms
         self.variables = d.variables()
-        self.z, self.rhs, self.caps, self.stats = z, rhs, caps, stats
+        self.rhs, self.caps, self.stats = rhs, caps, stats
         self.axes = [i for i, choices in enumerate(lists) if len(choices) > 1]
-        ends = Counter(v for a in self.atoms for v in (a.src, a.dst))
-        self.pendant = {
-            i: [k for k in probed if k != i]
-            for i, a in enumerate(self.atoms)
-            if isinstance(a.label, Star) and a.src != a.dst and 1 in (ends[a.src], ends[a.dst])
-        }
         self.lines = {}
-        self.contained = set()
 
     def expansion(self, v, drop=None):
         """The probe of vector v, or its sub-expansion without atom ``drop``."""
@@ -253,19 +258,9 @@ class _Walk:
     def covers(self, v) -> bool:
         """Whether a line through v is known, or now found, contained.
 
-        A pendant star's line is contained when v with that star at
-        exponent 0 is: that vector comes earlier in the walk, and it is
-        trivial (every probed star at most z) or was decided and, being
-        contained, recorded by learn.  Otherwise the first of v's keys met
-        for the second time gets the one cover check it will ever have.
+        The first of v's keys met for the second time gets the one cover
+        check it will ever have.
         """
-        for i, others in self.pendant.items():
-            word, e = v[i]
-            if e and (
-                all(v[k][1] <= self.z for k in others)
-                or v[:i] + ((word, 0),) + v[i + 1:] in self.contained
-            ):
-                return True
         keys = [(i, v[:i] + v[i + 1:]) for i in self.axes]
         lines = self.lines
         states = [lines.get(k) for k in keys]
@@ -289,23 +284,17 @@ class _Walk:
         lines[again] = _COVER
         return True
 
-    def learn(self, v) -> None:
-        """Record v, now known contained, if a pendant lookup can reach it."""
-        for i in self.pendant:
-            if not v[i][1]:
-                self.contained.add(v)
-                return
-
 
 def _decide(starred, rhs, z, probe, letters, caps, full, stats, mode):
     """Check every probe vector of the collapsed query against rhs.
 
-    starred pairs each collapsed disjunct with its star atom indices; the
-    stars capped under letters (see is_capped) are probed above z, and
-    rhs is q with them capped.  Returns (verdict, witness, reason); the
-    witness is the expansion of the first uncontained probe vector in
-    walk order.  The budget bounds the raw combinations, which are never
-    fewer than the probe vectors.
+    starred holds each collapsed disjunct with the indices of its star
+    atoms, pendant ones apart (see _pendant), which sit at exponent 0.
+    The other stars capped under letters (see is_capped) are probed above
+    z, and rhs is q with every capped star capped.  Returns (verdict,
+    witness, reason); the witness is the expansion of the first
+    uncontained probe vector in walk order.  The budget bounds the raw
+    combinations, which are never fewer than the probe vectors.
 
     A vector is a tuple of atom choices, walked per disjunct in the
     lexicographic order of _probe_vectors, and every one counts in
@@ -326,8 +315,8 @@ def _decide(starred, rhs, z, probe, letters, caps, full, stats, mode):
         return "bounded", None, None
 
     splits = [
-        (d, s, frozenset(i for i in s if is_capped(d.edge_atoms[i].label.word, letters)))
-        for d, s in starred
+        (d, s, frozenset(i for i in s if is_capped(d.edge_atoms[i].label.word, letters)), pinned)
+        for d, s, pinned in starred
     ]
     try:
         raw, real = _probe_counts(splits, z, probe + 1 if full else z + 2, caps)
@@ -348,27 +337,26 @@ def _decide(starred, rhs, z, probe, letters, caps, full, stats, mode):
         return "inconclusive", None, reason
 
     # the budget check bounds every walk below the expansion cap
-    values = range(probe + 1) if full else (*range(z + 1), probe)
     capped = False
-    for d, stars, probed in splits:
+    for d, stars, probed, pinned in splits:
         if not probed:
             continue
-        lists = choice_lists(d, dict.fromkeys(stars, values), caps)
-        walk = _Walk(d, lists, probed, z, rhs, caps, stats)
+        values = range(probe + 1) if full else (*range(z + 1), probe)
+        lists = choice_lists(d, dict.fromkeys(stars, values) | dict.fromkeys(pinned, (0,)), caps)
+        walk = _Walk(d, lists, rhs, caps, stats)
         for v in _probe_vectors(lists, probed, z):
             stats.expansions_checked += 1
             if walk.covers(v):
                 stats.covered += 1
-            else:
-                lam = walk.expansion(v)
-                try:
-                    result = expansion_contained(lam, rhs, caps)
-                except CapExceeded:
-                    capped = True
-                    continue
-                if result is None:
-                    return "unbounded", lam, None
-            walk.learn(v)
+                continue
+            lam = walk.expansion(v)
+            try:
+                result = expansion_contained(lam, rhs, caps)
+            except CapExceeded:
+                capped = True
+                continue
+            if result is None:
+                return "unbounded", lam, None
     if capped:
         return "inconclusive", None, "a containment check exceeded caps"
     return "bounded", None, None
@@ -391,10 +379,13 @@ def _analyze(q, letter_sets, caps, full_enumeration, zplus_mode):
     qc = collapse(q)
     agg = _largest(qc)
     probe = agg.z_plus if zplus_mode == "paper" else _safe_probe(agg)
-    starred = [
-        (d, [i for i, a in enumerate(d.edge_atoms) if isinstance(a.label, Star)])
-        for d in qc.disjuncts
-    ]
+    starred = []
+    for d in qc.disjuncts:
+        pinned = _pendant(d)
+        stars = [
+            i for i, a in enumerate(d.edge_atoms) if isinstance(a.label, Star) and i not in pinned
+        ]
+        starred.append((d, stars, pinned))
     reports = []
     for letters in letter_sets:
         stats = Stats()

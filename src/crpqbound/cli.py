@@ -99,7 +99,9 @@ def _read_text(path: str) -> str:
 # each cap flag: the Caps field it sets and its help text
 _CAP_FLAGS = {
     "--cap": (
-        "max_expansions", "exponent combinations (all, not only the probes checked); words per label"
+        "max_expansions",
+        "exponent combinations (all, not only the probes checked; a pendant star counts once); "
+        "words per label",
     ),
     "--cap-atoms": (
         "max_materialized_atoms", "longest expansion (letters) checked or materialized"

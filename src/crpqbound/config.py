@@ -15,7 +15,8 @@ class Caps:
 
     max_expansions:
         Most combinations the probe grid may hold, all counted and not
-        only the probe checks; also the most expansions one enumeration
+        only the probe checks, where a pendant star, which sits at
+        exponent 0, counts once; also the most expansions one enumeration
         visits and the most words one star-free label's language lists.
     max_materialized_atoms:
         Longest expansion, the sum of |w|*n over its atoms, that a
@@ -40,11 +41,12 @@ class Caps:
 class Stats:
     """Mutable counters accumulated during an analysis run.
 
-    expansions_checked counts the probe vectors decided, one per
-    combination of atom choices, also when two normalize to the same
-    expansion; covered counts those among them that a contained line
-    decided without a check of their own, and cover_checks counts the
-    checks run on the lines' sub-expansions.
+    expansions_checked counts the probe vectors decided, vectors of the
+    grid with every pendant star at exponent 0, one per combination of
+    atom choices, also when two normalize to the same expansion; covered
+    counts those among them that a line cover, a contained line, decided
+    without a check of their own, and cover_checks counts the checks run
+    on the lines' sub-expansions.
     """
 
     expansions_checked: int = 0

@@ -1,6 +1,7 @@
 """Seeded instance generators shared across the test modules."""
 
 import itertools
+import math
 import random
 
 from crpqbound.expansion import (
@@ -14,6 +15,7 @@ from crpqbound.expansion import (
     expansion_of,
     is_capped,
     normalize_succinct,
+    star_free_choice_count,
 )
 from crpqbound.config import DEFAULT_CAPS
 from crpqbound.homomorphism import expansion_contained
@@ -149,6 +151,19 @@ def gen_pendant_crpq(rng: random.Random) -> UCRPQ:
     return UCRPQ((CRPQ(tuple(atoms)),))
 
 
+def pendant_stars(d) -> list:
+    """The star atoms of d that join two variables, one of them touched by
+    no other atom."""
+    atoms = d.edge_atoms
+    return [
+        i for i, a in enumerate(atoms)
+        if isinstance(a.label, Star) and a.src != a.dst and any(
+            all(v not in (b.src, b.dst) for j, b in enumerate(atoms) if j != i)
+            for v in (a.src, a.dst)
+        )
+    ]
+
+
 def enumerate_then_skip(q, letters, z, probe, full, caps=DEFAULT_CAPS):
     """The plain probe loop: walk every combination of atom choices, skip
     the trivial ones, and build and check each other one on its own.
@@ -156,27 +171,41 @@ def enumerate_then_skip(q, letters, z, probe, full, caps=DEFAULT_CAPS):
     A combination is trivial when every star over a capped word takes an
     exponent of at most z.  Every other one counts, also one that
     normalizes like an earlier one.  Returns (verdict, witness, checks
-    made).
+    made, checks made with every pendant star at exponent 0), or None,
+    without a check, when the grid holds more than caps.max_expansions
+    combinations.
     """
     qc = collapse(q)
     rhs = bound_letters(qc, letters, z)
+    per = probe + 1 if full else z + 2
+    grid = sum(
+        math.prod(
+            per if isinstance(a.label, Star) else star_free_choice_count(a.label, caps)
+            for a in d.edge_atoms
+        )
+        for d in qc.disjuncts
+    )
+    if grid > caps.max_expansions:
+        return None
     values = tuple(range(probe + 1)) if full else tuple(range(z + 1)) + (probe,)
-    checks = 0
+    checks = pinned = 0
     for d in qc.disjuncts:
         atoms = d.edge_atoms
         probed = [
             i for i, a in enumerate(atoms)
             if isinstance(a.label, Star) and is_capped(a.label.word, letters)
         ]
+        pendant = pendant_stars(d)
         dom = {i: values for i, a in enumerate(atoms) if isinstance(a.label, Star)}
         for combo in itertools.product(*choice_lists(d, dom, caps)):
             if all(combo[i][1] <= z for i in probed):
                 continue
             checks += 1
+            pinned += all(combo[i][1] == 0 for i in pendant)
             lam = expansion_of(atoms, combo, d.variables())
             if expansion_contained(lam, rhs, caps) is None:
-                return "unbounded", lam, checks
-    return "bounded", None, checks
+                return "unbounded", lam, checks, pinned
+    return "bounded", None, checks, pinned
 
 
 _CORPUS_SHAPES = (

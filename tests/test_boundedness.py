@@ -3,6 +3,8 @@
 import inspect
 import itertools
 import random
+import time
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 
@@ -12,6 +14,7 @@ from conftest import (
     enumerate_then_skip,
     gen_pendant_crpq,
     gen_random_crpq_astar,
+    pendant_stars,
     some_stars_over_b,
 )
 from crpqbound import boundedness, homomorphism
@@ -368,13 +371,36 @@ def test_budget_overflow_is_inconclusive_with_reason():
 
 
 def test_huge_bounds_precheck_is_instant_and_inconclusive():
-    # ten anchored star atoms give a raw count far past any budget; the
-    # arithmetic precheck must refuse without materializing domains
-    atoms = ", ".join(f"?x -[a*]-> ?y{i}" for i in range(10))
+    # ten star atoms, none into a leaf, give a raw count far past any
+    # budget; the arithmetic precheck must refuse without materializing
+    # domains
+    atoms = ", ".join(f"?x -[a*]-> ?y{i}, ?y{i} -[b]-> ?x" for i in range(10))
     q = parse_ucrpq(atoms + ", ?x -[b]-> ?y0")
+    t0 = time.monotonic()
     report = is_bounded(q)
+    assert time.monotonic() - t0 < 1
     assert report.verdict == "inconclusive"
     assert "budget" in report.inconclusive_reason
+
+
+def test_stars_into_leaves_leave_one_star_to_probe():
+    # nine of the ten stars end in a leaf and sit at exponent 0, so the
+    # grid probes only the star into y0, whose first probe is the witness
+    atoms = ", ".join(f"?x -[a*]-> ?y{i}" for i in range(10))
+    q = parse_ucrpq(atoms + ", ?x -[b]-> ?y0")
+    tracemalloc.start()
+    try:
+        t0 = time.monotonic()
+        report = is_bounded(q)
+        elapsed = time.monotonic() - t0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.verdict == "unbounded"
+    assert report.stats.expansions_checked == 1
+    assert report.mode["raw_combos"] == report.bounds.z + 2
+    assert elapsed < 2
+    assert peak < 8 * 2**20
 
 
 def test_verdicts_never_contradict_between_modes():
@@ -399,14 +425,22 @@ def test_star_free_cap_in_budget_count_is_inconclusive():
 
 
 def _plain_loop(q, letters, report, caps=DEFAULT_CAPS):
-    """Check a report against the plain probe loop; return the loop's answer."""
+    """Check a report against the plain probe loop and return the loop's
+    verdict, or None where the loop's grid does not fit caps.
+
+    The report checks only the vectors with every pendant star at 0, so
+    its count is the loop's count of those.
+    """
     mode = report.mode
     want = enumerate_then_skip(
         q, letters, mode["z"], mode["probe"], mode["full_enumeration_effective"], caps
     )
+    if want is None:
+        return None
+    verdict, witness, _, pinned = want
     got = (report.verdict, report.witness, report.stats.expansions_checked)
-    assert got == want, (q, letters)
-    return want
+    assert got == (verdict, witness, pinned), (q, letters)
+    return verdict
 
 
 LEAFY = "?x -[a*]-> ?y, ?x -[b]-> ?y, ?x -[c*]-> ?w"
@@ -444,9 +478,10 @@ def test_probe_generator_matches_enumerate_then_skip():
         for letters, report in runs:
             if report.verdict == "inconclusive" or report.mode["shortcut"]:
                 continue
-            want = _plain_loop(q, letters, report)
-            full = report.mode["full_enumeration_effective"]
-            seen.add((letters is None, full, want[0]))
+            want = _plain_loop(q, letters, report, TIGHT)
+            if want is None:
+                continue
+            seen.add((letters is None, report.mode["full_enumeration_effective"], want))
     # restricted, full and single-letter runs, each with both verdicts
     assert len(seen) == 6, seen
 
@@ -458,7 +493,7 @@ def test_probe_generator_matches_enumerate_then_skip():
         (None, is_bounded(q, wide)),
         (frozenset("c"), is_bounded_in(q, {"c"}, wide)),
     ):
-        assert _plain_loop(q, letters, report, wide)[0] == "unbounded"
+        assert _plain_loop(q, letters, report, wide) == "unbounded"
         assert report.stats.covered > 0
 
 
@@ -466,19 +501,32 @@ def test_covers_keep_the_full_enumeration_witness():
     q = parse_ucrpq(LEAFY)
     report = is_bounded(q, full_enumeration=True)
     assert report.mode["full_enumeration_effective"]
-    assert _plain_loop(q, None, report)[0] == "unbounded"
-    # pendant covers decide every probe before the witness, the one
-    # probe check
-    assert _counts(report) == (13367, 13366, 0)
+    assert _plain_loop(q, None, report) == "unbounded"
+    # c* ends in the leaf w and sits at 0, so the first probe of a* is
+    # the witness
+    assert _counts(report) == (1, 0, 0)
 
 
 def test_covers_decide_the_two_star_query():
-    report = is_bounded(parse_ucrpq(TWO_STAR), replace(DEFAULT_CAPS, max_expansions=10**6))
+    report = is_bounded(parse_ucrpq(TWO_STAR))
     assert report.verdict == "bounded"
-    # b* ends in the leaf u: one probe check, (probe, 0), decides the a
-    # line through pendant covers, and the b line holds only trivial
-    # lookups
-    assert _counts(report) == (643, 642, 0)
+    # b* ends in the leaf u and sits at 0: one probe check, a* at the
+    # probe exponent, decides the query
+    assert _counts(report) == (1, 0, 0)
+
+
+# the leaf a sorts before x, so the merged vertex of the probe takes its name
+LEAF_FIRST = "?x -[a*]-> ?y, ?x -[b]-> ?y, ?x -[c*]-> ?a"
+
+
+def test_a_leaf_whose_name_sorts_first_names_the_witness():
+    q = parse_ucrpq(LEAF_FIRST)
+    restricted, full = is_bounded(q), is_bounded(q, full_enumeration=True)
+    assert _plain_loop(q, None, restricted) == "unbounded"
+    # the plain loop's full-enumeration witness, 13,367 checks in
+    assert full.mode["full_enumeration_effective"]
+    for report, exponent in ((restricted, 244), (full, 82)):
+        assert render_succinct_cq(report.witness) == f"?a -[a^{exponent}]-> ?y, ?a -[b^1]-> ?y"
 
 
 # the a* atom and the a atom both end in u, so u is no leaf of the disjunct
@@ -492,9 +540,9 @@ def test_a_star_beside_a_same_word_atom_is_not_pendant():
     z, probe = report.mode["z"], report.mode["probe"]
     d = collapse(q).disjuncts[0]
     stars = [i for i, a in enumerate(d.edge_atoms) if isinstance(a.label, Star)]
+    assert boundedness._pendant(d) == frozenset()
     lists = choice_lists(d, dict.fromkeys(stars, (*range(z + 1), probe)))
-    walk = boundedness._Walk(d, lists, frozenset(stars), z, None, DEFAULT_CAPS, None)
-    assert walk.pendant == {}
+    walk = boundedness._Walk(d, lists, None, DEFAULT_CAPS, None)
     # at a = 1 the star and the a atom normalize to one atom, whose end u
     # no other atom touches; were the star judged pendant there, the
     # contained vector with a = 0 would decide this uncontained probe
@@ -512,24 +560,30 @@ def test_pendant_stars_are_those_into_a_leaf_of_the_disjunct():
     d = collapse(parse_ucrpq(
         "?x -[a*]-> ?u, ?v -[(ab)*]-> ?x, ?x -[b*]-> ?y, ?y -[a]-> ?x, ?w -[c*]-> ?w"
     )).disjuncts[0]
-    stars = [i for i, a in enumerate(d.edge_atoms) if isinstance(a.label, Star)]
-    lists = choice_lists(d, dict.fromkeys(stars, range(4)))
-    walk = boundedness._Walk(d, lists, frozenset(stars), 2, None, DEFAULT_CAPS, None)
-    pendant = {d.edge_atoms[i].label.word for i in walk.pendant}
-    assert pendant == {("a",), ("a", "b")}
+    pendant = boundedness._pendant(d)
+    assert {d.edge_atoms[i].label.word for i in pendant} == {("a",), ("a", "b")}
+    assert sorted(pendant) == pendant_stars(d)
 
 
 def test_every_probe_a_cover_decides_is_contained(monkeypatch):
-    decided = []
-    covers = boundedness._Walk.covers
+    # covers decide probes without a check, and pendant stars sit at 0 so
+    # that the probes above 0 are never walked: both must be contained
+    decided, checked = [], []
+    covers, expansion = boundedness._Walk.covers, boundedness._Walk.expansion
 
     def recording(walk, v):
         hit = covers(walk, v)
         if hit:
-            decided.append(walk.expansion(v))
+            decided.append(expansion(walk, v))
         return hit
 
+    def probed(walk, v, drop=None):
+        if drop is None:
+            checked.append((walk, v))
+        return expansion(walk, v, drop)
+
     monkeypatch.setattr(boundedness._Walk, "covers", recording)
+    monkeypatch.setattr(boundedness._Walk, "expansion", probed)
     rng = random.Random(37)
     # atoms sort by their words, so leafy comes in two letter orders
     leafy_orders = (LEAFY, "?x -[c*]-> ?y, ?x -[b]-> ?y, ?x -[b*]-> ?w")
@@ -546,7 +600,9 @@ def test_every_probe_a_cover_decides_is_contained(monkeypatch):
     short = replace(wide, max_materialized_atoms=120)
     verdicts = set()
     kinds = Counter()
+    lifted = 0
     for q, caps in itertools.product(queries, (wide, short)):
+        pendant = boundedness._pendant(collapse(q).disjuncts[0])
         runs = [(None, False), (None, True)]
         stars = [a.label for a in q.disjuncts[0].atoms if isinstance(a.label, Star)]
         if all(len(s.word) == 1 for s in stars):
@@ -560,12 +616,27 @@ def test_every_probe_a_cover_decides_is_contained(monkeypatch):
             for lam in decided:
                 assert isinstance(expansion_contained(lam, rhs), Contained), (q, letters, lam)
             assert report.stats.covered == len(decided)
+            # each contained probe stays contained with a pendant star
+            # raised from 0
+            raised = 0
+            for walk, v in checked:
+                if not isinstance(expansion_contained(expansion(walk, v), rhs), Contained):
+                    continue
+                for i in pendant:
+                    for e in (1, report.mode["probe"]):
+                        up = expansion(walk, v[:i] + ((v[i][0], e),) + v[i + 1:])
+                        assert isinstance(expansion_contained(up, rhs), Contained), (q, up)
+                        raised += 1
             decided.clear()
-            if report.stats.covered:
+            checked.clear()
+            if report.stats.covered or raised:
                 verdicts.add((caps.max_materialized_atoms, report.verdict))
                 kinds[letters is None, report.mode.get("full_enumeration_effective")] += 1
-    # covers decided probes under both caps in runs of every verdict
-    # they can reach; only the short cap makes a run inconclusive
+            lifted += raised
+    # covers or pendant stars decided probes under both caps in runs of
+    # every verdict they can reach; only the short cap makes a run
+    # inconclusive
     assert len(verdicts) == 5, verdicts
     # and in restricted, full and letter runs
     assert len(kinds) == 3, kinds
+    assert lifted > 0

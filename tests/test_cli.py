@@ -80,9 +80,21 @@ def test_analyze_letters_max_reports_summed_stats(qfile, capsys):
     report = json.loads(capsys.readouterr().out)
     q = parse_ucrpq(LEAFY2)
     runs = [is_bounded_in(q, {a}) for a in "ac"]
-    for field, total in (("expansions_checked", 84), ("covered", 83), ("cover_checks", 0)):
+    # c* ends in the leaf w and sits at 0: the a run checks its first
+    # probe, the witness, and the c run has nothing to probe
+    for field, total in (("expansions_checked", 1), ("covered", 0), ("cover_checks", 0)):
         assert report["stats"][field] == sum(getattr(r.stats, field) for r in runs) == total
     assert report["maximal_letters"] == ["c"]
+
+    # loops have no leaf: each letter run reads 29 probes, 28 of them
+    # decided by one cover check
+    loops = "?x -[a*]-> ?x, ?x -[b*]-> ?x, ?x -[c]-> ?x\n"
+    assert main(["analyze", qfile(loops, "loops.txt"), "--letters", "max", "--json"]) == 0
+    stats = json.loads(capsys.readouterr().out)["stats"]
+    runs = [is_bounded_in(parse_ucrpq(loops), {a}) for a in "ab"]
+    for field, each in (("expansions_checked", 29), ("covered", 28), ("cover_checks", 1)):
+        assert [getattr(r.stats, field) for r in runs] == [each, each]
+        assert stats[field] == 2 * each
     assert report["mode"]["per_letter"] == [["a", "unbounded"], ["c", "bounded"]]
 
     assert main(["analyze", path, "--letters", "max"]) == 1
@@ -91,7 +103,7 @@ def test_analyze_letters_max_reports_summed_stats(qfile, capsys):
     assert lines[1] == "bounds: nratoms=3 nrvars=3 N=1 Zred=1 Zcol=9 Z=81 Zplus=244"
     assert "maximal_letters: c" in lines
     assert "  a: unbounded" in lines and "  c: bounded" in lines
-    assert lines[-1].startswith("stats: expansions_checked=84 covered=83 cover_checks=0 wall_ms=")
+    assert lines[-1].startswith("stats: expansions_checked=1 covered=0 cover_checks=0 wall_ms=")
 
 
 def test_letters_max_oracle_verify_runs_no_second_analysis(qfile, capsys, monkeypatch):
@@ -175,6 +187,23 @@ def test_star_free_language_is_counted_without_listing(qfile, capsys, text, code
     assert peak < 8 * 2**20
     reason = json.loads(capsys.readouterr().out)["mode"].get("inconclusive_reason")
     assert reason is None if code == 0 else reason.startswith("needs 3001 containment checks")
+
+
+@pytest.mark.parametrize("text", [
+    "?x -[a^1000000]-> ?y\n",
+    "?x -[a^1000000]-> ?y, ?x -[b*]-> ?w\n",
+])
+def test_a_grid_without_probed_stars_lists_no_exponents(qfile, capsys, text):
+    # Z is in the millions; with no star probed, star-free or every star
+    # into a leaf, no exponent value is listed
+    tracemalloc.start()
+    try:
+        assert main(["analyze", qfile(text), "--json"]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    assert json.loads(capsys.readouterr().out)["stats"]["expansions_checked"] == 0
 
 
 def test_human_report_names_its_shortcut(qfile, capsys):
