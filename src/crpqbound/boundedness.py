@@ -29,8 +29,8 @@ Two rules follow.
   contained, since it is v without the star's atom and the leaf, which
   maps into v.  Capped, it makes v cap too: v is strictly longer, since
   the star's atom adds |w|*e letters that normalizing cannot merge.  So
-  the grid gives each pendant star the one choice (word, 0), and its
-  exponent is neither probed nor counted.  The atom is pinned, not
+  each pendant star is relabeled w^0, whose one choice is (word, 0), and
+  its exponent is neither probed nor counted.  The atom is pinned, not
   deleted: normalizing names the merged vertex by the least name, which
   can be the leaf's.  The leaf is judged on the disjunct, never on the
   normalized probe, where a star at exponent 1 merges with an atom of
@@ -53,7 +53,7 @@ from __future__ import annotations
 import itertools
 import time
 from collections import Counter
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 from crpqbound.config import DEFAULT_CAPS, Caps, Stats
 from crpqbound.errors import CapExceeded
@@ -72,6 +72,7 @@ from crpqbound.expansion import enumerate_expansions  # noqa: F401
 from crpqbound.homomorphism import RightSide, expansion_contained
 from crpqbound.syntax import (
     UCRPQ,
+    Power,
     Star,
     alphabet,
     check_single_letter_stars,
@@ -183,14 +184,13 @@ class AnalysisReport:
 def _probe_counts(splits, z, per, caps):
     """Raw combination count and probe check count, summed over disjuncts.
 
-    Each star of ``splits`` (see _decide) takes ``per`` exponents, and a
-    pinned star the one exponent 0.  A probe combination has at least one
-    capped star above z; the others are expansions of q(Z) and need no
-    check.  Pure arithmetic, so that astronomically large Z never
-    materializes a value before the budget.
+    Each star of ``splits`` (see _decide) takes ``per`` exponents.  A probe
+    combination has at least one capped star above z; the others are
+    expansions of q(Z) and need no check.  Pure arithmetic, so that
+    astronomically large Z never materializes a value before the budget.
     """
     raw = real = 0
-    for d, stars, capped, _ in splits:
+    for d, stars, capped in splits:
         base = 1
         for a in d.edge_atoms:
             if not isinstance(a.label, Star):
@@ -288,10 +288,10 @@ class _Walk:
 def _decide(starred, rhs, z, probe, letters, caps, full, stats, mode):
     """Check every probe vector of the collapsed query against rhs.
 
-    starred holds each collapsed disjunct with the indices of its star
-    atoms, pendant ones apart (see _pendant), which sit at exponent 0.
-    The other stars capped under letters (see is_capped) are probed above
-    z, and rhs is q with every capped star capped.  Returns (verdict,
+    starred pairs each collapsed disjunct, its pendant stars pinned at
+    exponent 0 (see _analyze), with the indices of its other star atoms;
+    those capped under letters (see is_capped) are probed above z, and
+    rhs is q with every capped star capped.  Returns (verdict,
     witness, reason); the witness is the expansion of the first
     uncontained probe vector in walk order.  The budget bounds the raw
     combinations, which are never fewer than the probe vectors.
@@ -315,8 +315,8 @@ def _decide(starred, rhs, z, probe, letters, caps, full, stats, mode):
         return "bounded", None, None
 
     splits = [
-        (d, s, frozenset(i for i in s if is_capped(d.edge_atoms[i].label.word, letters)), pinned)
-        for d, s, pinned in starred
+        (d, s, frozenset(i for i in s if is_capped(d.edge_atoms[i].label.word, letters)))
+        for d, s in starred
     ]
     try:
         raw, real = _probe_counts(splits, z, probe + 1 if full else z + 2, caps)
@@ -338,11 +338,11 @@ def _decide(starred, rhs, z, probe, letters, caps, full, stats, mode):
 
     # the budget check bounds every walk below the expansion cap
     capped = False
-    for d, stars, probed, pinned in splits:
+    for d, stars, probed in splits:
         if not probed:
             continue
         values = range(probe + 1) if full else (*range(z + 1), probe)
-        lists = choice_lists(d, dict.fromkeys(stars, values) | dict.fromkeys(pinned, (0,)), caps)
+        lists = choice_lists(d, dict.fromkeys(stars, values), caps)
         walk = _Walk(d, lists, rhs, caps, stats)
         for v in _probe_vectors(lists, probed, z):
             stats.expansions_checked += 1
@@ -381,11 +381,13 @@ def _analyze(q, letter_sets, caps, full_enumeration, zplus_mode):
     probe = agg.z_plus if zplus_mode == "paper" else _safe_probe(agg)
     starred = []
     for d in qc.disjuncts:
-        pinned = _pendant(d)
-        stars = [
-            i for i, a in enumerate(d.edge_atoms) if isinstance(a.label, Star) and i not in pinned
-        ]
-        starred.append((d, stars, pinned))
+        # a pendant star's one choice is (word, 0), and it counts once
+        pendant = _pendant(d)
+        d = replace(d, atoms=tuple(
+            replace(a, label=Power(a.label.word, 0)) if i in pendant else a
+            for i, a in enumerate(d.edge_atoms)
+        ))
+        starred.append((d, [i for i, a in enumerate(d.edge_atoms) if isinstance(a.label, Star)]))
     reports = []
     for letters in letter_sets:
         stats = Stats()
