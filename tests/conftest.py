@@ -164,7 +164,7 @@ def pendant_stars(d) -> list:
     ]
 
 
-def enumerate_then_skip(q, letters, z, probe, full, caps=DEFAULT_CAPS):
+def enumerate_then_skip(q, letters, z, probe, full, caps=DEFAULT_CAPS, pendant_values=None):
     """The plain probe loop: walk every combination of atom choices, skip
     the trivial ones, and build and check each other one on its own.
 
@@ -174,29 +174,39 @@ def enumerate_then_skip(q, letters, z, probe, full, caps=DEFAULT_CAPS):
     made, checks made with every pendant star at exponent 0), or None,
     without a check, when the grid holds more than caps.max_expansions
     combinations.
+
+    With pendant_values, exponents of the grid in ascending order from 0,
+    each pendant star takes only those: the loop walks a sub-grid in the
+    grid's order, which holds every combination with the pendant stars at
+    0, so it finds the grid's first uncontained combination whenever that
+    one has them at 0.
     """
     qc = collapse(q)
     rhs = bound_letters(qc, letters, z)
     per = probe + 1 if full else z + 2
+    pendants = [pendant_stars(d) for d in qc.disjuncts]
     grid = sum(
         math.prod(
-            per if isinstance(a.label, Star) else star_free_choice_count(a.label, caps)
-            for a in d.edge_atoms
+            (len(pendant_values) if pendant_values and i in pendant else per)
+            if isinstance(a.label, Star) else star_free_choice_count(a.label, caps)
+            for i, a in enumerate(d.edge_atoms)
         )
-        for d in qc.disjuncts
+        for d, pendant in zip(qc.disjuncts, pendants)
     )
     if grid > caps.max_expansions:
         return None
     values = tuple(range(probe + 1)) if full else tuple(range(z + 1)) + (probe,)
     checks = pinned = 0
-    for d in qc.disjuncts:
+    for d, pendant in zip(qc.disjuncts, pendants):
         atoms = d.edge_atoms
         probed = [
             i for i, a in enumerate(atoms)
             if isinstance(a.label, Star) and is_capped(a.label.word, letters)
         ]
-        pendant = pendant_stars(d)
-        dom = {i: values for i, a in enumerate(atoms) if isinstance(a.label, Star)}
+        dom = {
+            i: pendant_values if pendant_values and i in pendant else values
+            for i, a in enumerate(atoms) if isinstance(a.label, Star)
+        }
         for combo in itertools.product(*choice_lists(d, dom, caps)):
             if all(combo[i][1] <= z for i in probed):
                 continue
