@@ -308,7 +308,7 @@ def _decide(starred, rhs, z, probe, letters, caps, full, stats, mode):
     verdict inconclusive.
     """
     rhs = RightSide(rhs)
-    if any(not d.solid for d in rhs.disjuncts):
+    if rhs.nullable_disjunct:
         # some right-side disjunct expands to isolated points, which map
         # into every canonical database, so every expansion is contained
         mode["shortcut"] = "nullable-disjunct"

@@ -21,11 +21,19 @@ form one arithmetic progression.  A Dijkstra over (vertex, phase of w),
 whose vertices are the variables and the positions where atoms are
 entered, keeps the least number of letters read; that is exact for up
 to n copies, because from one state, fewer copies read so far leave more
-to read and so reach a superset.  The same periodicity lists the
-positions reading a letter as one range per offset of an atom's word.
-Each atom is kept as one span, from which a position's letter and the
-vertex after it are computed; only the reach sets and the candidate
-domains stay linear in the expansion's length.
+to read and so reach a superset.  Reading w^n exactly, the copies of w
+that stay inside atoms are crossed in one step by the same comparison.
+The same periodicity lists the positions reading a letter as one range
+per offset of an atom's word.  Each atom is kept as one span, from which
+a position's letter and the vertex after it are computed, and every set
+of vertices, reached or a candidate domain, is a Domain: a few variables
+plus progressions inside atoms, whose size and intersections are
+arithmetic and which the search iterates lazily in ascending order, so
+the candidates, their sizes and their try order are those of the plain
+sets.  What stays linear in the expansion's length is the number of
+candidates tried one by one, the self-loop test, which reads the loop's
+label from each candidate left, and a concatenation, which reads each
+next part from every vertex the parts before it reach.
 
 A homomorphism maps a closed walk of the right side, its atoms read
 forwards, to a closed walk in the canonical database that spells one
@@ -45,10 +53,12 @@ change.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections.abc import Set as AbstractSet
 from functools import cached_property
-from heapq import heappop, heappush
+from heapq import heappop, heappush, merge
 from itertools import chain
-from math import inf
+from math import gcd, inf, lcm
+from operator import attrgetter
 
 from crpqbound.config import DEFAULT_CAPS, Caps
 from crpqbound.expansion import (
@@ -150,6 +160,140 @@ def _first_letters(e) -> frozenset:
     raise TypeError(f"unknown expression: {e!r}")
 
 
+_START = attrgetter("start")
+
+
+def _meet(r, s):
+    """The common elements of two ascending ranges of two or more elements
+    each, as one range (by the Chinese remainder theorem), or None."""
+    a, b = r.step, s.step
+    g = gcd(a, b)
+    diff = s.start - r.start
+    if diff % g:
+        return None
+    step = a // g * b
+    x = r.start + a * (diff // g * pow(a // g, -1, b // g) % (b // g))
+    lo, hi = max(r.start, s.start), min(r[-1], s[-1])
+    if x < lo:
+        x += (lo - x + step - 1) // step * step
+    return range(x, hi + 1, step) if x <= hi else None
+
+
+def _clusters(ranges):
+    """Groups of consecutive ranges, sorted by start, whose spans overlap."""
+    group, hi = [], -1
+    for r in ranges:
+        if group and r.start > hi:
+            yield group
+            group = []
+        group.append(r)
+        hi = max(hi, r[-1])
+    if group:
+        yield group
+
+
+def _merged(group):
+    """Disjoint ranges covering a cluster: each range is cut into ranges
+    of the least common step, and those of one residue are joined."""
+    step = lcm(*(r.step for r in group if len(r) > 1))
+    classes = {}
+    for r in group:
+        k = step // r.step if len(r) > 1 else 1
+        for i in range(min(k, len(r))):
+            part = r[i::k]
+            classes.setdefault(part.start % step, []).append(part)
+    out = []
+    for parts in classes.values():
+        parts.sort(key=_START)
+        first, last = parts[0].start, parts[0][-1]
+        for p in parts[1:]:
+            if p.start > last + step:
+                out.append(range(first, last + 1, step))
+                first = p.start
+            last = max(last, p[-1])
+        out.append(range(first, last + 1, step))
+    out.sort(key=_START)
+    return out
+
+
+class Domain:
+    """A set of vertices: a frozenset of variables, and ascending ranges
+    inside atoms, sorted by start and pairwise disjoint, each a
+    progression of one atom's interior positions.  Size, emptiness,
+    membership and intersection are arithmetic on the ranges; iteration
+    is lazy and ascending, variables first."""
+
+    __slots__ = ("variables", "ranges", "size")
+
+    def __init__(self, variables: frozenset, ranges: list):
+        self.variables = variables
+        self.ranges = ranges
+        self.size = len(variables) + sum(map(len, ranges))
+
+    @classmethod
+    def union(cls, variables, ranges) -> Domain:
+        """variables and the union of ascending ranges, which may overlap."""
+        ranges = list(ranges)
+        if len(ranges) < 2:
+            return cls(variables, ranges)
+        out = []
+        for group in _clusters(sorted(ranges, key=_START)):
+            out.extend(group if len(group) == 1 else _merged(group))
+        return cls(variables, out)
+
+    def __len__(self):
+        return self.size
+
+    def __contains__(self, u):
+        return u in self.variables or any(u in r for r in self.ranges)
+
+    def __iter__(self):
+        yield from sorted(self.variables)
+        if self.ranges:
+            for group in _clusters(self.ranges):
+                yield from group[0] if len(group) == 1 else merge(*group)
+
+    def __and__(self, other: Domain) -> Domain:
+        out, b, j0, nb = [], other.ranges, 0, len(other.ranges)
+        if not nb or not self.ranges:
+            return Domain(self.variables & other.variables, out)
+        for r in self.ranges:
+            lo, hi = r.start, r[-1]
+            while j0 < nb and b[j0][-1] < lo:
+                j0 += 1
+            j = j0
+            while j < nb and b[j].start <= hi:
+                s = b[j]
+                j += 1
+                if lo == hi:
+                    if lo in s:
+                        out.append(r)
+                elif len(s) == 1:
+                    if s.start in r:
+                        out.append(s)
+                elif s[-1] >= lo:
+                    m = _meet(r, s)
+                    if m:
+                        out.append(m)
+        if len(out) > 1:
+            out.sort(key=_START)
+        return Domain(self.variables & other.variables, out)
+
+    def __eq__(self, other):
+        if not isinstance(other, (Domain, AbstractSet, range)):
+            return NotImplemented
+        return len(self) == len(other) and all(u in other for u in self)
+
+
+def _union_of(doms) -> Domain:
+    """The union of domains."""
+    doms = list(doms)
+    return Domain.union(
+        frozenset().union(*(d.variables for d in doms)),
+        chain.from_iterable(d.ranges for d in doms),
+    )
+
+
 class _PathIndex:
     """Memoized reachability along regex labels, in one direction.
 
@@ -163,7 +307,13 @@ class _PathIndex:
     ``w^<=n`` and ``w*`` are read atom by atom (_copies): by Fine and
     Wilf, comparing |word| + |w| letters decides whether the copies of w
     run to the atom's end, and the least letters read per (vertex, phase
-    of w) is exact for up to n copies.
+    of w) is exact for up to n copies.  ``w^n`` jumps over the copies that
+    stay inside atoms by the same comparison (_power).  Sets of vertices
+    are Domains, so a reach set along ``w^<=n`` or ``w*`` holds one range
+    per atom and phase of w that the copies enter.  What stays linear:
+    a concatenation reads each next part once per vertex of the set
+    reached so far, and ``w^n`` walks one copy at a time while a variable
+    is among the vertices reached.
     """
 
     def __init__(self, nvars, adj, delta, spans):
@@ -171,35 +321,45 @@ class _PathIndex:
         self.adj = adj
         self.delta = delta
         self.spans = spans
+        self.heads = [head for head, *_ in spans]
         self.memo = {}
 
     def _atom(self, p):
         """Interior position p's atom in this direction: its word, the
-        index in it of the letter p reads, its last position and its end.
-        (p, inf) sorts after every span that starts at or before p."""
-        head, tail, word, src, dst = self.spans[bisect_right(self.spans, (p, inf)) - 1]
+        index in it of the letter p reads, its last position and its end."""
+        head, tail, word, src, dst = self.spans[bisect_right(self.heads, p) - 1]
         if self.delta > 0:
             return word, (p - head + 1) % len(word), tail, dst
         return word, (p - head) % len(word), head, src
 
-    def having(self, symbols) -> frozenset:
+    def having(self, symbols) -> Domain:
         """The vertices with an edge reading one of symbols.  An atom's
         letters have period |word|, so each matching offset is one range."""
         shift = 1 if self.delta > 0 else 0
-        return frozenset(chain(
-            (u for u, t in self.adj if t in symbols),
-            chain.from_iterable(
-                range(lo + k, hi + 1, len(word))
-                for lo, hi, word, _, _ in self.spans
-                for k in range(min(len(word), hi - lo + 1))
-                if word[(k + shift) % len(word)] in symbols
-            ),
-        ))
+        return Domain(frozenset(u for u, t in self.adj if t in symbols), [
+            range(lo + k, hi + 1, len(word))
+            for lo, hi, word, _, _ in self.spans
+            for k in range(min(len(word), hi - lo + 1))
+            if word[(k + shift) % len(word)] in symbols
+        ])
 
     def atom_length(self, p):
         """The number of letters of interior position p's atom."""
-        head, tail, *_ = self.spans[bisect_right(self.spans, (p, inf)) - 1]
+        head, tail, *_ = self.spans[bisect_right(self.heads, p) - 1]
         return tail - head + 2
+
+    def within(self, dom: Domain, longest) -> Domain:
+        """dom's variables and its positions inside atoms of at most
+        longest letters, picked a whole range at a time."""
+        return Domain(dom.variables, [r for r in dom.ranges if self.atom_length(r.start) <= longest])
+
+    def points(self, us) -> Domain:
+        """The distinct vertices us, a collection."""
+        nvars = self.nvars
+        inner = sorted(u for u in us if u >= nvars)
+        if not inner:
+            return Domain(frozenset(us), inner)
+        return Domain(frozenset(u for u in us if u < nvars), [range(u, u + 1) for u in inner])
 
     def walk_word(self, frontier, word):
         nvars, adj, delta = self.nvars, self.adj, self.delta
@@ -217,7 +377,7 @@ class _PathIndex:
                 break
         return frozenset(frontier)
 
-    def reach(self, e, u) -> frozenset:
+    def reach(self, e, u) -> Domain:
         key = (e, u)
         got = self.memo.get(key)
         if got is not None:
@@ -225,48 +385,76 @@ class _PathIndex:
         self.memo[key] = result = self._compute(e, u)
         return result
 
-    def _compute(self, e, u) -> frozenset:
+    def _compute(self, e, u) -> Domain:
         if isinstance(e, Epsilon):
-            return frozenset((u,))
+            return self.points((u,))
         if isinstance(e, Letter):
-            return self.walk_word((u,), (e.symbol,))
+            return self.points(self.walk_word((u,), (e.symbol,)))
         if isinstance(e, Concat):
-            frontier = frozenset((u,))
+            frontier = self.points((u,))
             for part in e.parts:
-                out = set()
-                for v in frontier:
-                    out.update(self.reach(part, v))
-                frontier = frozenset(out)
+                frontier = _union_of(self.reach(part, v) for v in frontier)
                 if not frontier:
                     break
             return frontier
         if isinstance(e, Union):
-            out = set()
-            for part in e.parts:
-                out.update(self.reach(part, u))
-            return frozenset(out)
+            return _union_of(self.reach(part, u) for part in e.parts)
         if isinstance(e, Power):
             return self._power(e.word, e.exponent, u)
         if isinstance(e, (PowerLE, Star)):
             limit = inf if isinstance(e, Star) else len(e.word) * e.exponent
-            copies = self._copies(e.word, u, limit)
-            # via a set: a frozenset filled from an iterator can keep a larger table
-            return frozenset(set().union(*(r for r, _ in copies)))
+            copies = [r for r, _ in self._copies(e.word, u, limit)]
+            return Domain.union(
+                frozenset(r.start for r in copies if r.start < self.nvars),
+                [r if r.step > 0 else r[::-1] for r in copies if r.start >= self.nvars],
+            )
         raise TypeError(f"unknown expression: {e!r}")
 
-    def _power(self, word, n, u) -> frozenset:
-        frontier = frozenset((u,))
-        seen = {frontier: 0}
-        trace = [frontier]
-        for step in range(n):
-            frontier = self.walk_word(frontier, word)
+    def _read(self, v, word, d):
+        """Interior position v against the copies of w, d letters of them
+        read: how many letters agree before the first that differs (by Fine
+        and Wilf, comparing |word| + |w| letters decides whether they agree
+        to the atom's end), the letters left in v's atom, and its end."""
+        aword, i, last, end = self._atom(v)
+        la, lw, delta = len(aword), len(word), self.delta
+        room = (last - v) * delta + 1
+        for t in range(min(room, la + lw)):
+            if aword[(i + t * delta) % la] != word[(d + t) % lw]:
+                return t, room, end
+        return room, room, end
+
+    def _power(self, word, n, u) -> Domain:
+        """Where reading w^n from u ends.  When every vertex reached is an
+        interior position whose atom agrees with k more copies of w ending
+        inside it, those k copies are one step; otherwise one copy is read.
+        A jump ends where some vertex has no further copy inside its atom,
+        so the step after it reads one copy.  Once a set of vertices
+        repeats, the copies left shrink modulo the copies read between its
+        two visits."""
+        lw, nvars = len(word), self.nvars
+        frontier, done, seen, k = frozenset((u,)), 0, {}, 0
+        while done < n and frontier:
             if frontier in seen:
-                start = seen[frontier]
-                period = step + 1 - start
-                return trace[start + (n - start) % period]
-            seen[frontier] = step + 1
-            trace.append(frontier)
-        return frontier
+                n = done + (n - done) % (done - seen[frontier])
+                if done == n:
+                    break
+            seen[frontier] = done
+            k = 0 if k else n - done
+            for v in frontier:
+                if k < 2 or v < nvars:
+                    k = 0
+                    break
+                read, room, _ = self._read(v, word, 0)
+                fit = (read if read < room else room - 1) // lw
+                if fit < k:
+                    k = fit
+            if k:
+                frontier = frozenset(v + k * lw * self.delta for v in frontier)
+                done += k
+            else:
+                frontier = self.walk_word(frontier, word)
+                done += 1
+        return self.points(frontier)
 
     def _copies(self, word, u, limit):
         """Where reading w^k from u ends, for k*|w| up to limit letters:
@@ -285,12 +473,7 @@ class _PathIndex:
                 steps = [(x, d + 1) for x in adj.get((v, word[d % lw]), ())]
             else:
                 # the rest of v's atom against the copies of w
-                aword, i, last, end = self._atom(v)
-                la = len(aword)
-                room = (last - v) * delta + 1
-                width = min(room, la + lw)
-                miss = (t for t in range(width) if aword[(i + t * delta) % la] != word[(d + t) % lw])
-                read = next(miss, room)
+                read, room, end = self._read(v, word, d)
                 lo, hi = -d % lw, min(read, room - 1, limit - d)
                 if lo <= hi:
                     found.append((range(v + lo * delta, v + (hi + 1) * delta, lw * delta), d + lo))
@@ -336,9 +519,15 @@ class _CanonicalDB:
                 spans.append((head, tail, a.word, src, dst))
             out_adj.setdefault((src, a.word[0]), set()).add(head)
             in_adj.setdefault((dst, a.word[-1]), set()).add(tail)
-        self.vertices = range(size)
         self.fwd = _PathIndex(nvars, out_adj, 1, spans)
         self.bwd = _PathIndex(nvars, in_adj, -1, spans)
+
+    @cached_property
+    def vertices(self) -> Domain:
+        return Domain(
+            frozenset(range(self.fwd.nvars)),
+            [range(head, tail + 1) for head, tail, *_ in self.fwd.spans],
+        )
 
     def name(self, u) -> str:
         """The name materialize gives vertex u."""
@@ -370,15 +559,30 @@ def _witness_atom(fwd, e, hu, hv):
 
 
 class RightSide:
-    """A union query's collapsed disjuncts, each with what every check
-    against it reads: its non-nullable atoms' first and last letters, the
-    links along which assigning one variable narrows another, the search's
-    variable order, and per variable the least, over the closed walks
-    through it, of the most letters the walk can spell (see
-    _closed_walk_bounds)."""
+    """A union query, collapsed once, and its disjuncts, each with what
+    every check against it reads: its non-nullable atoms' first and last
+    letters, the links along which assigning one variable narrows another,
+    the search's variable order, and per variable the least, over the
+    closed walks through it, of the most letters the walk can spell (see
+    _closed_walk_bounds).  The disjuncts are prepared when first read."""
 
     def __init__(self, q: UCRPQ):
-        self.disjuncts = tuple(_PreparedDisjunct(d) for d in collapse(q).disjuncts)
+        self.collapsed = collapse(q)
+        self._disjuncts = None
+
+    @property
+    def disjuncts(self) -> tuple:
+        if self._disjuncts is None:
+            self._disjuncts = tuple(_PreparedDisjunct(d) for d in self.collapsed.disjuncts)
+        return self._disjuncts
+
+    @property
+    def nullable_disjunct(self) -> bool:
+        """Whether some disjunct has only nullable atoms, so that it maps
+        into every canonical database."""
+        return any(
+            all(nullable(a.label) for a in d.edge_atoms) for d in self.collapsed.disjuncts
+        )
 
 
 class _PreparedDisjunct:
@@ -501,11 +705,8 @@ def _unary_domains(d: _PreparedDisjunct, fwd: _PathIndex, bwd: _PathIndex):
         if a.src == a.dst:
             keep = dom[a.src]
             if a.src in d.closed:
-                longest = d.closed[a.src]
-                keep = keep & set(range(fwd.nvars)).union(
-                    *(range(lo, hi + 1) for lo, hi, *_ in fwd.spans if hi - lo + 2 <= longest)
-                )
-            dom[a.src] = {u for u in keep if u in fwd.reach(a.label, u)}
+                keep = fwd.within(keep, d.closed[a.src])
+            dom[a.src] = fwd.points([u for u in keep if u in fwd.reach(a.label, u)])
     return dom
 
 
@@ -513,27 +714,23 @@ def _disjunct_hom(d: _PreparedDisjunct, db: _CanonicalDB):
     """Backtracking with forward checking: assigning a variable narrows
     the candidates of the unassigned ones it shares an atom with, undone
     on backtrack.  Fewest candidates (then least rank) goes next, and
-    tries its candidates in ascending order.  A variable on a closed walk
-    of at most L letters (d.closed) passes over the interior positions of
-    atoms longer than L without trying them: no homomorphism maps it there
-    (see the module docstring).  Only a self-loop's variable has them
+    tries its candidates lazily in ascending order.  A variable on a
+    closed walk of at most L letters (d.closed) passes over the interior
+    positions of atoms longer than L, a whole range at a time, without
+    trying them: no homomorphism maps it there (see the module docstring).  Only a self-loop's variable has them
     dropped from its domain; the other domains keep them, so the variable
     order and the homomorphism found are those of trying them."""
     fwd, bwd = db.fwd, db.bwd
-    nvars = fwd.nvars
     dom = _unary_domains(d, fwd, bwd)
-    cands = {v: dom.get(v, db.vertices) for v in d.order}
+    cands = {v: dom[v] if v in dom else db.vertices for v in d.order}
     assign = {}
 
     def solve(todo):
         if not todo:
             return True
-        v = min(todo, key=lambda u: (len(cands[u]), d.rank[u]))
+        v = min(todo, key=lambda u: (cands[u].size, d.rank[u]))
         rest = [u for u in todo if u != v]
-        tries = sorted(cands[v])
-        if v in d.closed:
-            longest = d.closed[v]
-            tries = (u for u in tries if u < nvars or fwd.atom_length(u) <= longest)
+        tries = fwd.within(cands[v], d.closed[v]) if v in d.closed else cands[v]
         for u in tries:
             assign[v] = u
             saved = []
@@ -542,7 +739,7 @@ def _disjunct_hom(d: _PreparedDisjunct, db: _CanonicalDB):
                     continue
                 s = (fwd if forward else bwd).reach(label, u)
                 saved.append((w, cands[w]))
-                cands[w] = s if isinstance(cands[w], range) else cands[w] & s
+                cands[w] = cands[w] & s
                 if not cands[w]:
                     break
             else:

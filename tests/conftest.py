@@ -133,15 +133,21 @@ def some_stars_over_b(q: UCRPQ, rng: random.Random) -> UCRPQ:
 
 
 def gen_pendant_crpq(rng: random.Random) -> UCRPQ:
-    """A query of gen_random_crpq_astar (at most two atoms, the first made
-    the letter a if all are stars, so that q(Z) is not nullable) with one
-    or two pendant stars: each joins a variable of the query to a fresh
-    leaf, in either direction, over a, b or ab.  Two of them share their
-    variable at even odds."""
-    atoms = list(gen_random_crpq_astar(rng, max_atoms=2).disjuncts[0].atoms)
+    """A query of gen_random_crpq_astar (the first atom made the letter a
+    if all are stars, so that q(Z) is not nullable) with one or two pendant
+    stars: each joins a variable of the query to a fresh leaf, in either
+    direction, over a, b or ab.  Two of them share their variable at even
+    odds.  At even odds the query has one atom and one more star, over a
+    or b, between two of its variables, which is no pendant star and so is
+    probed beside them; otherwise it has at most two atoms."""
+    probed = rng.random() < 0.5
+    atoms = list(gen_random_crpq_astar(rng, max_atoms=1 if probed else 2).disjuncts[0].atoms)
     if all(isinstance(a.label, Star) for a in atoms):
         atoms[0] = EdgeAtom(atoms[0].src, Letter("a"), atoms[0].dst)
     pool = sorted({v for a in atoms for v in (a.src, a.dst)})
+    if probed:
+        ends = rng.sample(pool, 2) if len(pool) > 1 else pool * 2
+        atoms.append(EdgeAtom(ends[0], Star((rng.choice("ab"),)), ends[1]))
     root = rng.choice(pool)
     for leaf in ("u", "v")[: rng.randint(1, 2)]:
         if rng.random() < 0.5:

@@ -104,6 +104,25 @@ def test_single_star_atom_bounded():
     assert report.mode["shortcut"] == "nullable-disjunct"
 
 
+def test_right_side_is_prepared_only_for_a_check(monkeypatch):
+    # a union with one nullable disjunct takes the shortcut, and a run whose
+    # only star is pendant probes nothing: neither prepares a disjunct
+    prepared = []
+    init = homomorphism._PreparedDisjunct.__init__
+
+    def counted(self, d):
+        prepared.append(d)
+        init(self, d)
+
+    monkeypatch.setattr(homomorphism._PreparedDisjunct, "__init__", counted)
+    report = is_bounded(parse_ucrpq("?x -[a]-> ?y, ?x -[a*]-> ?z, ?z -[b]-> ?w | ?x -[b*]-> ?y"))
+    assert report.mode["shortcut"] == "nullable-disjunct" and not prepared
+    report = is_bounded(parse_ucrpq("?x -[a]-> ?y, ?y -[b*]-> ?z"))
+    assert report.verdict == "bounded" and report.stats.expansions_checked == 0 and not prepared
+    assert is_bounded(parse_ucrpq("?x -[a]-> ?y, ?x -[a*]-> ?z, ?z -[b]-> ?w")).verdict == "bounded"
+    assert prepared
+
+
 def test_rewrite_returns_bound_query():
     q = parse_ucrpq("?x -[a]-> ?y, ?x -[a*]-> ?z, ?z -[b]-> ?w")
     assert is_bounded(q).rewriting == bound_query(q, 108)

@@ -3,6 +3,7 @@
 import json
 import random
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 from conftest import (
@@ -14,6 +15,7 @@ from conftest import (
     some_stars_over_b,
 )
 from crpqbound.boundedness import compute_bounds
+from crpqbound.config import DEFAULT_CAPS
 from crpqbound.expansion import (
     SuccinctAtom,
     SuccinctCQ,
@@ -25,6 +27,7 @@ from crpqbound.expansion import (
 )
 from crpqbound.homomorphism import (
     Contained,
+    Domain,
     RightSide,
     _CanonicalDB,
     _PathIndex,
@@ -418,6 +421,45 @@ def test_reach_along_powers_matches_materialized_walk():
                         assert k == least.get(t), (i, lam, label, name, t)
 
 
+def _exact_copies(edges, word, start, n):
+    """The vertices that reading exactly n copies of word from start
+    reaches in the letter graph edges."""
+    frontier = {start}
+    for _ in range(n):
+        for s in word:
+            frontier = {v for u in frontier for v in edges.get((u, s), ())}
+    return frontier
+
+
+def test_reach_along_exact_powers_matches_materialized_walk():
+    # cycles through one to three variables (a self-loop when one), at
+    # times with one more atom, of up to 80 copies; most labels are a
+    # rotation of an atom's word, so copies run deep into atoms, and with n
+    # up to 300 walks go round the cycles
+    rng = random.Random(24)
+    for i in range(60):
+        lam = gen_cyclic_succinct_cq(rng, max_exp=80)
+        canonical = materialize(lam)
+        names = canonical.variables
+        fwd_edges, bwd_edges = {}, {}
+        for a in canonical.atoms:
+            fwd_edges.setdefault((a.src, a.symbol), set()).add(a.dst)
+            bwd_edges.setdefault((a.dst, a.symbol), set()).add(a.src)
+        db = _CanonicalDB(lam)
+        for _ in range(4):
+            w = tuple(rng.choices("ab", k=rng.randint(1, 3)))
+            if rng.random() < 0.7:
+                aw = rng.choice(lam.atoms).word
+                r = rng.randrange(len(aw))
+                w = (aw[r:] + aw[:r]) * rng.randint(1, 2)
+            label = Power(w, rng.randint(0, 300))
+            for index, edges in ((db.fwd, fwd_edges), (db.bwd, bwd_edges)):
+                for u in rng.sample(range(len(names)), min(6, len(names))):
+                    want = _exact_copies(edges, w, names[u], label.exponent)
+                    got = {names[v] for v in index.reach(label, u)}
+                    assert got == want, (i, lam, label, names[u])
+
+
 def test_self_loop_rotation_maps_to_interior_position():
     # a closed walk through an interior position reads its whole atom, so
     # the rotation aba of the loop x -[aab]-> x fits only from inside it
@@ -573,6 +615,32 @@ def _having_by_scan(canonical, forward, symbols):
     )
 
 
+def _random_domain(rng):
+    """Up to three variables below 10, and up to five ranges above them
+    that often overlap, of mixed steps."""
+    variables = frozenset(rng.sample(range(10), rng.randint(0, 3)))
+    ranges = []
+    for _ in range(rng.randint(0, 5)):
+        start, step = rng.randint(10, 70), rng.randint(1, 7)
+        ranges.append(range(start, start + step * rng.randint(1, 12), step))
+    return variables, ranges
+
+
+def test_domain_operations_match_sets():
+    rng = random.Random(31)
+    for i in range(3000):
+        (va, ra), (vb, rb) = _random_domain(rng), _random_domain(rng)
+        sa, sb = set(va).union(*ra), set(vb).union(*rb)
+        a, b = Domain.union(va, ra), Domain.union(vb, rb)
+        for dom, want in ((a, sa), (a & b, sa & sb)):
+            assert list(dom) == sorted(want), (i, ra, rb)
+            assert len(dom) == len(want) and bool(dom) == bool(want), (i, ra, rb)
+            starts = [r.start for r in dom.ranges]
+            assert starts == sorted(starts) and len(dom.variables) + sum(map(len, dom.ranges)) == len(want)
+        u = rng.randint(0, 100)
+        assert (u in a) == (u in sa), (i, ra, u)
+
+
 def test_having_matches_a_scan_of_every_position():
     rng = random.Random(12)
     seen = set()
@@ -611,6 +679,42 @@ def test_canonical_db_is_built_per_atom_not_per_letter():
     finally:
         tracemalloc.stop()
     assert len(db.vertices) == 10**6
+    assert peak < 2**20
+
+
+def test_exact_power_is_read_in_a_bounded_number_of_copy_walks(monkeypatch):
+    # the copies of ab run through the 2*10^5-letter atom, so one walk
+    # enters it, one jump crosses it and one walk leaves it
+    walk_word = _PathIndex.walk_word
+    calls = []
+
+    def counted(self, *args):
+        calls.append(args)
+        return walk_word(self, *args)
+
+    monkeypatch.setattr(_PathIndex, "walk_word", counted)
+    lam = SuccinctCQ(("x", "y"), (SuccinctAtom("x", ("a", "b"), 100000, "y"),))
+    q = parse_ucrpq("?u -[(ab)^100000]-> ?v")
+    assert expansion_contained(lam, q).hom == {"u": "x", "v": "y"}
+    assert len(calls) <= 4
+
+
+def test_long_check_builds_no_set_of_positions():
+    # (ab)^n c against (ab)^<=2n then c at n = 10^6: the reach set along
+    # (ab)^<=2n and the candidates of its source are one range each
+    n = 10**6
+    lam = SuccinctCQ(("x", "y", "z"), (
+        SuccinctAtom("x", ("a", "b"), n, "y"), SuccinctAtom("y", ("c",), 1, "z"),
+    ))
+    q = parse_ucrpq(f"?u -[(ab)^<={2 * n}]-> ?v, ?v -[c]-> ?w")
+    caps = replace(DEFAULT_CAPS, max_materialized_atoms=4 * n)
+    tracemalloc.start()
+    try:
+        result = expansion_contained(lam, q, caps)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.hom == {"v": "y", "u": "x", "w": "z"}
     assert peak < 2**20
 
 
