@@ -20,7 +20,7 @@ import contextlib
 import functools
 import json
 import sys
-from dataclasses import asdict, replace
+from dataclasses import replace
 
 from crpqbound.boundedness import (
     AnalysisReport,
@@ -90,10 +90,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read_text(path: str) -> str:
+    """The file's text, decoded and with newlines translated as text mode
+    does, from one unbuffered read; '-' reads stdin."""
     if path == "-":
         return sys.stdin.read()
-    with open(path, encoding="utf-8") as fh:
-        return fh.read()
+    with open(path, "rb", buffering=0) as fh:
+        data = fh.readall()
+    return data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
 
 
 # each cap flag: the Caps field it sets and its help text
@@ -123,8 +126,34 @@ def _caps_from(ns) -> Caps:
     return replace(DEFAULT_CAPS, **overrides) if overrides else DEFAULT_CAPS
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+# how json.dumps writes the scalars a report holds; it writes any other itself
+_SCALAR = {
+    str: _encode_str,
+    int: int.__repr__,
+    bool: lambda b: "true" if b else "false",
+    type(None): lambda _: "null",
+}
+
+
+def _to_json(value, indent="\n") -> str:
+    """json.dumps(value, indent=2, sort_keys=True) for str-keyed payloads;
+    the stdlib runs its pure-Python encoder whenever indent is set."""
+    scalar = _SCALAR.get(type(value))
+    if scalar is not None:
+        return scalar(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        items = [_encode_str(k) + ": " + _to_json(v, inner) for k, v in sorted(value.items())]
+        return "{" + inner + ("," + inner).join(items) + indent + "}" if items else "{}"
+    if isinstance(value, (list, tuple)):
+        items = [_to_json(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + indent + "]" if items else "[]"
+    return json.dumps(value)
+
+
 def _emit_json(payload: dict) -> None:
-    sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    sys.stdout.write(_to_json(payload) + "\n")
 
 
 def _answer(ns, holds: bool, verdict: str, **extra) -> int:
@@ -166,7 +195,7 @@ def _report_json(report: AnalysisReport, seed: int, cli_mode: dict) -> dict:
         "witness": render_succinct_cq(report.witness) if report.witness else None,
         "maximal_letters": None if report.per_letter is None else sorted(report.letters),
         # wall time is pinned so identical runs stay byte-identical
-        "stats": {**asdict(report.stats), "wall_ms": 0, "seed": seed},
+        "stats": {**vars(report.stats), "wall_ms": 0, "seed": seed},
         "mode": mode,
     }
 
@@ -194,7 +223,7 @@ def _print_report(report: AnalysisReport) -> None:
         print(f"witness: {render_succinct_cq(report.witness)}")
     if report.inconclusive_reason:
         print(f"reason: {report.inconclusive_reason}")
-    stats = asdict(report.stats)
+    stats = dict(vars(report.stats))
     wall_ms = stats.pop("wall_ms")
     print("stats:", *(f"{k}={v}" for k, v in stats.items()), f"wall_ms={wall_ms:.1f}")
 
@@ -378,12 +407,25 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate.add_argument("--json", action="store_true")
     _add_caps_flags(evaluate, "--cap-length")
 
+    parser.subcommands = subs.choices
     return parser
+
+
+def _parse_argv(argv):
+    """The namespace build_parser().parse_args(argv) gives, from the named
+    subcommand's own parser when argv starts with one."""
+    parser = build_parser()
+    sub = parser.subcommands.get(argv[0]) if argv else None
+    if sub is None:  # no command, an unknown one, or top-level --help
+        return parser.parse_args(argv)
+    ns = sub.parse_args(argv[1:])
+    ns.command = argv[0]
+    return ns
 
 
 def main(argv=None) -> int:
     try:
-        ns = build_parser().parse_args(argv)
+        ns = _parse_argv(sys.argv[1:] if argv is None else argv)
         # looked up per call, so a handler replaced on the module is the one run
         handler = {
             "analyze": cmd_analyze,

@@ -254,6 +254,7 @@ def membership(nfa: SuccinctNFA, v, m: int, caps: Caps = DEFAULT_CAPS) -> bool:
 
 
 _NAME = r"[A-Za-z0-9_@.]+"  # a state name
+_NAME_RE = re.compile(_NAME)
 _TRANSITION_RE = re.compile(rf"^\s*({_NAME})\s*-\[(.+)\]->\s*({_NAME})\s*$")
 
 
@@ -292,10 +293,12 @@ def parse_nfa(text: str) -> SuccinctNFA:
             if pair is None:
                 message = "transition label must be a word, a power, or eps"
                 raise ParseError(message, lineno, m.start(2) + 1)
-            src, dst = names = m.group(1, 3)
+            src, dst = m.group(1, 3)  # names, as the pattern matched them
             transitions.append(SNFATransition(src, *pair, dst))
+            states.update((src, dst))
+            continue
         for name in names:
-            if not re.fullmatch(_NAME, name):  # only an 'initial:' or 'finals:' name can fail
+            if not _NAME_RE.fullmatch(name):
                 col = raw.index(name, raw.index(":") + 1) + 1
                 raise ParseError(f"bad state name {name!r}", lineno, col)
         states.update(names)

@@ -389,10 +389,13 @@ def reduce_free_vars(q: UCRPQ, free_vars) -> UCRPQ:
 # ---------------------------------------------------------------------- lexer
 
 
+# whitespace and comments are read as the prefix of the token they precede;
+# a tail of them matches no token group
 _TOKEN_RE = re.compile(
     r"""
-      (?P<WS>(?:[ \t\r\n]|\#[^\n]*)+)
-    | (?P<ARROWOPEN>-\[)
+    (?:[ \t\r\n]|\#[^\n]*)*+
+    (?:
+      (?P<ARROWOPEN>-\[)
     | (?P<ARROWCLOSE>\]->)
     | (?P<POWLE>\^<=)
     | (?P<CARET>\^)
@@ -407,9 +410,12 @@ _TOKEN_RE = re.compile(
     | (?P<QSYM>'[A-Za-z0-9_]+')
     | (?P<WORD>[A-Za-z0-9_]+)
     | (?P<BAD>.)
+    | \Z
+    )
     """,
     re.VERBOSE,
 )
+_KINDS = {index: kind for kind, index in _TOKEN_RE.groupindex.items()}
 
 
 def _error_at(text: str, pos: int, message: str) -> ParseError:
@@ -422,12 +428,13 @@ def _lex(text: str, start: int, stop: int):
     token where the last token ends."""
     toks = []
     for m in _TOKEN_RE.finditer(text, start, stop):
-        kind = m.lastgroup
-        if kind == "WS":
-            continue
+        group = m.lastindex
+        if group is None:
+            break
+        kind = _KINDS[group]
         if kind == "BAD":
-            raise _error_at(text, m.start(), f"unexpected character {m.group()!r}")
-        toks.append((kind, m.group(), m.start()))
+            raise _error_at(text, m.start(group), f"unexpected character {m[group]!r}")
+        toks.append((kind, m[group], m.start(group)))
     end = toks[-1][2] + len(toks[-1][1]) if toks else start
     toks.append(("END", "", end))
     return toks
@@ -447,12 +454,15 @@ class _Parser:
 
     def __init__(self, text, start, stop):
         self.text = text
-        self.rest = iter(_lex(text, start, stop))
-        self.tok = next(self.rest)
+        self.toks = _lex(text, start, stop)
+        self.at = 0
+        self.tok = self.toks[0]
         self.depth = 0
 
     def take(self):
-        tok, self.tok = self.tok, next(self.rest)
+        tok = self.tok
+        self.at += 1
+        self.tok = self.toks[self.at]
         return tok
 
     def fail(self, pos, message):
@@ -472,6 +482,8 @@ class _Parser:
     # regex := term ("+" term)*
     def regex(self):
         terms = [self.term()]
+        if self.tok[0] != "PLUS":
+            return terms[0]
         while self.tok[0] == "PLUS":
             self.take()
             terms.append(self.term())
@@ -482,6 +494,8 @@ class _Parser:
     # term := factor+
     def term(self):
         factors = [self.factor()]
+        if self.tok[0] not in self._FACTOR_START:
+            return factors[0]
         while self.tok[0] in self._FACTOR_START:
             factors.append(self.factor())
         return concat(factors)
@@ -501,13 +515,15 @@ class _Parser:
         elif kind == "QSYM":
             word = (lexeme[1:-1],)
         else:
-            self.depth += 1
-            if self.depth > MAX_NESTING:
+            if self.depth >= MAX_NESTING:
                 self.fail(pos, f"parentheses nested deeper than {MAX_NESTING}")
-            base = self.regex()
-            self.expect("RPAREN", "')'")
-            self.depth -= 1
-            word = as_word(base) or None
+            word = self.word_group()
+            if word is None:
+                self.depth += 1
+                base = self.regex()
+                self.expect("RPAREN", "')'")
+                self.depth -= 1
+                word = as_word(base) or None
 
         kind, _, pos = self.tok
         if kind in ("CARET", "POWLE"):
@@ -531,6 +547,22 @@ class _Parser:
         if base is not None:
             return base
         return concat(tuple(map(Letter, word)))
+
+    def word_group(self):
+        """After '(': the word its group spells when the group holds only
+        WORD (not eps) and QSYM tokens, taken with its ')'; else None, and
+        nothing is taken."""
+        toks, end = self.toks, self.at
+        while toks[end][0] == "QSYM" or toks[end][0] == "WORD" and toks[end][1] != "eps":
+            end += 1
+        if end == self.at or toks[end][0] != "RPAREN":
+            return None
+        word = []
+        for kind, lexeme, _ in toks[self.at:end]:
+            word.extend(lexeme if kind == "WORD" else (lexeme[1:-1],))
+        self.at = end + 1
+        self.tok = toks[self.at]
+        return tuple(word)
 
     # atom := VAR "-[" regex "]->" VAR | VAR "=" VAR
     def atom(self):

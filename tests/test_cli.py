@@ -1,8 +1,10 @@
 """End-to-end command behaviour: exit codes, JSON shape, determinism."""
 
 import inspect
+import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -10,14 +12,21 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from conftest import (
+    gen_random_graph,
+    gen_random_snfa,
+    gen_random_succinct_cq,
+    gen_random_word,
+    rewriting_corpus,
+)
 
 from crpqbound import boundedness, cli
 from crpqbound.boundedness import is_bounded_in
-from crpqbound.cli import main
-from crpqbound.expansion import materialize, succinct_cq_from_crpq
+from crpqbound.cli import build_parser, main
+from crpqbound.expansion import materialize, render_succinct_cq, succinct_cq_from_crpq
 from crpqbound.homomorphism import cq_hom
 from crpqbound.qbfgen import parse_qbf
-from crpqbound.syntax import MAX_NESTING, parse_ucrpq
+from crpqbound.syntax import MAX_NESTING, Power, parse_ucrpq, render_regex, render_ucrpq
 
 CLAIM = "?x -[(ab)*]-> ?y, ?x -[a]-> ?z, ?z -[b]-> ?w\n"
 ASTARB = "?x -[a*]-> ?y, ?x -[b]-> ?y\n"
@@ -556,3 +565,175 @@ def test_long_literal_word_label_is_one_choice(qfile, capsys):
     # its one word is not listed, so --cap-word-len's listing limit does not apply
     assert main(["analyze", qfile("?x -[" + "a" * 10_001 + "]-> ?y\n"), "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["verdict"] == "bounded"
+
+
+# ------------------------------------------------------------ the front end
+
+
+def _json_runs(tmp_path, count=10, seed=5):
+    """argv of seeded runs of every subcommand that reports in JSON."""
+    rng = random.Random(seed)
+    runs = []
+    for i, q in enumerate(rewriting_corpus(count, seed)):
+        query = tmp_path / f"q{i}.txt"
+        query.write_text(render_ucrpq(q) + "\n")
+        for extra in ([], ["--letters", "a,b"], ["--letters", "max"]):
+            runs.append(["analyze", str(query), "--json", *extra])
+        left, right = tmp_path / f"l{i}.txt", tmp_path / f"r{i}.txt"
+        left.write_text(render_succinct_cq(gen_random_succinct_cq(rng)) + "\n")
+        right.write_text(render_succinct_cq(gen_random_succinct_cq(rng)) + "\n")
+        runs.append(["contains", str(left), str(right), "--json"])
+        nfa = gen_random_snfa(rng)
+        automaton = tmp_path / f"m{i}.nfa"
+        automaton.write_text("".join(
+            [f"initial: {nfa.initial}\n", f"finals: {' '.join(nfa.finals)}\n"]
+            + [f"{t.src} -[{render_regex(Power(t.word, t.exponent)) if t.word else 'eps'}]-> {t.dst}\n"
+               for t in nfa.transitions]
+        ))
+        word = "".join(gen_random_word(rng))
+        runs.append(["member", str(automaton), word, str(rng.randint(0, 20)), "--json"])
+        graph = tmp_path / f"g{i}.csv"
+        graph.write_text("".join(f"{u},{a},{v}\n" for u, a, v in gen_random_graph(rng, 4).edges))
+        runs.append(["eval", "--graph", str(graph), "--query", str(query), "--json"])
+    return runs
+
+
+def test_json_reports_match_the_stdlib_encoder(tmp_path, capsys, monkeypatch):
+    payloads = []
+    emit = cli._emit_json
+    monkeypatch.setattr(cli, "_emit_json", lambda payload: emit(payloads.append(payload) or payload))
+    kinds = set()
+    for argv in _json_runs(tmp_path):
+        main(argv)
+        out = capsys.readouterr().out
+        if out:
+            assert out == json.dumps(payloads.pop(), indent=2, sort_keys=True) + "\n", argv
+            kinds.add(argv[0] + ("-max" if "max" in argv else ""))
+    assert kinds == {"analyze", "analyze-max", "contains", "member", "eval"}
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {},
+        [],
+        {"empty": {}, "list": [], "tuple": (), "nested": {"deeper": {"leaf": [[], {}]}}},
+        {"text": 'na\u00efve \u4e2d \U0001f600 "quoted" back\\slash \x00\x1f\x7f\n\t\r </b>'},
+        {"\u00e9": 1, "Z": 2, "a": 3, "\\": 4, '"': 5},
+        {"tuples": ((1, (2, ("x",))), [True, False, None]), "big": 2**100, "neg": -(10**30)},
+        {"float": 0.1, "floats": [1.5, -0.0, 1e300, 2.5e-8]},
+        ("top", 0, None),
+        "a bare string",
+    ],
+)
+def test_report_writer_matches_the_stdlib_encoder(payload):
+    assert cli._to_json(payload) == json.dumps(payload, indent=2, sort_keys=True)
+
+
+QUERY = "?x -[a]-> ?y, # one atom\n?x -[a*]-> ?z,\n\n?z -[b]-> ?w\n"
+AUTOMATON = "initial: p\n# a comment\nfinals: f\np -[(ab)^2]-> q\nq -[ab]-> f\n"
+
+
+@pytest.mark.parametrize(
+    "text, argv, error",
+    [
+        (QUERY, ["analyze", "{}", "--json"], ""),
+        (AUTOMATON, ["member", "{}", "ab", "3", "--json"], ""),
+        ("?x -[a]-> ?y,\n?x -[a%]-> ?z\n", ["analyze", "{}"], "unexpected character '%' (line 2, col 7)"),
+        (
+            "initial: p\nfinals: f\n\np -[a^]-> f\n",
+            ["member", "{}", "a", "1"],
+            "expected a number after the power operator (at end of input) (line 4, col 7)",
+        ),
+    ],
+)
+def test_input_is_read_with_text_mode_newlines(tmp_path, capsys, text, argv, error):
+    # LF, CRLF and CR-only copies answer alike, and an error names one place
+    for name, newline in (("lf", "\n"), ("crlf", "\r\n"), ("cr", "\r")):
+        path = tmp_path / name
+        path.write_bytes(text.replace("\n", newline).encode())
+        code = main([str(path) if a == "{}" else a for a in argv])
+        out, err = capsys.readouterr()
+        if error:
+            assert (code, out, err) == (64, "", f"input error: {error}\n")
+        elif name == "lf":
+            answer = (code, out, err)
+            assert code == 0 and not err
+        else:
+            assert (code, out, err) == answer
+
+
+def test_invalid_utf8_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "q.txt"
+    path.write_bytes(b"?x -[a]-> ?y\xff\n")
+    assert main(["analyze", str(path)]) == 64
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and "can't decode byte 0xff" in err
+
+
+def test_input_over_64_kib_is_read_whole(tmp_path, capsys):
+    comments = "# " + "p" * 1000 + "\n"
+    path = tmp_path / "m.nfa"
+    path.write_text("initial: p\n" + comments * 70 + "finals: f\np -[ab]-> f\n")
+    assert path.stat().st_size > 64 * 1024
+    assert main(["member", str(path), "ab", "1"]) == 0
+    path = tmp_path / "q.txt"
+    path.write_text("?x -[a]-> ?y\n" + comments * 70 + "%\n")
+    assert main(["analyze", str(path)]) == 64
+    assert capsys.readouterr().err.endswith("(line 72, col 1)\n")
+
+
+def test_dash_reads_stdin(qfile, capsys, monkeypatch):
+    assert main(["analyze", qfile(QUERY), "--json"]) == 0
+    from_file = capsys.readouterr()
+    monkeypatch.setattr(sys, "stdin", io.StringIO(QUERY))
+    assert main(["analyze", "-", "--json"]) == 0
+    assert capsys.readouterr() == from_file
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "q.txt"],
+        ["analyze", "--json", "q.txt", "--letters", "a,b", "--cap", "5", "--seed", "3"],
+        ["analyze", "q.txt", "--letters", "max", "--full-enumeration", "--zplus-mode", "safe",
+         "--oracle-verify", "--cap-atoms", "9", "--cap-length", "7", "--cap-word-len", "4"],
+        ["analyze", "-", "--json"],
+        ["analyze", "--", "-q.txt"],
+        ["contains", "l.txt", "r.txt", "--json", "--cap-atoms", "10"],
+        ["member", "m.nfa", "ab", "7", "--json", "--cap-length", "3"],
+        ["member", "m.nfa", "eps", "-3"],
+        ["qbfgen", "f.qbf", "--emit", "q1"],
+        ["eval", "--query", "q.txt", "--graph", "g.csv", "--json"],
+        ["analyze", "q.txt", "--bogus"],
+        ["analyze"],
+        ["contains", "l.txt"],
+        ["eval", "--graph", "g.csv"],
+        ["member", "m.nfa", "ab", "three"],
+        ["analyze", "q.txt", "--ca", "3"],
+        ["member", "m.nfa", "ab", "3", "--cap", "4"],
+        ["analyze", "q.txt", "--zplus-mode", "other"],
+        ["analyse", "q.txt"],
+        ["--json", "analyze", "q.txt"],
+        [],
+        ["--help"],
+        ["member", "--help"],
+    ],
+)
+def test_dispatch_matches_the_full_parser(argv, capsys, monkeypatch):
+    # what main acts on: the namespace a handler gets, or the usage message and exit code
+    seen = []
+    for name in ("analyze", "contains", "member", "qbfgen", "eval"):
+        monkeypatch.setattr(cli, f"cmd_{name}", lambda ns: seen.append(ns) or 0)
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    got = (seen, code, *capsys.readouterr())
+    try:
+        expected = ([build_parser().parse_args(list(argv))], 0, "", "")
+    except cli._UsageError as exc:
+        expected = ([], 64, "", f"usage error: {exc}\n")
+    except SystemExit as exc:
+        expected = ([], exc.code, *capsys.readouterr())
+    assert got == expected
