@@ -17,8 +17,10 @@ how many pairs the change won and lost (ties count for neither); the
 claim, met when the change wins at least nine in ten pairs and the
 medians differ, in the better direction, by more than the parent's
 interquartile range; and every run with the lines perfbench printed.
-``--rederive`` recomputes a file's summary and claim from its runs and
-exits 1 where they differ from what the file stores.
+``--rederive`` recomputes a file's summary and claim from its runs, and
+those of its ``confirmation`` (pairs on seeds not used while the change
+was written, kept in the same layout), and exits 1 where they differ
+from what the file stores.
 """
 
 from __future__ import annotations
@@ -102,8 +104,8 @@ def claim_met(summary: dict, workload: str, metric: str) -> bool:
     return s["change_wins"] >= math.ceil(0.9 * s["pairs"]) and gain > s["parent_iqr"]
 
 
-def rederive(path: Path) -> int:
-    data = json.loads(path.read_text(encoding="utf-8"))
+def _differences(data: dict) -> int:
+    """Print where a stored summary or claim differs from its runs; count them."""
     metrics = {
         name: entry["better"]
         for workload in data["summary"].values()
@@ -122,6 +124,13 @@ def rederive(path: Path) -> int:
     if claim and claim_met(summary, claim["workload"], claim["metric"]) != claim["met"]:
         bad += 1
         print(f"claim on {claim['workload']} {claim['metric']}: stored met={claim['met']}")
+    return bad
+
+
+def rederive(path: Path) -> int:
+    """Check a stored file, and its confirmation pairs if it holds any."""
+    data = json.loads(path.read_text(encoding="utf-8"))
+    bad = _differences(data) + _differences(data.get("confirmation") or {"summary": {}, "runs": []})
     print(f"{path.name}: {'summary and claim match its runs' if not bad else f'{bad} differences'}")
     return 1 if bad else 0
 
