@@ -257,6 +257,8 @@ def main(argv=None) -> int:
                 if claim:
                     claim["met"] = claim_met(data["summary"], claim["workload"], claim["metric"])
                 args.out.write_text(json.dumps(data, indent=1) + "\n", encoding="utf-8")
+    if args.scratch is None:
+        shutil.rmtree(scratch, ignore_errors=True)
     print_summary(data["summary"])
     if claim:
         print(f"claim {claim['workload']} {claim['metric']}: {'met' if claim['met'] else 'not met'}")

@@ -585,11 +585,11 @@ def _json_runs(tmp_path, count=10, seed=5):
         runs.append(["contains", str(left), str(right), "--json"])
         nfa = gen_random_snfa(rng)
         automaton = tmp_path / f"m{i}.nfa"
-        automaton.write_text("".join(
-            [f"initial: {nfa.initial}\n", f"finals: {' '.join(nfa.finals)}\n"]
-            + [f"{t.src} -[{render_regex(Power(t.word, t.exponent)) if t.word else 'eps'}]-> {t.dst}\n"
-               for t in nfa.transitions]
-        ))
+        lines = [f"initial: {nfa.initial}", f"finals: {' '.join(nfa.finals)}"]
+        for t in nfa.transitions:
+            label = render_regex(Power(t.word, t.exponent)) if t.word else "eps"
+            lines.append(f"{t.src} -[{label}]-> {t.dst}")
+        automaton.write_text("\n".join(lines) + "\n")
         word = "".join(gen_random_word(rng))
         runs.append(["member", str(automaton), word, str(rng.randint(0, 20)), "--json"])
         graph = tmp_path / f"g{i}.csv"
@@ -601,7 +601,12 @@ def _json_runs(tmp_path, count=10, seed=5):
 def test_json_reports_match_the_stdlib_encoder(tmp_path, capsys, monkeypatch):
     payloads = []
     emit = cli._emit_json
-    monkeypatch.setattr(cli, "_emit_json", lambda payload: emit(payloads.append(payload) or payload))
+
+    def recorded(payload):
+        payloads.append(payload)
+        emit(payload)
+
+    monkeypatch.setattr(cli, "_emit_json", recorded)
     kinds = set()
     for argv in _json_runs(tmp_path):
         main(argv)
@@ -639,7 +644,11 @@ AUTOMATON = "initial: p\n# a comment\nfinals: f\np -[(ab)^2]-> q\nq -[ab]-> f\n"
     [
         (QUERY, ["analyze", "{}", "--json"], ""),
         (AUTOMATON, ["member", "{}", "ab", "3", "--json"], ""),
-        ("?x -[a]-> ?y,\n?x -[a%]-> ?z\n", ["analyze", "{}"], "unexpected character '%' (line 2, col 7)"),
+        (
+            "?x -[a]-> ?y,\n?x -[a%]-> ?z\n",
+            ["analyze", "{}"],
+            "unexpected character '%' (line 2, col 7)",
+        ),
         (
             "initial: p\nfinals: f\n\np -[a^]-> f\n",
             ["member", "{}", "a", "1"],
