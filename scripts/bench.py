@@ -10,7 +10,7 @@ Pair i runs both commits on seed ``first_seed + i``, the parent first in
 even pairs and the change first in odd ones, for every workload named
 (all of ``BENCHMARK.json``'s by default) at its run length.  Each run
 gets its own checkout of the commit's committed files (``git archive``)
-in a scratch directory, removed after the run.  The file written keeps
+in a temporary directory, removed after the run.  The file written keeps
 ``BENCH_8.json``'s layout and is rewritten after every run: per workload
 and end-to-end metric, each side's median and inclusive quartiles and
 how many pairs the change won and lost (ties count for neither); the
@@ -31,7 +31,6 @@ import json
 import math
 import os
 import platform
-import shutil
 import statistics
 import subprocess
 import sys
@@ -142,21 +141,23 @@ def _git(*args) -> bytes:
 def _checkout(commit: str, where: Path) -> None:
     archive = _git("archive", "--format=tar", commit)
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-        tar.extractall(where, filter="data")
+        # extraction filters came with 3.10.12 and 3.11.4; a git archive of
+        # this repository holds only plain files and directories
+        if hasattr(tarfile, "data_filter"):
+            tar.extractall(where, filter="data")
+        else:
+            tar.extractall(where)
 
 
-def run_side(commit: str, workload: str, seed: int, seconds: float, scratch: Path) -> dict:
+def run_side(commit: str, workload: str, seed: int, seconds: float) -> dict:
     """One perfbench run on a fresh checkout: exit code, printed lines and result."""
-    where = Path(tempfile.mkdtemp(prefix=f"{commit}-", dir=scratch))
-    try:
-        _checkout(commit, where)
+    with tempfile.TemporaryDirectory(prefix=f"bench-{commit}-") as where:
+        _checkout(commit, Path(where))
         argv = ["perfbench/run.py", "--workload", workload, "--seed", str(seed)]
         argv += ["--seconds", str(seconds), "--trace", "0"]
         proc = subprocess.run(
             [sys.executable, *argv], cwd=where, capture_output=True, text=True, timeout=600
         )
-    finally:
-        shutil.rmtree(where, ignore_errors=True)
     lines = proc.stdout.strip().splitlines()
     result = None
     if proc.returncode == 0 and lines:
@@ -201,11 +202,9 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", action="append", help="a workload (repeatable; default all)")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--first-seed", type=int, default=0)
-    parser.add_argument("--seconds", type=float, help="run length (default BENCHMARK.json's)")
     parser.add_argument("--claim", help="WORKLOAD:METRIC the change claims to improve")
     parser.add_argument("--note", default="", help="what the change does")
     parser.add_argument("--out", type=Path, help="the BENCH_<pr>.json to write")
-    parser.add_argument("--scratch", type=Path, help="where checkouts go (default a temp dir)")
     parser.add_argument("--rederive", type=Path, help="recompute a stored file's summary")
     args = parser.parse_args(argv)
     if args.rederive:
@@ -215,7 +214,7 @@ def main(argv=None) -> int:
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     workloads = args.workload or [w["name"] for w in spec["workloads"]]
-    seconds = args.seconds or spec["run_seconds"]
+    seconds = spec["run_seconds"]
     commits = {side: _git("rev-parse", "--short", rev).decode().strip()
                for side, rev in (("parent", args.parent), ("change", args.change))}
     metrics = _metrics()
@@ -223,8 +222,6 @@ def main(argv=None) -> int:
     if args.claim:
         workload, metric = args.claim.split(":")
         claim = {"metric": metric, "workload": workload, "rule": CLAIM_RULE, "met": False}
-    scratch = args.scratch or Path(tempfile.mkdtemp(prefix="bench-"))
-    scratch.mkdir(parents=True, exist_ok=True)
     data = {
         "change": args.note,
         "parent_commit": commits["parent"],
@@ -246,7 +243,7 @@ def main(argv=None) -> int:
             seed = args.first_seed + pair
             order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
             for side in order:
-                run = run_side(commits[side], workload, seed, seconds, scratch)
+                run = run_side(commits[side], workload, seed, seconds)
                 data["runs"].append({
                     "workload": workload, "pair": pair, "seed": seed, "side": side,
                     "first": order[0], **run,
@@ -257,8 +254,6 @@ def main(argv=None) -> int:
                 if claim:
                     claim["met"] = claim_met(data["summary"], claim["workload"], claim["metric"])
                 args.out.write_text(json.dumps(data, indent=1) + "\n", encoding="utf-8")
-    if args.scratch is None:
-        shutil.rmtree(scratch, ignore_errors=True)
     print_summary(data["summary"])
     if claim:
         print(f"claim {claim['workload']} {claim['metric']}: {'met' if claim['met'] else 'not met'}")

@@ -362,24 +362,16 @@ class _PathIndex:
         return Domain(frozenset(u for u in us if u < nvars), [range(u, u + 1) for u in inner])
 
     def walk_word(self, frontier, word):
-        """The vertices reached from frontier by reading word.  An interior
-        vertex's atom is looked up at the first letter it reads; the place
-        of the next position in that atom is carried to the next letter."""
         nvars, adj, delta = self.nvars, self.adj, self.delta
-        places = {}
         for s in word:
             nxt = set()
             for u in frontier:
                 if u < nvars:
                     nxt.update(adj.get((u, s), ()))
                     continue
-                aword, i, last, end = places.get(u) or self._atom(u)
+                aword, i, last, end = self._atom(u)
                 if aword[i] == s:
-                    if u == last:
-                        nxt.add(end)
-                    else:
-                        nxt.add(u + delta)
-                        places[u + delta] = aword, (i + delta) % len(aword), last, end
+                    nxt.add(end if u == last else u + delta)
             frontier = nxt
             if not frontier:
                 break

@@ -393,7 +393,7 @@ def reduce_free_vars(q: UCRPQ, free_vars) -> UCRPQ:
 # a tail of them matches no token group
 _TOKEN_RE = re.compile(
     r"""
-    (?:[ \t\r\n]|\#[^\n]*)*+
+    (?:[ \t\r\n]|\#[^\n]*)*
     (?:
       (?P<ARROWOPEN>-\[)
     | (?P<ARROWCLOSE>\]->)
@@ -454,15 +454,12 @@ class _Parser:
 
     def __init__(self, text, start, stop):
         self.text = text
-        self.toks = _lex(text, start, stop)
-        self.at = 0
-        self.tok = self.toks[0]
+        self.rest = iter(_lex(text, start, stop))
+        self.tok = next(self.rest)
         self.depth = 0
 
     def take(self):
-        tok = self.tok
-        self.at += 1
-        self.tok = self.toks[self.at]
+        tok, self.tok = self.tok, next(self.rest)
         return tok
 
     def fail(self, pos, message):
@@ -515,15 +512,13 @@ class _Parser:
         elif kind == "QSYM":
             word = (lexeme[1:-1],)
         else:
-            if self.depth >= MAX_NESTING:
+            self.depth += 1
+            if self.depth > MAX_NESTING:
                 self.fail(pos, f"parentheses nested deeper than {MAX_NESTING}")
-            word = self.word_group()
-            if word is None:
-                self.depth += 1
-                base = self.regex()
-                self.expect("RPAREN", "')'")
-                self.depth -= 1
-                word = as_word(base) or None
+            base = self.regex()
+            self.expect("RPAREN", "')'")
+            self.depth -= 1
+            word = as_word(base) or None
 
         kind, _, pos = self.tok
         if kind in ("CARET", "POWLE"):
@@ -547,22 +542,6 @@ class _Parser:
         if base is not None:
             return base
         return concat(tuple(map(Letter, word)))
-
-    def word_group(self):
-        """After '(': the word its group spells when the group holds only
-        WORD (not eps) and QSYM tokens, taken with its ')'; else None, and
-        nothing is taken."""
-        toks, end = self.toks, self.at
-        while toks[end][0] == "QSYM" or toks[end][0] == "WORD" and toks[end][1] != "eps":
-            end += 1
-        if end == self.at or toks[end][0] != "RPAREN":
-            return None
-        word = []
-        for kind, lexeme, _ in toks[self.at:end]:
-            word.extend(lexeme if kind == "WORD" else (lexeme[1:-1],))
-        self.at = end + 1
-        self.tok = toks[self.at]
-        return tuple(word)
 
     # atom := VAR "-[" regex "]->" VAR | VAR "=" VAR
     def atom(self):

@@ -699,26 +699,6 @@ def test_exact_power_is_read_in_a_bounded_number_of_copy_walks(monkeypatch):
     assert len(calls) <= 4
 
 
-def test_a_word_looks_up_each_atom_once(monkeypatch):
-    # x -[(ab)^20]-> y: vertices 0 and 1 are x and y, 2..40 the atom's
-    # interior positions; a walk looks up the atom where it enters it, not
-    # at every letter it reads inside it
-    atom = _PathIndex._atom
-    calls = []
-
-    def counted(self, p):
-        calls.append(p)
-        return atom(self, p)
-
-    monkeypatch.setattr(_PathIndex, "_atom", counted)
-    fwd = _CanonicalDB(SuccinctCQ(("x", "y"), (SuccinctAtom("x", ("a", "b"), 20, "y"),))).fwd
-    assert fwd.walk_word(frozenset((2,)), ("b", "a") * 10) == frozenset((22,))
-    assert calls == [2]
-    calls.clear()
-    assert fwd.walk_word(frozenset((0,)), ("a", "b") * 20) == frozenset((1,))
-    assert calls == [2]
-
-
 def test_long_check_builds_no_set_of_positions():
     # (ab)^n c against (ab)^<=2n then c at n = 10^6: the reach set along
     # (ab)^<=2n and the candidates of its source are one range each
