@@ -38,7 +38,7 @@ import itertools
 import random
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
@@ -457,19 +457,9 @@ def fuzz_parse(cfg: FuzzConfig) -> int:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--nfa-trials", type=int, default=2000)
-    parser.add_argument("--containment-pairs", type=int, default=1000)
-    parser.add_argument("--probe-queries", type=int, default=300)
-    parser.add_argument("--boundedness-queries", type=int, default=100)
-    args = parser.parse_args()
-    cfg = FuzzConfig(
-        seed=args.seed,
-        nfa_trials=args.nfa_trials,
-        containment_pairs=args.containment_pairs,
-        probe_queries=args.probe_queries,
-        boundedness_queries=args.boundedness_queries,
-    )
+    for field in fields(FuzzConfig):
+        parser.add_argument("--" + field.name.replace("_", "-"), type=int, default=field.default)
+    cfg = FuzzConfig(**vars(parser.parse_args()))
 
     total = 0
     for name, round_fn, count in (

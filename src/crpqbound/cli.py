@@ -111,8 +111,8 @@ _CAP_FLAGS = {
     ),
     "--cap-length": (
         "max_length_dp",
-        "lengths per state in member's length search, both its pivot residues and its"
-        " acyclic length sets; largest |w|*n of a power the oracles read",
+        "residues per state and pivot in member's length search;"
+        " largest |w|*n of a power the oracles read",
     ),
     "--cap-word-len": ("max_word_len", "longest word a star-free label spells when listed"),
 }

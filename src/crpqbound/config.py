@@ -23,10 +23,10 @@ class Caps:
         containment check indexes as its left side or that materialize
         unrolls.
     max_length_dp:
-        Most lengths a state holds in the length search behind succinct-NFA
-        membership, as pivot residues or acyclic length sets; also the
-        longest word or transition brute-force membership unrolls, and
-        the largest |w|*n of a power that query evaluation reads.
+        Most residues a state holds for one pivot in the length search
+        behind succinct-NFA membership; also the longest word or
+        transition brute-force membership unrolls, and the largest |w|*n
+        of a power that query evaluation reads.
     max_word_len:
         Longest word a star-free label spells when its language is listed.
     """

@@ -53,7 +53,6 @@ change.
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections.abc import Set as AbstractSet
 from functools import cached_property
 from heapq import heappop, heappush, merge
 from itertools import chain
@@ -278,11 +277,6 @@ class Domain:
         if len(out) > 1:
             out.sort(key=_START)
         return Domain(self.variables & other.variables, out)
-
-    def __eq__(self, other):
-        if not isinstance(other, (Domain, AbstractSet, range)):
-            return NotImplemented
-        return len(self) == len(other) and all(u in other for u in self)
 
 
 def _union_of(doms) -> Domain:

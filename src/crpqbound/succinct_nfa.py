@@ -5,10 +5,11 @@ the language of such an automaton.  The decision runs in three stages:
 normalize away zero-length transitions, build a product automaton whose
 accepted words are exactly the accepted powers of v, then ask whether the
 product accepts a word of length m*|v|.  The length question has one
-exact route for every automaton: each cycle is cut at a pivot state whose
-walks are counted by residues modulo its shortest closed walk, and the
-acyclic rest propagates finite length sets.  The work is bounded by the
-pivots' shortest closed walks rather than by m.
+exact route: each cycle is cut at a pivot state whose walks are counted by
+residues modulo its shortest closed walk, and once no cycle is left the
+initial state is the last pivot, whose residues are the lengths
+themselves.  The work is bounded by the pivots' shortest closed walks
+rather than by m.
 """
 
 from __future__ import annotations
@@ -55,7 +56,10 @@ def normalize(nfa: SuccinctNFA) -> SuccinctNFA:
     The result has only positive-exponent transitions and accepts the
     same language: words can depart from any state epsilon-reachable from
     their old source, and a state is final if it epsilon-reaches a final.
+    An automaton with no zero-length transition is returned as it is.
     """
+    if all(t.length for t in nfa.transitions):
+        return nfa
     eps = {q: [] for q in nfa.states}
     for t in nfa.transitions:
         if t.length == 0:
@@ -77,11 +81,6 @@ def normalize(nfa: SuccinctNFA) -> SuccinctNFA:
         nfa.initial,
         finals,
     )
-
-
-def _epsilon_free(nfa: SuccinctNFA) -> SuccinctNFA:
-    """nfa if no transition has length 0 (it is normal already), else normalize(nfa)."""
-    return nfa if all(t.length for t in nfa.transitions) else normalize(nfa)
 
 
 # -------------------------------------------------------------- product build
@@ -107,7 +106,7 @@ def build_product(nfa: SuccinctNFA, v) -> SuccinctNFA:
     v = tuple(v)
     if not v:
         raise ValueError("v must be non-empty")
-    nfa = _epsilon_free(nfa)
+    nfa = normalize(nfa)
     lv = len(v)
     states = tuple(f"{q}@{i}" for q in nfa.states for i in range(lv))
     transitions = []
@@ -196,15 +195,15 @@ def length_reach(nfa: SuccinctNFA, target_length: int, caps: Caps = DEFAULT_CAPS
     useful states (reachable from the initial state and reaching a final)
     contain a cycle, one state p of it is a pivot: the walks through p are
     decided by residues modulo p's shortest closed walk, and p is deleted.
-    The acyclic rest propagates the finite sets of lengths up to the
-    target in topological order.  Exact; a pivot's table holds at most
-    min(c, target_length + 1) residues per state, for c its shortest
-    closed walk, so the work does not grow with target_length beyond c.
-    ``caps.max_length_dp`` bounds what one state holds in both stages.
+    Once no cycle is left, the initial state is the last pivot: every walk
+    starts there and none returns, so its residues are the lengths.
+    Exact; a pivot's table holds at most min(c, target_length + 1)
+    residues per state, for c its shortest closed walk, so the work does
+    not grow with target_length beyond c; ``caps.max_length_dp`` bounds it.
     """
     if target_length < 0:
         return False
-    nfa = _epsilon_free(nfa)
+    nfa = normalize(nfa)
     if target_length == 0:
         return nfa.initial in nfa.finals
     out = {q: [] for q in nfa.states}
@@ -219,22 +218,15 @@ def length_reach(nfa: SuccinctNFA, target_length: int, caps: Caps = DEFAULT_CAPS
         # sorted, so the cycle reported and the pivot cut do not hang on the hash seed
         graph = {q: sorted({u for u, _ in into[q] if u in live}) for q in sorted(live)}
         try:
-            order = list(TopologicalSorter(graph).static_order())
-            break
+            TopologicalSorter(graph).prepare()
+            p = nfa.initial
         except CycleError as exc:
             p = exc.args[1][0]
         if _through_pivot(p, out, live, nfa.initial, finals, target_length, caps):
             return True
+        if p == nfa.initial:
+            return False  # every walk visits the initial state
         live.discard(p)
-    reach = {}
-    for q in order:
-        lengths = {0} if q == nfa.initial else set()
-        for u, w in into[q]:
-            lengths.update(x + w for x in reach.get(u, ()) if x + w <= target_length)
-        if len(lengths) > caps.max_length_dp:
-            raise CapExceeded(caps.max_length_dp, "length set too large")
-        reach[q] = lengths
-    return any(target_length in reach.get(f, ()) for f in finals)
 
 
 # ----------------------------------------------------------------- membership

@@ -18,7 +18,7 @@ from crpqbound.expansion import (
     star_free_choice_count,
 )
 from crpqbound.config import DEFAULT_CAPS
-from crpqbound.homomorphism import expansion_contained
+from crpqbound.homomorphism import RightSide, expansion_contained
 from crpqbound.oracle import GraphDB, _atom_relation, eval_on_graph
 from crpqbound.succinct_nfa import SNFATransition, SuccinctNFA
 from crpqbound.syntax import (
@@ -188,7 +188,7 @@ def enumerate_then_skip(q, letters, z, probe, full, caps=DEFAULT_CAPS, pendant_v
     one has them at 0.
     """
     qc = collapse(q)
-    rhs = bound_letters(qc, letters, z)
+    rhs = RightSide(bound_letters(qc, letters, z))  # prepared once for every check
     per = probe + 1 if full else z + 2
     pendants = [pendant_stars(d) for d in qc.disjuncts]
     grid = sum(

@@ -478,7 +478,10 @@ def test_each_cap_flag_turns_a_decided_answer_inconclusive(tmp_path, qfile, caps
     runs(["member", str(cyclic), "a", "15"], "--cap-length", "2")
     acyclic = tmp_path / "a.nfa"
     acyclic.write_text("initial: i\nfinals: f\ni -[a]-> f\ni -[a^2]-> f\n")
-    runs(["member", str(acyclic), "a", "2"], "--cap-length", "1")
+    runs(["member", str(acyclic), "a", "3"], "--cap-length", "1")
+    assert main(["member", str(acyclic), "a", "3", "--cap-length", "2"]) == 1
+    # a^2 is accepted as f's second length is found: decided under the cap
+    assert main(["member", str(acyclic), "a", "2", "--cap-length", "1"]) == 0
     g = tmp_path / "g.csv"
     g.write_text("src,label,dst\n" + "".join(f"v{i},a,v{i + 1}\n" for i in range(5)))
     runs(["eval", "--graph", str(g), "--query", qfile("?x -[a^5]-> ?y\n")], "--cap-length", "1")

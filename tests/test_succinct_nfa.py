@@ -322,20 +322,23 @@ def test_residue_table_cap_fires():
 
 
 def test_acyclic_length_set_cap_fires():
-    # f is reached with lengths 1 and 2: two lengths against a cap of 1
+    # f is reached with lengths 1 and 2: the target 3 is neither, so the
+    # answer no comes only after f holds both, past a cap of 1
     nfa = _nfa(
         [SNFATransition("i", ("a",), 1, "f"), SNFATransition("i", ("a",), 2, "f")],
         "i",
         ["f"],
     )
-    with pytest.raises(CapExceeded, match="length set too large"):
-        length_reach(nfa, 2, replace(DEFAULT_CAPS, max_length_dp=1))
-    assert length_reach(nfa, 2, replace(DEFAULT_CAPS, max_length_dp=2)) is True
+    with pytest.raises(CapExceeded, match="residue table too large"):
+        length_reach(nfa, 3, replace(DEFAULT_CAPS, max_length_dp=1))
+    assert length_reach(nfa, 3, replace(DEFAULT_CAPS, max_length_dp=2)) is False
+    # the target 2 is met as f's second length is found, before f holds it
+    assert length_reach(nfa, 2, replace(DEFAULT_CAPS, max_length_dp=1)) is True
 
 
 def test_acyclic_membership_matches_brute_force_under_both_caps():
     # chains with parallel transitions and skip edges: every length comes
-    # from the acyclic stage, whose length sets max_length_dp bounds
+    # from the initial state's search, whose lengths max_length_dp bounds
     rng = random.Random(31)
     tight = replace(DEFAULT_CAPS, max_length_dp=3)
     decided = skipped = 0
