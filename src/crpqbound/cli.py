@@ -11,16 +11,24 @@ negative counterpart, 2 inconclusive under the configured caps, 64 usage
 or input error, 70 an --oracle-verify cross-check contradicted the
 verdict, 71 an internal error.  JSON reports with the same inputs and
 seed are byte-identical (the human report prints the wall time).
+
+Arguments are declared once, in ``_COMMANDS``, and read in one walk from
+left to right.  Flags are matched whole (no abbreviations) and take their
+value as the next word or after ``=`` (``--cap=5``); a repeated flag keeps
+its last value, ``--`` ends the flags, and ``-`` and negative numbers are
+positionals.  A usage error (exit 64), bad caps and a negative exponent
+included, comes before any input is read.  ``-h``/``--help`` prints help
+laid out for 80 columns whatever the terminal's width, and exits 0.
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
-import functools
 import json
+import re
 import sys
 from dataclasses import replace
+from types import SimpleNamespace
 
 from crpqbound.boundedness import (
     AnalysisReport,
@@ -43,13 +51,6 @@ from crpqbound.homomorphism import expansion_contained
 
 # unused here; kept importable because the benchmark's layer trace patches it
 from crpqbound.homomorphism import succinct_containment  # noqa: F401
-from crpqbound.oracle import (
-    eval_on_graph,
-    graph_of_cq,
-    load_graph_csv,
-    sampled_equivalence,
-)
-from crpqbound.qbfgen import build_q1, build_q2, parse_qbf, reduction
 from crpqbound.succinct_nfa import membership, parse_nfa
 from crpqbound.syntax import (
     UCRPQ,
@@ -77,13 +78,8 @@ class _UsageError(Exception):
     pass
 
 
-class _Parser(argparse.ArgumentParser):
-    def __init__(self, **kwargs):  # whole flags only: --cap never means --cap-atoms
-        super().__init__(allow_abbrev=False, **kwargs)
-
-    # argparse would sys.exit(2); route through the documented code instead
-    def error(self, message):
-        raise _UsageError(message)
+class _HelpAsked(Exception):
+    """-h or --help: main prints the help of the command named (None: the top level)."""
 
 
 # ------------------------------------------------------------------ helpers
@@ -121,8 +117,6 @@ _CAP_FLAGS = {
 def _caps_from(ns) -> Caps:
     values = vars(ns)  # a field is absent where its flag is not registered
     overrides = {f: values[f] for f, _ in _CAP_FLAGS.values() if values.get(f) is not None}
-    if any(v <= 0 for v in overrides.values()):
-        raise _UsageError("caps must be positive integers")
     return replace(DEFAULT_CAPS, **overrides) if overrides else DEFAULT_CAPS
 
 
@@ -237,6 +231,8 @@ def _verify_report(q: UCRPQ, report: AnalysisReport, caps: Caps, seed: int):
     stopped the replay.  A --letters max report replays the rewriting of
     each bounded letter's own run.
     """
+    from crpqbound.oracle import eval_on_graph, graph_of_cq, sampled_equivalence
+
     if report.per_letter is None:
         runs = [("verdict", report)]
     else:
@@ -309,8 +305,6 @@ def cmd_contains(ns) -> int:
 
 def cmd_member(ns) -> int:
     nfa = parse_nfa(_read_text(ns.automaton))
-    if ns.exponent < 0:
-        raise _UsageError("exponent must be a natural number")
     caps = _caps_from(ns)
     word = tuple(ns.word) if ns.word != "eps" else ()
     accepted = membership(nfa, word, ns.exponent, caps)
@@ -318,6 +312,8 @@ def cmd_member(ns) -> int:
 
 
 def cmd_qbfgen(ns) -> int:
+    from crpqbound.qbfgen import build_q1, build_q2, parse_qbf, reduction
+
     phi = parse_qbf(_read_text(ns.qbf))
     if ns.emit == "q1":
         d = build_q1(phi)
@@ -330,97 +326,280 @@ def cmd_qbfgen(ns) -> int:
 
 
 def cmd_eval(ns) -> int:
+    from crpqbound.oracle import eval_on_graph, load_graph_csv
+
     db = load_graph_csv(ns.graph)
     q = parse_ucrpq(_read_text(ns.query))
     caps = _caps_from(ns)
     return _answer(ns, eval_on_graph(q, db, caps), "satisfied")
 
 
-# ------------------------------------------------------------------ parser
+# -------------------------------------------------------------------- argv
 
 
-def _add_caps_flags(sub, *flags) -> None:
-    """Register the cap flags that the subcommand's code paths read."""
-    for flag in flags:
-        field, help_text = _CAP_FLAGS[flag]
-        # stored under its Caps field; --help shows the metavar argparse derives from the flag
-        metavar = flag[2:].replace("-", "_").upper()
-        sub.add_argument(flag, type=int, dest=field, metavar=metavar, help=help_text)
+def _cap(text: str) -> int:
+    value = int(text)
+    if value <= 0:
+        raise _UsageError("caps must be positive integers")
+    return value
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process."""
-    parser = _Parser(
-        prog="crpqbound",
-        description="Boundedness analysis for recursive graph queries.",
-    )
-    subs = parser.add_subparsers(dest="command", required=True)
-
-    analyze = subs.add_parser("analyze", help="decide boundedness of a query file")
-    analyze.add_argument("file", help="query file ('-' for stdin)")
-    analyze.add_argument("--json", action="store_true", help="emit a JSON report")
-    analyze.add_argument(
-        "--letters",
-        help="comma-separated letter set, 'all', or 'max' for the maximal bounded set",
-    )
-    analyze.add_argument(
-        "--full-enumeration",
-        action="store_true",
-        help="probe every exponent up to Z+ instead of {0..Z} plus Z+",
-    )
-    analyze.add_argument(
-        "--zplus-mode",
-        choices=("paper", "safe"),
-        default="paper",
-        help="probe exponent formula",
-    )
-    analyze.add_argument(
-        "--oracle-verify",
-        action="store_true",
-        help="cross-check the verdict against brute-force evaluation",
-    )
-    analyze.add_argument("--seed", type=int, default=0, help="sampling seed (default 0)")
-    # --cap-length bounds the powers the oracles read under --oracle-verify
-    _add_caps_flags(analyze, "--cap", "--cap-atoms", "--cap-length", "--cap-word-len")
-
-    contains = subs.add_parser("contains", help="succinct CQ containment in a query")
-    contains.add_argument("left", help="contained query file")
-    contains.add_argument("right", help="containing query file")
-    contains.add_argument("--json", action="store_true")
-    _add_caps_flags(contains, "--cap-atoms")
-
-    member = subs.add_parser("member", help="succinct NFA membership of v^m")
-    member.add_argument("automaton", help="automaton file ('-' for stdin)")
-    member.add_argument("word", help="base word v, or 'eps'")
-    member.add_argument("exponent", type=int, help="exponent m")
-    member.add_argument("--json", action="store_true")
-    _add_caps_flags(member, "--cap-length")
-
-    qbfgen = subs.add_parser("qbfgen", help="emit the query reduction of a formula")
-    qbfgen.add_argument("qbf", help="formula file ('-' for stdin)")
-    qbfgen.add_argument("--emit", choices=("q", "q1", "q2"), default="q")
-
-    evaluate = subs.add_parser("eval", help="evaluate a query over a CSV edge list")
-    evaluate.add_argument("--graph", required=True, help="CSV file of src,label,dst rows")
-    evaluate.add_argument("--query", required=True, help="query file ('-' for stdin)")
-    evaluate.add_argument("--json", action="store_true")
-    _add_caps_flags(evaluate, "--cap-length")
-
-    parser.subcommands = subs.choices
-    return parser
+def _natural(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise _UsageError("exponent must be a natural number")
+    return value
 
 
-def _parse_argv(argv):
-    """The namespace build_parser().parse_args(argv) gives, from the named
-    subcommand's own parser when argv starts with one."""
-    parser = build_parser()
-    sub = parser.subcommands.get(argv[0]) if argv else None
-    if sub is None:  # no command, an unknown one, or top-level --help
-        return parser.parse_args(argv)
-    ns = sub.parse_args(argv[1:])
-    ns.command = argv[0]
-    return ns
+def _cap_flags(*flags) -> list:
+    """The rows of the cap flags that the subcommand's code paths read."""
+    return [(flag, _CAP_FLAGS[flag][0], _cap, None, None, _CAP_FLAGS[flag][1]) for flag in flags]
+
+
+_PROG = "crpqbound"
+_DESCRIPTION = "Boundedness analysis for recursive graph queries."
+_REQUIRED = object()  # the default of a flag that must be given
+
+# The command line, declared once; _parse_argv and _help read it.  Each
+# subcommand has its help line, its positionals as (name, value type, help)
+# and its flags as (flag, dest, value type or None for a switch, default,
+# choices, help).  Every value type but str reads an int and raises
+# ValueError on other text.
+_COMMANDS = {
+    "analyze": (
+        "decide boundedness of a query file",
+        [("file", str, "query file ('-' for stdin)")],
+        [
+            ("--json", "json", None, False, None, "emit a JSON report"),
+            ("--letters", "letters", str, None, None,
+             "comma-separated letter set, 'all', or 'max' for the maximal bounded set"),
+            ("--full-enumeration", "full_enumeration", None, False, None,
+             "probe every exponent up to Z+ instead of {0..Z} plus Z+"),
+            ("--zplus-mode", "zplus_mode", str, "paper", ("paper", "safe"),
+             "probe exponent formula"),
+            ("--oracle-verify", "oracle_verify", None, False, None,
+             "cross-check the verdict against brute-force evaluation"),
+            ("--seed", "seed", int, 0, None, "sampling seed (default 0)"),
+            # --cap-length bounds the powers the oracles read under --oracle-verify
+            *_cap_flags("--cap", "--cap-atoms", "--cap-length", "--cap-word-len"),
+        ],
+    ),
+    "contains": (
+        "succinct CQ containment in a query",
+        [("left", str, "contained query file"), ("right", str, "containing query file")],
+        [("--json", "json", None, False, None, None), *_cap_flags("--cap-atoms")],
+    ),
+    "member": (
+        "succinct NFA membership of v^m",
+        [
+            ("automaton", str, "automaton file ('-' for stdin)"),
+            ("word", str, "base word v, or 'eps'"),
+            ("exponent", _natural, "exponent m"),
+        ],
+        [("--json", "json", None, False, None, None), *_cap_flags("--cap-length")],
+    ),
+    "qbfgen": (
+        "emit the query reduction of a formula",
+        [("qbf", str, "formula file ('-' for stdin)")],
+        [("--emit", "emit", str, "q", ("q", "q1", "q2"), None)],
+    ),
+    "eval": (
+        "evaluate a query over a CSV edge list",
+        [],
+        [
+            ("--graph", "graph", str, _REQUIRED, None, "CSV file of src,label,dst rows"),
+            ("--query", "query", str, _REQUIRED, None, "query file ('-' for stdin)"),
+            ("--json", "json", None, False, None, None),
+            *_cap_flags("--cap-length"),
+        ],
+    ),
+}
+_HELP = ("-h/--help", "help", None, None, None, "show this help message and exit")
+_TOP_FLAGS = {"-h": _HELP, "--help": _HELP}
+# each subcommand's rows by flag, -h and --help included
+_FLAGS = {
+    name: {**_TOP_FLAGS, **{row[0]: row for row in rows}}
+    for name, (_, _, rows) in _COMMANDS.items()
+}
+_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$").match
+
+
+def _read_flag(arg: str, flags: dict):
+    """How an argv word before '--' reads: None for a positional ('-', a
+    negative number, a word with a space or without a leading '-'), (row,
+    attached value or None) for a flag, (None, None) for an unknown flag."""
+    if arg[:1] != "-" or arg == "-":
+        return None
+    row = flags.get(arg)
+    if row is not None:
+        return row, None
+    name, eq, attached = arg.partition("=")
+    if eq and name in flags:
+        return flags[name], attached
+    if arg[1] != "-" and arg[:2] in flags:  # -hx: a one-letter flag with its value attached
+        return flags[arg[:2]], arg[2:]
+    if _NEGATIVE(arg) or " " in arg:
+        return None
+    return None, None
+
+
+def _switch(arg: str, row, attached) -> None:
+    """Refuse a value attached to a flag that takes none."""
+    if attached is None:
+        return
+    if row is _HELP and arg[1] != "-":  # -hhx reads as -h -h -x
+        if attached and not attached.lstrip("h"):
+            return
+        attached = attached.lstrip("h") or attached
+    raise _UsageError(f"argument {row[0]}: ignored explicit argument {attached!r}")
+
+
+def _value(name: str, kind, choices, text: str):
+    try:
+        value = kind(text)
+    except ValueError:
+        raise _UsageError(f"argument {name}: invalid int value: {text!r}") from None
+    if choices and value not in choices:
+        listed = ", ".join(map(repr, choices))
+        raise _UsageError(f"argument {name}: invalid choice: {value!r} (choose from {listed})")
+    return value
+
+
+def _parse_argv(argv: list) -> SimpleNamespace:
+    """The namespace argv names, read in one walk from left to right.
+    Raises _UsageError, or _HelpAsked at -h or --help."""
+    extras = []
+    i, n = 0, len(argv)
+    while True:  # the top level: -h, --help and unknown flags up to the subcommand
+        if i == n:
+            raise _UsageError("the following arguments are required: command")
+        arg = argv[i]
+        i += 1
+        # a '--' that something follows is read as the subcommand's name
+        read = None if arg == "--" and i < n else _read_flag(arg, _TOP_FLAGS)
+        if read is None:
+            break
+        row, attached = read
+        if row is None:
+            extras.append(arg)
+            continue
+        _switch(arg, row, attached)
+        raise _HelpAsked(None)
+    command = _value("command", str, _COMMANDS, arg)
+    _, positionals, rows = _COMMANDS[command]
+    flags = _FLAGS[command]
+    values = {row[1]: row[3] for row in rows if row[3] is not _REQUIRED}
+    values["command"] = command
+    slot = 0
+    filled_at = -1  # the index of the last word read as a positional
+    options = True  # until '--'
+    while i < n:
+        arg = argv[i]
+        i += 1
+        if options and arg == "--":
+            options = False
+            # a '--' next to a positional's word is dropped; any other is unrecognized
+            if filled_at != i - 2 and slot == len(positionals):
+                extras.append(arg)
+            continue
+        read = _read_flag(arg, flags) if options else None
+        if read is None:
+            if slot == len(positionals):
+                extras.append(arg)
+                continue
+            name, kind, _ = positionals[slot]
+            values[name] = _value(name, kind, None, arg)
+            slot += 1
+            filled_at = i - 1
+            continue
+        row, attached = read
+        if row is None:
+            extras.append(arg)
+            continue
+        flag, dest, kind, _, choices, _ = row
+        if kind is None:
+            _switch(arg, row, attached)
+            if row is _HELP:
+                raise _HelpAsked(command)
+            values[dest] = True
+            continue
+        if attached is None:
+            if i == n or argv[i] == "--" or _read_flag(argv[i], flags) is not None:
+                raise _UsageError(f"argument {flag}: expected one argument")
+            attached = argv[i]
+            i += 1
+        values[dest] = _value(flag, kind, choices, attached)
+    missing = [name for name, _, _ in positionals[slot:]]
+    missing += [row[0] for row in rows if row[3] is _REQUIRED and row[1] not in values]
+    if missing:
+        raise _UsageError("the following arguments are required: " + ", ".join(missing))
+    if extras:
+        raise _UsageError("unrecognized arguments: " + " ".join(extras))
+    return SimpleNamespace(**values)
+
+
+def _help(command) -> str:
+    """The --help text of a subcommand (None: the top level), laid out for
+    80 columns whatever the terminal's width."""
+    import textwrap
+
+    width = 78  # two of the 80 columns stay free
+    options = [("-h, --help", _HELP[5], 2)]
+    if command is None:
+        prog, blurb = _PROG, [textwrap.fill(_DESCRIPTION, width)]
+        names = "{" + ",".join(_COMMANDS) + "}"
+        flags, tail = ["[-h]"], [names, "..."]
+        items = [(names, None, 2)] + [(name, spec[0], 4) for name, spec in _COMMANDS.items()]
+    else:
+        prog, blurb = f"{_PROG} {command}", []
+        _, positionals, rows = _COMMANDS[command]
+        flags, tail = ["[-h]"], [name for name, _, _ in positionals]
+        items = [(name, text, 2) for name, _, text in positionals]
+        for flag, _, kind, default, choices, text in rows:
+            if kind is not None:
+                metavar = flag[2:].replace("-", "_").upper()
+                flag += " " + ("{" + ",".join(choices) + "}" if choices else metavar)
+            flags.append(flag if default is _REQUIRED else f"[{flag}]")
+            options.append((flag, text, 2))
+
+    usage = " ".join([prog, *flags, *tail])
+    if len("usage: " + usage) > width:  # flags, then positionals, under the first flag
+        indent = len("usage: " + prog) + 1
+
+        def wrap(parts, length):
+            lines, line = [], []
+            for part in parts:
+                if length + 1 + len(part) > width and line:
+                    lines.append(" ".join(line))
+                    line, length = [], indent - 1
+                line.append(part)
+                length += len(part) + 1
+            return lines + [" ".join(line)] if line else lines
+
+        wrapped = wrap([prog, *flags], len("usage:")) + wrap(tail, indent - 1)
+        usage = ("\n" + " " * indent).join(wrapped)
+    column = min(max(len(call) + indent for call, _, indent in items + options) + 2, 24)
+
+    def section(heading, entries):
+        lines = [heading + ":"]
+        for call, text, indent in entries:
+            head = " " * indent + call
+            if not text:
+                lines.append(head)
+                continue
+            first, *rest = textwrap.wrap(" ".join(text.split()), width - column)
+            if len(head) + 2 <= column:
+                lines.append(head.ljust(column) + first)
+            else:
+                lines += [head, " " * column + first]
+            lines += [" " * column + line for line in rest]
+        return "\n".join(lines)
+
+    blocks = ["usage: " + usage, *blurb]
+    if items:
+        blocks.append(section("positional arguments", items))
+    blocks.append(section("options", options))
+    return "\n\n".join(blocks) + "\n"
 
 
 def main(argv=None) -> int:
@@ -435,6 +614,9 @@ def main(argv=None) -> int:
             "eval": cmd_eval,
         }[ns.command]
         return handler(ns)
+    except _HelpAsked as asked:
+        sys.stdout.write(_help(asked.args[0]))
+        return EX_YES
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EX_USAGE

@@ -1,5 +1,7 @@
 """End-to-end command behaviour: exit codes, JSON shape, determinism."""
 
+import argparse
+import functools
 import inspect
 import io
 import json
@@ -20,9 +22,9 @@ from conftest import (
     rewriting_corpus,
 )
 
-from crpqbound import boundedness, cli
+from crpqbound import boundedness, cli, oracle
 from crpqbound.boundedness import is_bounded_in
-from crpqbound.cli import build_parser, main
+from crpqbound.cli import main
 from crpqbound.expansion import materialize, render_succinct_cq, succinct_cq_from_crpq
 from crpqbound.homomorphism import cq_hom
 from crpqbound.qbfgen import parse_qbf
@@ -131,7 +133,7 @@ def test_letters_max_oracle_verify_runs_no_second_analysis(qfile, capsys, monkey
         sampled.append(rewriting)
         return SimpleNamespace(kind="agree")
 
-    monkeypatch.setattr(cli, "sampled_equivalence", agree)
+    monkeypatch.setattr(oracle, "sampled_equivalence", agree)
     path = qfile(LEAFY2)
     assert main(["analyze", path, "--letters", "max", "--oracle-verify"]) == 1
     capsys.readouterr()
@@ -144,7 +146,7 @@ def test_letters_max_oracle_verify_names_the_contradicted_letter(
     qfile, capsys, monkeypatch
 ):
     monkeypatch.setattr(
-        cli, "sampled_equivalence", lambda *a, **k: SimpleNamespace(kind="disagree")
+        oracle, "sampled_equivalence", lambda *a, **k: SimpleNamespace(kind="disagree")
     )
     assert main(["analyze", qfile(LEAFY2), "--letters", "max", "--oracle-verify"]) == 70
     err = capsys.readouterr().err
@@ -441,6 +443,33 @@ def test_cap_flag_rejects_nonpositive(qfile, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["analyze", "/nonexistent/q.txt", "--cap", "0"], "caps must be positive integers"),
+        (["member", "/nonexistent/m.nfa", "ab", "-1"], "exponent must be a natural number"),
+    ],
+)
+def test_usage_errors_come_before_the_input_is_read(argv, message, capsys):
+    assert main(argv) == 64
+    assert capsys.readouterr().err == f"usage error: {message}\n"
+
+
+def test_import_loads_only_what_a_decision_runs():
+    script = "import sys\nfrom crpqbound.cli import main\n"
+    script += "print(sorted({'argparse', 'crpqbound.oracle', 'crpqbound.qbfgen'}"
+    script += " & set(sys.modules)))"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert done.stdout == "[]\n"
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["contains", "{q}", "{q}", "--cap", "5"],
@@ -703,6 +732,99 @@ def test_dash_reads_stdin(qfile, capsys, monkeypatch):
     assert capsys.readouterr() == from_file
 
 
+# The reference for main's reading of argv: the argparse parser it replaced,
+# with value types that refuse a cap below 1 and a negative exponent as main does.
+
+
+class _ArgparseParser(argparse.ArgumentParser):
+    def __init__(self, **kwargs):  # whole flags only: --cap never means --cap-atoms
+        super().__init__(allow_abbrev=False, **kwargs)
+
+    def error(self, message):
+        raise cli._UsageError(message)
+
+
+def _checked_int(holds, message):
+    def read(text):
+        value = int(text)
+        if not holds(value):
+            raise cli._UsageError(message)
+        return value
+
+    read.__name__ = "int"  # argparse names the type in "invalid int value"
+    return read
+
+
+_positive = _checked_int(lambda v: v > 0, "caps must be positive integers")
+_natural = _checked_int(lambda v: v >= 0, "exponent must be a natural number")
+
+
+def _add_caps_flags(sub, *flags):
+    for flag in flags:
+        field, help_text = cli._CAP_FLAGS[flag]
+        metavar = flag[2:].replace("-", "_").upper()
+        sub.add_argument(flag, type=_positive, dest=field, metavar=metavar, help=help_text)
+
+
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    parser = _ArgparseParser(
+        prog="crpqbound",
+        description="Boundedness analysis for recursive graph queries.",
+    )
+    subs = parser.add_subparsers(dest="command", required=True)
+
+    analyze = subs.add_parser("analyze", help="decide boundedness of a query file")
+    analyze.add_argument("file", help="query file ('-' for stdin)")
+    analyze.add_argument("--json", action="store_true", help="emit a JSON report")
+    analyze.add_argument(
+        "--letters",
+        help="comma-separated letter set, 'all', or 'max' for the maximal bounded set",
+    )
+    analyze.add_argument(
+        "--full-enumeration",
+        action="store_true",
+        help="probe every exponent up to Z+ instead of {0..Z} plus Z+",
+    )
+    analyze.add_argument(
+        "--zplus-mode",
+        choices=("paper", "safe"),
+        default="paper",
+        help="probe exponent formula",
+    )
+    analyze.add_argument(
+        "--oracle-verify",
+        action="store_true",
+        help="cross-check the verdict against brute-force evaluation",
+    )
+    analyze.add_argument("--seed", type=int, default=0, help="sampling seed (default 0)")
+    _add_caps_flags(analyze, "--cap", "--cap-atoms", "--cap-length", "--cap-word-len")
+
+    contains = subs.add_parser("contains", help="succinct CQ containment in a query")
+    contains.add_argument("left", help="contained query file")
+    contains.add_argument("right", help="containing query file")
+    contains.add_argument("--json", action="store_true")
+    _add_caps_flags(contains, "--cap-atoms")
+
+    member = subs.add_parser("member", help="succinct NFA membership of v^m")
+    member.add_argument("automaton", help="automaton file ('-' for stdin)")
+    member.add_argument("word", help="base word v, or 'eps'")
+    member.add_argument("exponent", type=_natural, help="exponent m")
+    member.add_argument("--json", action="store_true")
+    _add_caps_flags(member, "--cap-length")
+
+    qbfgen = subs.add_parser("qbfgen", help="emit the query reduction of a formula")
+    qbfgen.add_argument("qbf", help="formula file ('-' for stdin)")
+    qbfgen.add_argument("--emit", choices=("q", "q1", "q2"), default="q")
+
+    evaluate = subs.add_parser("eval", help="evaluate a query over a CSV edge list")
+    evaluate.add_argument("--graph", required=True, help="CSV file of src,label,dst rows")
+    evaluate.add_argument("--query", required=True, help="query file ('-' for stdin)")
+    evaluate.add_argument("--json", action="store_true")
+    _add_caps_flags(evaluate, "--cap-length")
+    return parser
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -730,20 +852,44 @@ def test_dash_reads_stdin(qfile, capsys, monkeypatch):
         [],
         ["--help"],
         ["member", "--help"],
+        ["analyze", "q.txt", "--cap=5"],
+        ["analyze", "q.txt", "--json=x"],
+        ["analyze", "q.txt", "--seed", "1", "--seed", "2"],
+        ["analyze", "q.txt", "--cap"],
+        ["analyze", "q.txt", "--cap", "-5"],
+        ["analyze", "q.txt", "-x"],
+        ["-x"],
+        ["analyze", "-h", "--bogus"],
+        ["analyze", "--zplus-mode", "other", "-h"],
+        ["analyze", "--", "-"],
+        ["-h"],
+        *(
+            [name, flag]
+            for name in ("analyze", "contains", "qbfgen", "eval")
+            for flag in ("-h", "--help")
+        ),
+        ["member", "-h"],
+        ["analyze", "-hh"],
+        ["analyze", "-hx"],
+        ["--help=x"],
+        ["--", "analyze", "q.txt"],
+        ["analyze", "q.txt", "x", "--", "y"],
+        ["analyze", "q.txt", "--json", "--"],
+        ["member", "m.nfa", "--json", "--", "ab", "3"],
+        ["analyze", "q.txt", "--letters", "--json"],
+        ["analyze", "-3", "--letters=a b", "--zplus-mode=safe", "-1e5"],
+        ["member", "m.nfa", "ab", "0", "--cap-length=0"],
     ],
 )
 def test_dispatch_matches_the_full_parser(argv, capsys, monkeypatch):
-    # what main acts on: the namespace a handler gets, or the usage message and exit code
+    # what main acts on: the namespace a handler gets, or what it prints and its exit code
+    monkeypatch.setenv("COLUMNS", "80")
     seen = []
     for name in ("analyze", "contains", "member", "qbfgen", "eval"):
-        monkeypatch.setattr(cli, f"cmd_{name}", lambda ns: seen.append(ns) or 0)
+        monkeypatch.setattr(cli, f"cmd_{name}", lambda ns: seen.append(vars(ns)) or 0)
+    got = (seen, main(list(argv)), *capsys.readouterr())
     try:
-        code = main(list(argv))
-    except SystemExit as exc:
-        code = exc.code
-    got = (seen, code, *capsys.readouterr())
-    try:
-        expected = ([build_parser().parse_args(list(argv))], 0, "", "")
+        expected = ([vars(build_parser().parse_args(list(argv)))], 0, "", "")
     except cli._UsageError as exc:
         expected = ([], 64, "", f"usage error: {exc}\n")
     except SystemExit as exc:
