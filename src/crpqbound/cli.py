@@ -115,7 +115,7 @@ _CAP_FLAGS = {
 
 
 def _caps_from(ns) -> Caps:
-    values = vars(ns)  # a field is absent where its flag is not registered
+    values = vars(ns)  # a field is absent where the subcommand has no such flag
     overrides = {f: values[f] for f, _ in _CAP_FLAGS.values() if values.get(f) is not None}
     return replace(DEFAULT_CAPS, **overrides) if overrides else DEFAULT_CAPS
 
