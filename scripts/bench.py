@@ -42,10 +42,14 @@ ROOT = Path(__file__).resolve().parent.parent
 CLAIM_RULE = "change wins at least 9 of 10 pairs and the median gain exceeds the parent's IQR"
 
 
+def _end_to_end() -> list:
+    """The benchmark's end-to-end metrics as BENCHMARK.json declares them."""
+    return json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]
+
+
 def _metrics() -> dict:
     """Each end-to-end metric of the benchmark: whether higher or lower is better."""
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    return {m["name"]: m["better"] for m in spec["end_to_end"]}
+    return {m["name"]: m["better"] for m in _end_to_end()}
 
 
 def _quartiles(values) -> list:
@@ -101,6 +105,14 @@ def claim_met(summary: dict, workload: str, metric: str) -> bool:
     parent, change = s["parent_q1_median_q3"][1], s["change_q1_median_q3"][1]
     gain = change - parent if s["better"] == "higher" else parent - change
     return s["change_wins"] >= math.ceil(0.9 * s["pairs"]) and gain > s["parent_iqr"]
+
+
+def past_bound(s: dict, bound: float) -> bool:
+    """The no-regression rule: the change's median worse than the parent's by
+    more than the metric's bound, a share of the parent's median."""
+    parent, change = s["parent_q1_median_q3"][1], s["change_q1_median_q3"][1]
+    worse = parent - change if s["better"] == "higher" else change - parent
+    return worse > bound * abs(parent)
 
 
 def _differences(data: dict) -> int:
@@ -182,6 +194,9 @@ def _environment() -> dict:
 
 
 def print_summary(summary: dict) -> None:
+    """One line per workload and metric; a line ends in PAST BOUND where the
+    change breaks the no-regression rule on that metric."""
+    bounds = {m["name"]: m["bound"] for m in _end_to_end()}
     for workload, entries in summary.items():
         for name, s in entries.items():
             if name == "failed_items":
@@ -192,6 +207,8 @@ def print_summary(summary: dict) -> None:
                 f"{workload:16s} {name:15s} parent {p[1]:.4g} [{p[0]:.4g}, {p[2]:.4g}]  "
                 f"change {c[1]:.4g} [{c[0]:.4g}, {c[2]:.4g}]  ratio {s['median_ratio']}  "
                 f"won {s['change_wins']} lost {s['change_losses']} of {s['pairs']}"
+                + (f"  PAST BOUND {bounds[name]:g}"
+                   if name in bounds and past_bound(s, bounds[name]) else "")
             )
 
 

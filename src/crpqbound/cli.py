@@ -17,8 +17,10 @@ left to right.  Flags are matched whole (no abbreviations) and take their
 value as the next word or after ``=`` (``--cap=5``); a repeated flag keeps
 its last value, ``--`` ends the flags, and ``-`` and negative numbers are
 positionals.  A usage error (exit 64), bad caps and a negative exponent
-included, comes before any input is read.  ``-h``/``--help`` prints help
-laid out for 80 columns whatever the terminal's width, and exits 0.
+included, comes before any input is read.  ``-h``/``--help`` prints the
+help that argparse's formatter lays out from ``_COMMANDS`` for 80
+columns, whatever the terminal's width, and exits 0; argparse is imported
+only then.
 """
 
 from __future__ import annotations
@@ -414,7 +416,7 @@ _COMMANDS = {
         ],
     ),
 }
-_HELP = ("-h/--help", "help", None, None, None, "show this help message and exit")
+_HELP = ("-h/--help", "help", None, None, None, None)  # argparse writes its help line
 _TOP_FLAGS = {"-h": _HELP, "--help": _HELP}
 # each subcommand's rows by flag, -h and --help included
 _FLAGS = {
@@ -539,67 +541,27 @@ def _parse_argv(argv: list) -> SimpleNamespace:
 
 
 def _help(command) -> str:
-    """The --help text of a subcommand (None: the top level), laid out for
-    80 columns whatever the terminal's width."""
-    import textwrap
+    """The --help text of a subcommand (None: the top level): argparse lays
+    out _COMMANDS for 80 columns whatever the terminal's width."""
+    import argparse
 
-    width = 78  # two of the 80 columns stay free
-    options = [("-h, --help", _HELP[5], 2)]
-    if command is None:
-        prog, blurb = _PROG, [textwrap.fill(_DESCRIPTION, width)]
-        names = "{" + ",".join(_COMMANDS) + "}"
-        flags, tail = ["[-h]"], [names, "..."]
-        items = [(names, None, 2)] + [(name, spec[0], 4) for name, spec in _COMMANDS.items()]
-    else:
-        prog, blurb = f"{_PROG} {command}", []
-        _, positionals, rows = _COMMANDS[command]
-        flags, tail = ["[-h]"], [name for name, _, _ in positionals]
-        items = [(name, text, 2) for name, _, text in positionals]
-        for flag, _, kind, default, choices, text in rows:
-            if kind is not None:
-                metavar = flag[2:].replace("-", "_").upper()
-                flag += " " + ("{" + ",".join(choices) + "}" if choices else metavar)
-            flags.append(flag if default is _REQUIRED else f"[{flag}]")
-            options.append((flag, text, 2))
+    def formatter(prog):  # two of the 80 columns stay free
+        return argparse.HelpFormatter(prog, width=78)
 
-    usage = " ".join([prog, *flags, *tail])
-    if len("usage: " + usage) > width:  # flags, then positionals, under the first flag
-        indent = len("usage: " + prog) + 1
-
-        def wrap(parts, length):
-            lines, line = [], []
-            for part in parts:
-                if length + 1 + len(part) > width and line:
-                    lines.append(" ".join(line))
-                    line, length = [], indent - 1
-                line.append(part)
-                length += len(part) + 1
-            return lines + [" ".join(line)] if line else lines
-
-        wrapped = wrap([prog, *flags], len("usage:")) + wrap(tail, indent - 1)
-        usage = ("\n" + " " * indent).join(wrapped)
-    column = min(max(len(call) + indent for call, _, indent in items + options) + 2, 24)
-
-    def section(heading, entries):
-        lines = [heading + ":"]
-        for call, text, indent in entries:
-            head = " " * indent + call
-            if not text:
-                lines.append(head)
-                continue
-            first, *rest = textwrap.wrap(" ".join(text.split()), width - column)
-            if len(head) + 2 <= column:
-                lines.append(head.ljust(column) + first)
+    parser = argparse.ArgumentParser(_PROG, description=_DESCRIPTION, formatter_class=formatter)
+    subparsers = parser.add_subparsers()
+    for name, (text, positionals, rows) in _COMMANDS.items():
+        sub = subparsers.add_parser(name, help=text, formatter_class=formatter)
+        for positional, _, help_text in positionals:
+            sub.add_argument(positional, help=help_text)
+        for flag, dest, kind, default, choices, help_text in rows:
+            if kind is None:
+                sub.add_argument(flag, action="store_true", help=help_text)
             else:
-                lines += [head, " " * column + first]
-            lines += [" " * column + line for line in rest]
-        return "\n".join(lines)
-
-    blocks = ["usage: " + usage, *blurb]
-    if items:
-        blocks.append(section("positional arguments", items))
-    blocks.append(section("options", options))
-    return "\n\n".join(blocks) + "\n"
+                metavar = None if choices else flag[2:].replace("-", "_").upper()
+                sub.add_argument(flag, dest=dest, choices=choices, metavar=metavar,
+                                 required=default is _REQUIRED, help=help_text)
+    return (subparsers.choices[command] if command else parser).format_help()
 
 
 def main(argv=None) -> int:

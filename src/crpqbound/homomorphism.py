@@ -711,9 +711,10 @@ def _disjunct_hom(d: _PreparedDisjunct, db: _CanonicalDB):
     tries its candidates lazily in ascending order.  A variable on a
     closed walk of at most L letters (d.closed) passes over the interior
     positions of atoms longer than L, a whole range at a time, without
-    trying them: no homomorphism maps it there (see the module docstring).  Only a self-loop's variable has them
-    dropped from its domain; the other domains keep them, so the variable
-    order and the homomorphism found are those of trying them."""
+    trying them: no homomorphism maps it there (see the module
+    docstring).  Only a self-loop's variable has them dropped from its
+    domain; the other domains keep them, so the variable order and the
+    homomorphism found are those of trying them."""
     fwd, bwd = db.fwd, db.bwd
     dom = _unary_domains(d, fwd, bwd)
     cands = {v: dom[v] if v in dom else db.vertices for v in d.order}

@@ -13,7 +13,7 @@ The independence is not complete: sampled equivalence caps the star
 exponents of its canonical databases by boundedness.compute_bounds and
 builds them with expansion.enumerate_expansions and
 expansion.materialize, code that the boundedness verdicts it checks rest
-on as well.  ROADMAP item 5 plans oracles that share none of it.
+on as well.  ROADMAP item 4 plans oracles that share none of it.
 """
 
 from __future__ import annotations

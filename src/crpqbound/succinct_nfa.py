@@ -235,11 +235,10 @@ def length_reach(nfa: SuccinctNFA, target_length: int, caps: Caps = DEFAULT_CAPS
 def membership(nfa: SuccinctNFA, v, m: int, caps: Caps = DEFAULT_CAPS) -> bool:
     """Decide v^m in L(nfa), with v a word and m a natural in binary."""
     v = tuple(v)
-    norm = normalize(nfa)
     if m == 0 or not v:
-        return norm.initial in norm.finals
-    product = build_product(norm, v)
-    return length_reach(product, m * len(v), caps)
+        return length_reach(nfa, 0, caps)
+    # build_product normalizes; on the product, length_reach's normalize returns at once
+    return length_reach(build_product(nfa, v), m * len(v), caps)
 
 
 # ------------------------------------------------------------------- text IO

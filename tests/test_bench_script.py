@@ -27,3 +27,16 @@ def test_a_changed_run_or_claim_is_reported(tmp_path):
     data["claim"]["met"] = False
     path.write_text(json.dumps(data), encoding="utf-8")
     assert bench.rederive(path) == 1
+
+
+@pytest.mark.parametrize("factor, marked", [(1.0, []), (1.3, []), (1.5, ["latency_p90_ms"])])
+def test_summary_marks_a_median_past_its_bound(factor, marked, capsys):
+    # deep-words p90: parent median 0.7487 ms, change 0.6717 ms, bound 0.24
+    data = json.loads((ROOT / "BENCH_27.json").read_text(encoding="utf-8"))
+    for run in data["runs"]:
+        if run["workload"] == "deep-words" and run["side"] == "change":
+            run["result"]["metrics"]["latency_p90_ms"]["value"] *= factor
+    bench.print_summary(bench.summarize(data["runs"], bench._metrics()))
+    lines = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert [words[1] for words in lines if "PAST" in words] == marked
+    assert all(words[0] == "deep-words" for words in lines if "PAST" in words)

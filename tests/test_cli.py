@@ -454,9 +454,12 @@ def test_usage_errors_come_before_the_input_is_read(argv, message, capsys):
     assert capsys.readouterr().err == f"usage error: {message}\n"
 
 
-def test_import_loads_only_what_a_decision_runs():
+def test_import_loads_only_what_a_decision_runs(qfile):
+    query, automaton = qfile(ASTARB), qfile(AUTOMATON, "m.nfa")
     script = "import sys\nfrom crpqbound.cli import main\n"
-    script += "print(sorted({'argparse', 'crpqbound.oracle', 'crpqbound.qbfgen'}"
+    script += f"codes = main(['member', {automaton!r}, 'ab', '3']),"
+    script += f" main(['analyze', {query!r}, '--json'])\n"
+    script += "print(codes, sorted({'argparse', 'crpqbound.oracle', 'crpqbound.qbfgen'}"
     script += " & set(sys.modules)))"
     src = str(Path(cli.__file__).resolve().parents[1])
     done = subprocess.run(
@@ -466,7 +469,20 @@ def test_import_loads_only_what_a_decision_runs():
         text=True,
         check=True,
     )
-    assert done.stdout == "[]\n"
+    member, *report, loaded = done.stdout.splitlines()
+    assert member == "member"
+    assert json.loads("\n".join(report))["verdict"] == "unbounded"
+    assert loaded == "(0, 1) []"
+
+
+@pytest.mark.parametrize("command", [[], *([name] for name in cli._COMMANDS)])
+def test_help_ignores_the_terminal_width(command, capsys, monkeypatch):
+    printed = []
+    for columns in ("40", "80", "200"):
+        monkeypatch.setenv("COLUMNS", columns)
+        assert main([*command, "-h"]) == 0
+        printed.append(capsys.readouterr())
+    assert printed[0] == printed[1] == printed[2]
 
 
 @pytest.mark.parametrize(
