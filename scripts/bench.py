@@ -2,8 +2,8 @@
 """Benchmark pairs: perfbench on two commits, each run on a fresh checkout.
 
     python3 scripts/bench.py PARENT CHANGE --pairs 10 --first-seed 0 \\
-        --claim succinct-checks:items_per_s --note "what the change does" \\
-        --out BENCH_<pr>.json
+        --claim succinct-checks:items_per_s --confirm-seed 10 \\
+        --note "what the change does" --out BENCH_<pr>.json
     python3 scripts/bench.py --rederive BENCH_8.json
 
 Pair i runs both commits on seed ``first_seed + i``, the parent first in
@@ -17,10 +17,13 @@ how many pairs the change won and lost (ties count for neither); the
 claim, met when the change wins at least nine in ten pairs and the
 medians differ, in the better direction, by more than the parent's
 interquartile range; and every run with the lines perfbench printed.
+With ``--confirm-seed S`` the claimed workload then runs as many pairs
+again on seeds S, S+1, ..., which should be seeds not used while the
+change was written; they are kept under ``confirmation`` (``note``,
+``claim``, ``summary``, ``runs``) in the same file and layout.
 ``--rederive`` recomputes a file's summary and claim from its runs, and
-those of its ``confirmation`` (pairs on seeds not used while the change
-was written, kept in the same layout), and exits 1 where they differ
-from what the file stores.
+those of its ``confirmation``, and exits 1 where they differ from what
+the file stores.
 """
 
 from __future__ import annotations
@@ -212,6 +215,29 @@ def print_summary(summary: dict) -> None:
             )
 
 
+def run_pairs(block: dict, commits: dict, workloads, pairs: int, first_seed: int,
+              seconds: float, save) -> None:
+    """Run the pairs into block's runs; after every run, update its summary
+    and claim and call save()."""
+    metrics, claim = _metrics(), block["claim"]
+    for workload in workloads:
+        for pair in range(pairs):
+            seed = first_seed + pair
+            order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+            for side in order:
+                run = run_side(commits[side], workload, seed, seconds)
+                block["runs"].append({
+                    "workload": workload, "pair": pair, "seed": seed, "side": side,
+                    "first": order[0], **run,
+                })
+                print(f"{workload} pair {pair} seed {seed} {side}: exit {run['returncode']}, "
+                      + "; ".join(run["notes"][-2:]), flush=True)
+                block["summary"] = summarize(block["runs"], metrics)
+                if claim:
+                    claim["met"] = claim_met(block["summary"], claim["workload"], claim["metric"])
+                save()
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", nargs="?", help="the parent commit")
@@ -220,6 +246,8 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--first-seed", type=int, default=0)
     parser.add_argument("--claim", help="WORKLOAD:METRIC the change claims to improve")
+    parser.add_argument("--confirm-seed", type=int,
+                        help="first seed of the claimed workload's confirmation pairs")
     parser.add_argument("--note", default="", help="what the change does")
     parser.add_argument("--out", type=Path, help="the BENCH_<pr>.json to write")
     parser.add_argument("--rederive", type=Path, help="recompute a stored file's summary")
@@ -228,13 +256,14 @@ def main(argv=None) -> int:
         return rederive(args.rederive)
     if not (args.parent and args.change and args.out):
         parser.error("PARENT, CHANGE and --out are needed unless --rederive is given")
+    if args.confirm_seed is not None and not args.claim:
+        parser.error("--confirm-seed needs --claim")
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     workloads = args.workload or [w["name"] for w in spec["workloads"]]
     seconds = spec["run_seconds"]
     commits = {side: _git("rev-parse", "--short", rev).decode().strip()
                for side, rev in (("parent", args.parent), ("change", args.change))}
-    metrics = _metrics()
     claim = None
     if args.claim:
         workload, metric = args.claim.split(":")
@@ -255,25 +284,32 @@ def main(argv=None) -> int:
         "summary": {},
         "runs": [],
     }
-    for workload in workloads:
-        for pair in range(args.pairs):
-            seed = args.first_seed + pair
-            order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
-            for side in order:
-                run = run_side(commits[side], workload, seed, seconds)
-                data["runs"].append({
-                    "workload": workload, "pair": pair, "seed": seed, "side": side,
-                    "first": order[0], **run,
-                })
-                print(f"{workload} pair {pair} seed {seed} {side}: exit {run['returncode']}, "
-                      + "; ".join(run["notes"][-2:]), flush=True)
-                data["summary"] = summarize(data["runs"], metrics)
-                if claim:
-                    claim["met"] = claim_met(data["summary"], claim["workload"], claim["metric"])
-                args.out.write_text(json.dumps(data, indent=1) + "\n", encoding="utf-8")
-    print_summary(data["summary"])
-    if claim:
-        print(f"claim {claim['workload']} {claim['metric']}: {'met' if claim['met'] else 'not met'}")
+
+    def save():
+        args.out.write_text(json.dumps(data, indent=1) + "\n", encoding="utf-8")
+
+    run_pairs(data, commits, workloads, args.pairs, args.first_seed, seconds, save)
+    blocks = [data]
+    if args.confirm_seed is not None:
+        last = args.confirm_seed + args.pairs - 1
+        data["confirmation"] = {
+            "note": (
+                f"{args.pairs} more {claim['workload']} pairs on seeds "
+                f"{args.confirm_seed}-{last}, not used while the change was written, "
+                f"run the same way."
+            ),
+            "claim": {**claim, "met": False},
+            "summary": {},
+            "runs": [],
+        }
+        run_pairs(data["confirmation"], commits, [claim["workload"]], args.pairs,
+                  args.confirm_seed, seconds, save)
+        blocks.append(data["confirmation"])
+    for block in blocks:
+        print_summary(block["summary"])
+        if block["claim"]:
+            c = block["claim"]
+            print(f"claim {c['workload']} {c['metric']}: {'met' if c['met'] else 'not met'}")
     return 0
 
 

@@ -10,6 +10,15 @@ residues modulo its shortest closed walk, and once no cycle is left the
 initial state is the last pivot, whose residues are the lengths
 themselves.  The work is bounded by the pivots' shortest closed walks
 rather than by m.
+
+``membership`` builds the product on integer states and searches it
+without naming a state.  A product state ``q@i`` (state q at phase i of
+v) is numbered by the place of that name among all product names, so
+integer order is name order: the pivot, the state that closes the first
+cycle a depth-first search in name order meets, and every tie between
+states at one distance fall as they do on the names.  ``build_product``
+and ``length_reach`` are the named entry points over the same product
+edges and the same search, and answer, or stop at a cap, alike.
 """
 
 from __future__ import annotations
@@ -17,7 +26,6 @@ from __future__ import annotations
 import heapq
 import re
 from dataclasses import dataclass
-from graphlib import CycleError, TopologicalSorter
 from math import gcd
 
 from crpqbound.config import DEFAULT_CAPS, Caps
@@ -86,13 +94,45 @@ def normalize(nfa: SuccinctNFA) -> SuccinctNFA:
 # -------------------------------------------------------------- product build
 
 
-def _power_matches_at_phase(w, n: int, i: int, v) -> bool:
-    """Does w^n read correctly against the periodic stream of v at phase i?
+def _phases_read(w, n: int, v) -> list:
+    """The phases i of the periodic stream of v at which w^n reads correctly.
     w^n has period |w| and the stream period |v|: by Fine and Wilf, if they
     agree on |w| + |v| - gcd(|w|, |v|) letters they agree on all of w^n."""
     lv, lw = len(v), len(w)
     window = min(n * lw, lw + lv - gcd(lw, lv))
-    return all(w[k % lw] == v[(i + k) % lv] for k in range(window))
+    read = (w * (window // lw + 1))[:window]
+    stream = v * (window // lv + 2)
+    return [i for i in range(lv) if stream[i:i + window] == read]
+
+
+def _product_edges(nfa: SuccinctNFA, v: tuple):
+    """Yield (t, i, j) for each transition t of a normalized automaton and
+    each phase i of v's stream that t reads along, ending at phase j."""
+    lv = len(v)
+    for t in nfa.transitions:
+        step = t.length % lv
+        for i in _phases_read(t.word, t.exponent, v):
+            yield t, i, (i + step) % lv
+
+
+def _product_ids(states, lv: int) -> dict:
+    """Number the product states: ids[q][i] is the place of the name ``q@i``
+    among all product names, so integer order is name order."""
+    names = sorted(set(states))
+    # a name that begins another also begins the next one in sorted order
+    if any(b.startswith(a) for a, b in zip(names, names[1:])):
+        # "q10@0" sorts before "q1@0": only the full names settle the order
+        full = sorted((f"{q}@{i}", q, i) for q in names for i in range(lv))
+        ids = {q: [0] * lv for q in names}
+        for place, (_, q, i) in enumerate(full):
+            ids[q][i] = place
+        return ids
+    # two names now differ before their "@": the state decides, then the
+    # phase as text ("q@10" sorts before "q@2")
+    place = [0] * lv
+    for rank, i in enumerate(sorted(range(lv), key=str)):
+        place[i] = rank
+    return {q: [k * lv + r for r in place] for k, q in enumerate(names)}
 
 
 def build_product(nfa: SuccinctNFA, v) -> SuccinctNFA:
@@ -101,7 +141,9 @@ def build_product(nfa: SuccinctNFA, v) -> SuccinctNFA:
     States are pairs (state, phase) written ``q@i``; a transition reading
     w^n moves the phase forward by n*|w| modulo |v|.  Accepted words are
     exactly the accepted powers of v, so acceptance of v^m reduces to
-    reaching a final at phase 0 with total length m*|v|.
+    reaching a final at phase 0 with total length m*|v|.  This is the named
+    view of the product ``membership`` searches on integer states; both
+    take their transitions from the same phase-by-phase read.
     """
     v = tuple(v)
     if not v:
@@ -109,39 +151,15 @@ def build_product(nfa: SuccinctNFA, v) -> SuccinctNFA:
     nfa = normalize(nfa)
     lv = len(v)
     states = tuple(f"{q}@{i}" for q in nfa.states for i in range(lv))
-    transitions = []
-    for t in nfa.transitions:
-        step = (t.length) % lv
-        for i in range(lv):
-            if _power_matches_at_phase(t.word, t.exponent, i, v):
-                j = (i + step) % lv
-                transitions.append(
-                    SNFATransition(f"{t.src}@{i}", t.word, t.exponent, f"{t.dst}@{j}")
-                )
+    transitions = tuple(
+        SNFATransition(f"{t.src}@{i}", t.word, t.exponent, f"{t.dst}@{j}")
+        for t, i, j in _product_edges(nfa, v)
+    )
     finals = tuple(sorted(f"{f}@0" for f in nfa.finals))
-    return SuccinctNFA(states, tuple(transitions), f"{nfa.initial}@0", finals)
+    return SuccinctNFA(states, transitions, f"{nfa.initial}@0", finals)
 
 
 # --------------------------------------------------------------- length reach
-
-
-def _dijkstra(start, step, limit):
-    """Yield (distance, node) in settling order, ignoring distances above limit.
-
-    ``step(node)`` yields (successor, edge length) pairs.
-    """
-    dist = {start: 0}
-    heap = [(0, start)]
-    while heap:
-        d, node = heapq.heappop(heap)
-        if d > dist[node]:
-            continue
-        yield d, node
-        for nxt, w in step(node):
-            nd = d + w
-            if nd <= limit and nd < dist.get(nxt, nd + 1):
-                dist[nxt] = nd
-                heapq.heappush(heap, (nd, nxt))
 
 
 def _reachable(starts, adj, live) -> set:
@@ -155,37 +173,110 @@ def _reachable(starts, adj, live) -> set:
     return seen
 
 
-def _through_pivot(p, out, live, initial, finals, target, caps) -> bool:
+def _cycle_head(adj, into):
+    """The state that closes the first cycle a depth-first search meets, or None.
+
+    ``adj`` maps each live state to its live out-edges.  Roots are the live
+    states in order, each followed by its predecessors, and successors are
+    tried in order: the search, and so the state, is the one ``graphlib``'s
+    cycle check reports on {q: sorted predecessors of q, for q in sorted(live)}.
+    """
+    seen = set()
+    for q in sorted(adj):
+        for root in (q, *sorted({u for u, _ in into[q] if u in adj})):
+            if root in seen:
+                continue
+            seen.add(root)
+            path, on_path = [root], {root}
+            branches = [iter(sorted({v for v, _ in adj[root]}))]
+            while branches:
+                for nxt in branches[-1]:
+                    if nxt in on_path:
+                        return nxt
+                    if nxt not in seen:
+                        seen.add(nxt)
+                        path.append(nxt)
+                        on_path.add(nxt)
+                        branches.append(iter(sorted({v for v, _ in adj[nxt]})))
+                        break
+                else:
+                    branches.pop()
+                    on_path.discard(path.pop())
+    return None
+
+
+def _through_pivot(p, adj, initial, finals, target, caps) -> bool:
     """Is there an initial-to-final walk of length target that visits p?
 
     With c the length of a closed walk through p, the walks through p have
     exactly the lengths l_r + k*c (k >= 0), where l_r is the shortest of
     them with length r modulo c.  One Dijkstra over (state, residue,
-    visited p) finds l_r for the residue of the target.
+    visited p) finds l_r for the residue of the target; ties between
+    nodes at one distance settle in node order.
     """
-
-    def step(q):
-        return ((v, w) for v, w in out[q] if v in live)
-
-    # any closed walk longer than the target answers like one of length target+1
-    c = min(
-        (d + w for d, q in _dijkstra(p, step, target) for v, w in step(q) if v == p),
-        default=target + 1,
-    )
+    # p's shortest closed walk; any longer than the target answers like one
+    # of length target+1
+    c = target + 1
+    dist = {p: 0}
+    heap = [(0, p)]
+    while heap:
+        d, q = heapq.heappop(heap)
+        if d > dist[q]:
+            continue
+        for v, w in adj.get(q, ()):
+            nd = d + w
+            if v == p:
+                c = min(c, nd)
+            elif nd <= target and nd < dist.get(v, nd + 1):
+                dist[v] = nd
+                heapq.heappush(heap, (nd, v))
     goal = target % c
 
-    def residue_step(node):
-        q, r, through = node
-        return (((v, (r + w) % c, through or v == p), w) for v, w in step(q))
-
+    start = (initial, 0, initial == p)
+    dist = {start: 0}
+    heap = [(0, start)]
     held = {}
-    for _, (q, r, through) in _dijkstra((initial, 0, initial == p), residue_step, target):
+    while heap:
+        d, node = heapq.heappop(heap)
+        if d > dist[node]:
+            continue
+        q, r, through = node
         if through and r == goal and q in finals:
             return True
         held[q, through] = held.get((q, through), 0) + 1
         if held[q, through] > caps.max_length_dp:
             raise CapExceeded(caps.max_length_dp, "residue table too large")
+        for v, w in adj.get(q, ()):
+            nd = d + w
+            nxt = (v, (r + w) % c, through or v == p)
+            if nd <= target and nd < dist.get(nxt, nd + 1):
+                dist[nxt] = nd
+                heapq.heappush(heap, (nd, nxt))
     return False
+
+
+def _search(size: int, edges, initial: int, finals: set, target: int, caps: Caps) -> bool:
+    """The pivot loop of ``length_reach`` on states 0..size-1, with edges
+    (src, dst, length) of positive length and target > 0.  The states are
+    numbered in the order of their names, so the cycle cut and every tie
+    in a search fall as they would on the names."""
+    out = [[] for _ in range(size)]
+    into = [[] for _ in range(size)]
+    for src, dst, length in edges:
+        out[src].append((dst, length))
+        into[dst].append((src, length))
+    live = range(size)
+    while True:
+        live = _reachable([initial], out, live) & _reachable(finals, into, live)
+        adj = {q: [(v, w) for v, w in out[q] if v in live] for q in live}
+        p = _cycle_head(adj, into)
+        if p is None:
+            p = initial
+        if _through_pivot(p, adj, initial, finals, target, caps):
+            return True
+        if p == initial:
+            return False  # every walk visits the initial state
+        live.discard(p)
 
 
 def length_reach(nfa: SuccinctNFA, target_length: int, caps: Caps = DEFAULT_CAPS) -> bool:
@@ -195,50 +286,47 @@ def length_reach(nfa: SuccinctNFA, target_length: int, caps: Caps = DEFAULT_CAPS
     useful states (reachable from the initial state and reaching a final)
     contain a cycle, one state p of it is a pivot: the walks through p are
     decided by residues modulo p's shortest closed walk, and p is deleted.
-    Once no cycle is left, the initial state is the last pivot: every walk
-    starts there and none returns, so its residues are the lengths.
+    The pivot is the state that closes the first cycle a depth-first
+    search over the states in name order meets.  Once no cycle is left,
+    the initial state is the last pivot: every walk starts there and none
+    returns, so its residues are the lengths.
     Exact; a pivot's table holds at most min(c, target_length + 1)
     residues per state, for c its shortest closed walk, so the work does
     not grow with target_length beyond c; ``caps.max_length_dp`` bounds it.
+    This is the named entry to the search ``membership`` runs on its
+    integer product: the states are numbered by name first.
     """
     if target_length < 0:
         return False
     nfa = normalize(nfa)
     if target_length == 0:
         return nfa.initial in nfa.finals
-    out = {q: [] for q in nfa.states}
-    into = {q: [] for q in nfa.states}
-    for t in nfa.transitions:
-        out[t.src].append((t.dst, t.length))
-        into[t.dst].append((t.src, t.length))
-    finals = set(nfa.finals)
-    live = set(nfa.states)
-    while True:
-        live = _reachable([nfa.initial], out, live) & _reachable(finals, into, live)
-        # sorted, so the cycle reported and the pivot cut do not hang on the hash seed
-        graph = {q: sorted({u for u, _ in into[q] if u in live}) for q in sorted(live)}
-        try:
-            TopologicalSorter(graph).prepare()
-            p = nfa.initial
-        except CycleError as exc:
-            p = exc.args[1][0]
-        if _through_pivot(p, out, live, nfa.initial, finals, target_length, caps):
-            return True
-        if p == nfa.initial:
-            return False  # every walk visits the initial state
-        live.discard(p)
+    index = {q: k for k, q in enumerate(sorted(set(nfa.states)))}
+    edges = [(index[t.src], index[t.dst], t.length) for t in nfa.transitions]
+    finals = {index[f] for f in nfa.finals}
+    return _search(len(index), edges, index[nfa.initial], finals, target_length, caps)
 
 
 # ----------------------------------------------------------------- membership
 
 
 def membership(nfa: SuccinctNFA, v, m: int, caps: Caps = DEFAULT_CAPS) -> bool:
-    """Decide v^m in L(nfa), with v a word and m a natural in binary."""
+    """Decide v^m in L(nfa), with v a word and m a natural in binary.
+
+    The product with v is built on integers: state q at phase i is the
+    place of the name ``q@i`` among the product names, so the search
+    answers, and stops at a cap, exactly as ``length_reach`` does on
+    ``build_product(nfa, v)`` with target m*|v|, without naming a state.
+    """
     v = tuple(v)
     if m == 0 or not v:
         return length_reach(nfa, 0, caps)
-    # build_product normalizes; on the product, length_reach's normalize returns at once
-    return length_reach(build_product(nfa, v), m * len(v), caps)
+    nfa = normalize(nfa)
+    lv = len(v)
+    ids = _product_ids(nfa.states, lv)
+    edges = [(ids[t.src][i], ids[t.dst][j], t.length) for t, i, j in _product_edges(nfa, v)]
+    finals = {ids[f][0] for f in nfa.finals}
+    return _search(len(ids) * lv, edges, ids[nfa.initial][0], finals, m * lv, caps)
 
 
 # ------------------------------------------------------------------- text IO

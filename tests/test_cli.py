@@ -459,8 +459,8 @@ def test_import_loads_only_what_a_decision_runs(qfile):
     script = "import sys\nfrom crpqbound.cli import main\n"
     script += f"codes = main(['member', {automaton!r}, 'ab', '3']),"
     script += f" main(['analyze', {query!r}, '--json'])\n"
-    script += "print(codes, sorted({'argparse', 'crpqbound.oracle', 'crpqbound.qbfgen'}"
-    script += " & set(sys.modules)))"
+    script += "print(codes, sorted({'argparse', 'graphlib', 'crpqbound.oracle',"
+    script += " 'crpqbound.qbfgen'} & set(sys.modules)))"
     src = str(Path(cli.__file__).resolve().parents[1])
     done = subprocess.run(
         [sys.executable, "-c", script],

@@ -2,6 +2,7 @@
 
 import random
 from dataclasses import replace
+from graphlib import CycleError, TopologicalSorter
 from math import gcd
 
 import pytest
@@ -15,6 +16,8 @@ from crpqbound.oracle import nfa_membership_brute
 from crpqbound.succinct_nfa import (
     SNFATransition,
     SuccinctNFA,
+    _cycle_head,
+    _product_ids,
     build_product,
     length_reach,
     membership,
@@ -285,6 +288,71 @@ def test_length_reach_matches_brute_force_on_unary_cycles():
         for m in range(40):
             want = nfa_membership_brute(nfa, ("a",), m)
             assert membership(nfa, ("a",), m) == want, (repr(nfa), m)
+
+
+def test_membership_answers_and_stops_as_the_named_product_search():
+    # membership searches an integer product, length_reach the named one
+    # build_product makes: the same answer, or a cap stop on both
+    rng = random.Random(29)
+    seen = {True: 0, False: 0, None: 0}  # decided yes, decided no, cap stop
+    for k in range(300):
+        # one-letter words and v in every other draw, so cycles match v often
+        nfa = gen_random_snfa(rng, max_word=3 if k % 2 else 1)
+        v = gen_random_word(rng, max_len=3 if k % 2 else 1)
+        m = rng.randint(0, 40)
+        want = nfa_membership_brute(nfa, v, m)
+        for cap in (1, 2, 3, None):
+            caps = DEFAULT_CAPS if cap is None else replace(DEFAULT_CAPS, max_length_dp=cap)
+            got = []
+            for ask in (
+                lambda: membership(nfa, v, m, caps),
+                lambda: length_reach(build_product(nfa, v), m * len(v), caps),
+            ):
+                try:
+                    got.append(ask())
+                except CapExceeded:
+                    got.append(None)
+            assert got[0] == got[1], (repr(nfa), v, m, cap)
+            assert got[0] in (want, None), (repr(nfa), v, m, cap)
+            seen[got[0]] += 1
+    assert min(seen.values()) >= 5, seen
+
+
+def test_cycle_head_is_the_state_graphlib_reports():
+    rng = random.Random(41)
+    found = 0
+    for _ in range(2000):
+        size = rng.randint(1, 8)
+        pairs = rng.randint(0, 2 * size)
+        edges = [(rng.randrange(size), rng.randrange(size)) for _ in range(pairs)]
+        live = set(rng.sample(range(size), rng.randint(1, size)))
+        into = [[(u, 1) for u, x in edges if x == q] for q in range(size)]
+        adj = {q: [(x, 1) for u, x in edges if u == q and x in live] for q in live}
+        graph = {q: sorted({u for u, _ in into[q] if u in live}) for q in sorted(live)}
+        try:
+            TopologicalSorter(graph).prepare()
+            want = None
+        except CycleError as exc:
+            want = exc.args[1][0]
+            found += 1
+        assert _cycle_head(adj, into) == want, (edges, live)
+    assert found > 500
+
+
+@pytest.mark.parametrize(
+    "states, lv",
+    [
+        (("s0", "s1", "s2"), 3),
+        (("p", "q"), 12),  # "p@10" sorts before "p@2"
+        (("q1", "q10", "q2"), 2),  # "q10@0" sorts before "q1@0"
+        (("a", "a.b", "a0", "a@1", "a@", "b_"), 11),  # names that hold "@"
+    ],
+)
+def test_product_states_are_numbered_in_name_order(states, lv):
+    ids = _product_ids(states, lv)
+    named = sorted((ids[q][i], f"{q}@{i}") for q in states for i in range(lv))
+    assert [k for k, _ in named] == list(range(len(states) * lv))
+    assert [name for _, name in named] == sorted(name for _, name in named)
 
 
 def test_membership_cap_surfaces():
