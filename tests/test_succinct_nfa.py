@@ -319,6 +319,8 @@ def test_membership_answers_and_stops_as_the_named_product_search():
 
 
 def test_cycle_head_is_the_state_graphlib_reports():
+    # the pivot rule: the first state of the cycle graphlib's TopologicalSorter
+    # reports on the live predecessor map, with states and predecessors sorted
     rng = random.Random(41)
     found = 0
     for _ in range(2000):
