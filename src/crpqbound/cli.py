@@ -88,12 +88,13 @@ class _HelpAsked(Exception):
 
 
 def _read_text(path: str) -> str:
-    """The file's text, decoded and with newlines translated as text mode
-    does, from one unbuffered read; '-' reads stdin."""
+    """The file's text, decoded as strict UTF-8 and with newlines translated
+    as text mode does, from one unbuffered read; '-' reads stdin's bytes."""
     if path == "-":
-        return sys.stdin.read()
-    with open(path, "rb", buffering=0) as fh:
-        data = fh.readall()
+        data = sys.stdin.buffer.read()
+    else:
+        with open(path, "rb", buffering=0) as fh:
+            data = fh.readall()
     return data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
 
 
@@ -109,7 +110,8 @@ _CAP_FLAGS = {
     ),
     "--cap-length": (
         "max_length_dp",
-        "residues per state and pivot in member's length search;"
+        "residues per state and pivot in member's length search, counted before"
+        " and again after the walk passes the pivot;"
         " largest |w|*n of a power the oracles read",
     ),
     "--cap-word-len": ("max_word_len", "longest word a star-free label spells when listed"),

@@ -24,9 +24,11 @@ class Caps:
         unrolls.
     max_length_dp:
         Most residues a state holds for one pivot in the length search
-        behind succinct-NFA membership; also the longest word or
-        transition brute-force membership unrolls, and the largest |w|*n
-        of a power that query evaluation reads.
+        behind succinct-NFA membership, counted apart for walks that have
+        not yet passed the pivot and walks that have, so a state may hold
+        twice as many in all; also the longest word or transition
+        brute-force membership unrolls, and the largest |w|*n of a power
+        that query evaluation reads.
     max_word_len:
         Longest word a star-free label spells when its language is listed.
     """

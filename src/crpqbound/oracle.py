@@ -3,8 +3,9 @@
 Everything here works on fully materialized objects: automata are unrolled
 to letter transitions, queries are evaluated on concrete graph databases by
 reading each atom's label over sets of vertices plus a backtracking join,
-and equivalence is refuted by sampling.  The homomorphism module is
-deliberately not imported; agreement between these oracles and the
+and equivalence is refuted by sampling.  Nothing here calls the
+homomorphism module, though importing compute_bounds from boundedness
+still loads it (ROADMAP item 4); agreement between these oracles and the
 succinct implementations is what the differential test suite certifies.
 Its join, expansion.join, is shared with cq_hom, another reference, and
 with nothing of the engine.
@@ -68,7 +69,7 @@ def graph_of_cq(cq: CQ) -> GraphDB:
 
 def load_graph_csv(path) -> GraphDB:
     edges = []
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         rows = csv.reader(fh)
         for row in rows:
             if not row or all(not c.strip() for c in row):

@@ -11,14 +11,11 @@ initial state is the last pivot, whose residues are the lengths
 themselves.  The work is bounded by the pivots' shortest closed walks
 rather than by m.
 
-``membership`` builds the product on integer states and searches it
-without naming a state.  A product state ``q@i`` (state q at phase i of
-v) is numbered by the place of that name among all product names, so
-integer order is name order: the pivot, the state that closes the first
-cycle a depth-first search in name order meets, and every tie between
-states at one distance fall as they do on the names.  ``build_product``
-and ``length_reach`` are the named entry points over the same product
-edges and the same search, and answer, or stop at a cap, alike.
+``membership`` searches the product on integer states, numbered in the
+order in which ``build_product`` lists the names ``q@i``.  ``length_reach``
+numbers a named automaton's states in their order too, so on
+``build_product(nfa, v)`` it searches the same graph and answers, or stops
+at a cap, alike.
 """
 
 from __future__ import annotations
@@ -115,26 +112,6 @@ def _product_edges(nfa: SuccinctNFA, v: tuple):
             yield t, i, (i + step) % lv
 
 
-def _product_ids(states, lv: int) -> dict:
-    """Number the product states: ids[q][i] is the place of the name ``q@i``
-    among all product names, so integer order is name order."""
-    names = sorted(set(states))
-    # a name that begins another also begins the next one in sorted order
-    if any(b.startswith(a) for a, b in zip(names, names[1:])):
-        # "q10@0" sorts before "q1@0": only the full names settle the order
-        full = sorted((f"{q}@{i}", q, i) for q in names for i in range(lv))
-        ids = {q: [0] * lv for q in names}
-        for place, (_, q, i) in enumerate(full):
-            ids[q][i] = place
-        return ids
-    # two names now differ before their "@": the state decides, then the
-    # phase as text ("q@10" sorts before "q@2")
-    place = [0] * lv
-    for rank, i in enumerate(sorted(range(lv), key=str)):
-        place[i] = rank
-    return {q: [k * lv + r for r in place] for k, q in enumerate(names)}
-
-
 def build_product(nfa: SuccinctNFA, v) -> SuccinctNFA:
     """Restrict an automaton to words that are powers of v.
 
@@ -173,35 +150,33 @@ def _reachable(starts, adj, live) -> set:
     return seen
 
 
-def _cycle_head(adj, into):
-    """The state that closes the first cycle a depth-first search meets, or None.
+def _cycle_head(adj):
+    """A state on a cycle of ``adj``, or None if it has no cycle.
 
-    ``adj`` maps each live state to its live out-edges.  Roots are the live
-    states in order, each followed by its predecessors, and successors are
-    tried in order: the search, and so the state, is the one ``graphlib``'s
-    cycle check reports on {q: sorted predecessors of q, for q in sorted(live)}.
+    ``adj`` maps each live state to its live out-edges.  A depth-first
+    search from the states in ascending order, trying successors in edge
+    order, returns the first state it meets again on its own path.
     """
     seen = set()
-    for q in sorted(adj):
-        for root in (q, *sorted({u for u, _ in into[q] if u in adj})):
-            if root in seen:
-                continue
-            seen.add(root)
-            path, on_path = [root], {root}
-            branches = [iter(sorted({v for v, _ in adj[root]}))]
-            while branches:
-                for nxt in branches[-1]:
-                    if nxt in on_path:
-                        return nxt
-                    if nxt not in seen:
-                        seen.add(nxt)
-                        path.append(nxt)
-                        on_path.add(nxt)
-                        branches.append(iter(sorted({v for v, _ in adj[nxt]})))
-                        break
-                else:
-                    branches.pop()
-                    on_path.discard(path.pop())
+    for root in sorted(adj):
+        if root in seen:
+            continue
+        seen.add(root)
+        on_path = {root}
+        stack = [(root, iter(adj[root]))]
+        while stack:
+            q, edges = stack[-1]
+            for nxt, _ in edges:
+                if nxt in on_path:
+                    return nxt
+                if nxt not in seen:
+                    seen.add(nxt)
+                    on_path.add(nxt)
+                    stack.append((nxt, iter(adj[nxt])))
+                    break
+            else:
+                stack.pop()
+                on_path.discard(q)
     return None
 
 
@@ -257,9 +232,7 @@ def _through_pivot(p, adj, initial, finals, target, caps) -> bool:
 
 def _search(size: int, edges, initial: int, finals: set, target: int, caps: Caps) -> bool:
     """The pivot loop of ``length_reach`` on states 0..size-1, with edges
-    (src, dst, length) of positive length and target > 0.  The states are
-    numbered in the order of their names, so the cycle cut and every tie
-    in a search fall as they would on the names."""
+    (src, dst, length) of positive length and target > 0."""
     out = [[] for _ in range(size)]
     into = [[] for _ in range(size)]
     for src, dst, length in edges:
@@ -269,7 +242,7 @@ def _search(size: int, edges, initial: int, finals: set, target: int, caps: Caps
     while True:
         live = _reachable([initial], out, live) & _reachable(finals, into, live)
         adj = {q: [(v, w) for v, w in out[q] if v in live] for q in live}
-        p = _cycle_head(adj, into)
+        p = _cycle_head(adj)
         if p is None:
             p = initial
         if _through_pivot(p, adj, initial, finals, target, caps):
@@ -286,22 +259,21 @@ def length_reach(nfa: SuccinctNFA, target_length: int, caps: Caps = DEFAULT_CAPS
     useful states (reachable from the initial state and reaching a final)
     contain a cycle, one state p of it is a pivot: the walks through p are
     decided by residues modulo p's shortest closed walk, and p is deleted.
-    The pivot is the state that closes the first cycle a depth-first
-    search over the states in name order meets.  Once no cycle is left,
-    the initial state is the last pivot: every walk starts there and none
-    returns, so its residues are the lengths.
+    The pivot is the first state a depth-first search finds on a cycle
+    (``_cycle_head``).  Once no cycle is left, the initial state is the
+    last pivot: every walk starts there and none returns, so its residues
+    are the lengths.
     Exact; a pivot's table holds at most min(c, target_length + 1)
     residues per state, for c its shortest closed walk, so the work does
     not grow with target_length beyond c; ``caps.max_length_dp`` bounds it.
-    This is the named entry to the search ``membership`` runs on its
-    integer product: the states are numbered by name first.
+    The states are numbered by their place in ``nfa.states``.
     """
     if target_length < 0:
         return False
     nfa = normalize(nfa)
     if target_length == 0:
         return nfa.initial in nfa.finals
-    index = {q: k for k, q in enumerate(sorted(set(nfa.states)))}
+    index = {q: k for k, q in enumerate(dict.fromkeys(nfa.states))}
     edges = [(index[t.src], index[t.dst], t.length) for t in nfa.transitions]
     finals = {index[f] for f in nfa.finals}
     return _search(len(index), edges, index[nfa.initial], finals, target_length, caps)
@@ -313,20 +285,23 @@ def length_reach(nfa: SuccinctNFA, target_length: int, caps: Caps = DEFAULT_CAPS
 def membership(nfa: SuccinctNFA, v, m: int, caps: Caps = DEFAULT_CAPS) -> bool:
     """Decide v^m in L(nfa), with v a word and m a natural in binary.
 
-    The product with v is built on integers: state q at phase i is the
-    place of the name ``q@i`` among the product names, so the search
-    answers, and stops at a cap, exactly as ``length_reach`` does on
-    ``build_product(nfa, v)`` with target m*|v|, without naming a state.
+    The product with v is built on integers: state q at phase i is
+    ``index[q]*|v| + i``, with ``index`` numbering the states in order.  The
+    search answers, and stops at a cap, as ``length_reach`` does on
+    ``build_product(nfa, v)`` with target m*|v|.
     """
     v = tuple(v)
     if m == 0 or not v:
         return length_reach(nfa, 0, caps)
     nfa = normalize(nfa)
     lv = len(v)
-    ids = _product_ids(nfa.states, lv)
-    edges = [(ids[t.src][i], ids[t.dst][j], t.length) for t, i, j in _product_edges(nfa, v)]
-    finals = {ids[f][0] for f in nfa.finals}
-    return _search(len(ids) * lv, edges, ids[nfa.initial][0], finals, m * lv, caps)
+    index = {q: k for k, q in enumerate(dict.fromkeys(nfa.states))}
+    edges = [
+        (index[t.src] * lv + i, index[t.dst] * lv + j, t.length)
+        for t, i, j in _product_edges(nfa, v)
+    ]
+    finals = {index[f] * lv for f in nfa.finals}
+    return _search(len(index) * lv, edges, index[nfa.initial] * lv, finals, m * lv, caps)
 
 
 # ------------------------------------------------------------------- text IO

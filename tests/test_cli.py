@@ -743,9 +743,34 @@ def test_input_over_64_kib_is_read_whole(tmp_path, capsys):
 def test_dash_reads_stdin(qfile, capsys, monkeypatch):
     assert main(["analyze", qfile(QUERY), "--json"]) == 0
     from_file = capsys.readouterr()
-    monkeypatch.setattr(sys, "stdin", io.StringIO(QUERY))
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(QUERY.encode())))
     assert main(["analyze", "-", "--json"]) == 0
     assert capsys.readouterr() == from_file
+
+
+def test_stdin_bytes_are_decoded_as_a_file_is(tmp_path, capsys, monkeypatch):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"ab\xff")
+    assert main(["analyze", str(bad)]) == 64
+    from_file = capsys.readouterr().err
+    assert "'utf-8' codec can't decode byte 0xff" in from_file
+    # stdin's own text layer escapes undecodable bytes in UTF-8 mode
+    stdin = io.TextIOWrapper(io.BytesIO(b"ab\xff"), "utf-8", "surrogateescape")
+    monkeypatch.setattr(sys, "stdin", stdin)
+    assert main(["analyze", "-"]) == 64
+    assert capsys.readouterr().err == from_file
+
+
+def test_graph_csv_is_read_as_utf8_under_an_ascii_locale(tmp_path, qfile):
+    graph = tmp_path / "g.csv"
+    graph.write_bytes("src,label,dst\ncaf\u00e9,a,u\n".encode())
+    argv = [sys.executable, "-m", "crpqbound.cli", "eval", "--graph", str(graph)]
+    argv += ["--query", qfile("?x -[a]-> ?y\n")]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "LC_ALL": "C"}
+    env.update(PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
+    run = subprocess.run(argv, env=env, capture_output=True, text=True, errors="replace")
+    assert (run.returncode, run.stderr) == (0, ""), run.stderr
 
 
 # The reference for main's reading of argv: the argparse parser it replaced,

@@ -17,7 +17,7 @@ from crpqbound.succinct_nfa import (
     SNFATransition,
     SuccinctNFA,
     _cycle_head,
-    _product_ids,
+    _reachable,
     build_product,
     length_reach,
     membership,
@@ -318,9 +318,9 @@ def test_membership_answers_and_stops_as_the_named_product_search():
     assert min(seen.values()) >= 5, seen
 
 
-def test_cycle_head_is_the_state_graphlib_reports():
-    # the pivot rule: the first state of the cycle graphlib's TopologicalSorter
-    # reports on the live predecessor map, with states and predecessors sorted
+def test_cycle_head_finds_a_state_on_a_cycle_exactly_when_there_is_one():
+    # graphlib only says whether the live graph has a cycle; the state
+    # returned must be live and reach itself by at least one edge
     rng = random.Random(41)
     found = 0
     for _ in range(2000):
@@ -328,33 +328,18 @@ def test_cycle_head_is_the_state_graphlib_reports():
         pairs = rng.randint(0, 2 * size)
         edges = [(rng.randrange(size), rng.randrange(size)) for _ in range(pairs)]
         live = set(rng.sample(range(size), rng.randint(1, size)))
-        into = [[(u, 1) for u, x in edges if x == q] for q in range(size)]
         adj = {q: [(x, 1) for u, x in edges if u == q and x in live] for q in live}
-        graph = {q: sorted({u for u, _ in into[q] if u in live}) for q in sorted(live)}
         try:
-            TopologicalSorter(graph).prepare()
-            want = None
-        except CycleError as exc:
-            want = exc.args[1][0]
+            TopologicalSorter({q: [x for x, _ in adj[q]] for q in live}).prepare()
+            cyclic = False
+        except CycleError:
+            cyclic = True
+        p = _cycle_head(adj)
+        assert (p is not None) == cyclic, (edges, live)
+        if p is not None:
             found += 1
-        assert _cycle_head(adj, into) == want, (edges, live)
+            assert p in live and p in _reachable([x for x, _ in adj[p]], adj, live)
     assert found > 500
-
-
-@pytest.mark.parametrize(
-    "states, lv",
-    [
-        (("s0", "s1", "s2"), 3),
-        (("p", "q"), 12),  # "p@10" sorts before "p@2"
-        (("q1", "q10", "q2"), 2),  # "q10@0" sorts before "q1@0"
-        (("a", "a.b", "a0", "a@1", "a@", "b_"), 11),  # names that hold "@"
-    ],
-)
-def test_product_states_are_numbered_in_name_order(states, lv):
-    ids = _product_ids(states, lv)
-    named = sorted((ids[q][i], f"{q}@{i}") for q in states for i in range(lv))
-    assert [k for k, _ in named] == list(range(len(states) * lv))
-    assert [name for _, name in named] == sorted(name for _, name in named)
 
 
 def test_membership_cap_surfaces():
