@@ -12,6 +12,8 @@ import argparse
 import sys
 
 from crpqbound.boundedness import is_bounded
+from crpqbound.cli import EX_USAGE, _read_text
+from crpqbound.errors import ParseError
 from crpqbound.oracle import qbf_satisfiable
 from crpqbound.qbfgen import build_q1, build_q2, capped_containment, parse_qbf, reduction
 from crpqbound.syntax import UCRPQ, render_ucrpq
@@ -24,15 +26,13 @@ exists 2..2
 
 
 def run(path: str | None, show_query: bool) -> int:
-    if path == "-":
-        text = sys.stdin.read()
-    elif path:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    else:
-        text = DEFAULT_QBF
+    if not path:
         print("using the built-in example formula")
-    phi = parse_qbf(text)
+    try:
+        phi = parse_qbf(_read_text(path) if path else DEFAULT_QBF)
+    except (ParseError, UnicodeDecodeError, OSError) as exc:
+        print(f"input error: {exc}", file=sys.stderr)
+        return EX_USAGE
     print(f"formula: n={phi.n} universal, l={phi.l} existential, "
           f"{len(phi.clauses)} clauses")
 

@@ -1,21 +1,16 @@
 """Succinct NFAs: transitions read w^n with n in binary.
 
 The central question answered here is membership of v^m (m in binary) in
-the language of such an automaton.  The decision runs in three stages:
-normalize away zero-length transitions, build a product automaton whose
-accepted words are exactly the accepted powers of v, then ask whether the
-product accepts a word of length m*|v|.  The length question has one
-exact route: each cycle is cut at a pivot state whose walks are counted by
+the language of such an automaton.  ``membership`` runs three stages:
+``normalize`` removes zero-length transitions, ``build_product`` builds a
+product automaton on integer states whose accepted words are exactly the
+accepted powers of v, and ``length_reach`` asks whether the product
+accepts a word of length m*|v|.  The length question has one exact
+route: each cycle is cut at a pivot state whose walks are counted by
 residues modulo its shortest closed walk, and once no cycle is left the
 initial state is the last pivot, whose residues are the lengths
 themselves.  The work is bounded by the pivots' shortest closed walks
 rather than by m.
-
-``membership`` searches the product on integer states, numbered in the
-order in which ``build_product`` lists the names ``q@i``.  ``length_reach``
-numbers a named automaton's states in their order too, so on
-``build_product(nfa, v)`` it searches the same graph and answers, or stops
-at a cap, alike.
 """
 
 from __future__ import annotations
@@ -112,28 +107,24 @@ def _product_edges(nfa: SuccinctNFA, v: tuple):
             yield t, i, (i + step) % lv
 
 
-def build_product(nfa: SuccinctNFA, v) -> SuccinctNFA:
-    """Restrict an automaton to words that are powers of v.
+def build_product(nfa: SuccinctNFA, v: tuple):
+    """Restrict a normalized automaton to words that are powers of v.
 
-    States are pairs (state, phase) written ``q@i``; a transition reading
-    w^n moves the phase forward by n*|w| modulo |v|.  Accepted words are
-    exactly the accepted powers of v, so acceptance of v^m reduces to
-    reaching a final at phase 0 with total length m*|v|.  This is the named
-    view of the product ``membership`` searches on integer states; both
-    take their transitions from the same phase-by-phase read.
+    Returns ``(size, edges, initial, finals)`` on states 0..size-1: state q
+    at phase i is ``index[q]*|v| + i``, with ``index`` numbering the states
+    in order, and an edge (src, dst, |w|*n) reads w^n, moving the phase
+    forward by |w|*n modulo |v|.  Accepted words are exactly the accepted
+    powers of v, so acceptance of v^m reduces to reaching a final at phase
+    0 with total length m*|v|.  v must be a non-empty tuple.
     """
-    v = tuple(v)
-    if not v:
-        raise ValueError("v must be non-empty")
-    nfa = normalize(nfa)
     lv = len(v)
-    states = tuple(f"{q}@{i}" for q in nfa.states for i in range(lv))
-    transitions = tuple(
-        SNFATransition(f"{t.src}@{i}", t.word, t.exponent, f"{t.dst}@{j}")
+    index = {q: k for k, q in enumerate(dict.fromkeys(nfa.states))}
+    edges = [
+        (index[t.src] * lv + i, index[t.dst] * lv + j, t.length)
         for t, i, j in _product_edges(nfa, v)
-    )
-    finals = tuple(sorted(f"{f}@0" for f in nfa.finals))
-    return SuccinctNFA(states, transitions, f"{nfa.initial}@0", finals)
+    ]
+    finals = {index[f] * lv for f in nfa.finals}
+    return len(index) * lv, edges, index[nfa.initial] * lv, finals
 
 
 # --------------------------------------------------------------- length reach
@@ -230,9 +221,21 @@ def _through_pivot(p, adj, initial, finals, target, caps) -> bool:
     return False
 
 
-def _search(size: int, edges, initial: int, finals: set, target: int, caps: Caps) -> bool:
-    """The pivot loop of ``length_reach`` on states 0..size-1, with edges
-    (src, dst, length) of positive length and target > 0."""
+def length_reach(size: int, edges, initial: int, finals: set, target: int, caps: Caps) -> bool:
+    """Is there an initial-to-final walk of total length target > 0?
+
+    The states are 0..size-1 and the edges (src, dst, length) have
+    positive length.  While the useful states (reachable from the initial
+    state and reaching a final) contain a cycle, one state p of it is a
+    pivot: the walks through p are decided by residues modulo p's shortest
+    closed walk, and p is deleted.  The pivot is the first state a
+    depth-first search finds on a cycle (``_cycle_head``).  Once no cycle
+    is left, the initial state is the last pivot: every walk starts there
+    and none returns, so its residues are the lengths.
+    Exact; a pivot's table holds at most min(c, target + 1) residues per
+    state, for c its shortest closed walk, so the work does not grow with
+    target beyond c; ``caps.max_length_dp`` bounds it.
+    """
     out = [[] for _ in range(size)]
     into = [[] for _ in range(size)]
     for src, dst, length in edges:
@@ -252,56 +255,18 @@ def _search(size: int, edges, initial: int, finals: set, target: int, caps: Caps
         live.discard(p)
 
 
-def length_reach(nfa: SuccinctNFA, target_length: int, caps: Caps = DEFAULT_CAPS) -> bool:
-    """Is there an initial-to-final path of total label length target_length?
-
-    Transitions count as their materialized length |w|*n.  While the
-    useful states (reachable from the initial state and reaching a final)
-    contain a cycle, one state p of it is a pivot: the walks through p are
-    decided by residues modulo p's shortest closed walk, and p is deleted.
-    The pivot is the first state a depth-first search finds on a cycle
-    (``_cycle_head``).  Once no cycle is left, the initial state is the
-    last pivot: every walk starts there and none returns, so its residues
-    are the lengths.
-    Exact; a pivot's table holds at most min(c, target_length + 1)
-    residues per state, for c its shortest closed walk, so the work does
-    not grow with target_length beyond c; ``caps.max_length_dp`` bounds it.
-    The states are numbered by their place in ``nfa.states``.
-    """
-    if target_length < 0:
-        return False
-    nfa = normalize(nfa)
-    if target_length == 0:
-        return nfa.initial in nfa.finals
-    index = {q: k for k, q in enumerate(dict.fromkeys(nfa.states))}
-    edges = [(index[t.src], index[t.dst], t.length) for t in nfa.transitions]
-    finals = {index[f] for f in nfa.finals}
-    return _search(len(index), edges, index[nfa.initial], finals, target_length, caps)
-
-
 # ----------------------------------------------------------------- membership
 
 
 def membership(nfa: SuccinctNFA, v, m: int, caps: Caps = DEFAULT_CAPS) -> bool:
-    """Decide v^m in L(nfa), with v a word and m a natural in binary.
-
-    The product with v is built on integers: state q at phase i is
-    ``index[q]*|v| + i``, with ``index`` numbering the states in order.  The
-    search answers, and stops at a cap, as ``length_reach`` does on
-    ``build_product(nfa, v)`` with target m*|v|.
-    """
+    """Decide v^m in L(nfa), with v a word and m a natural in binary."""
     v = tuple(v)
-    if m == 0 or not v:
-        return length_reach(nfa, 0, caps)
+    if m < 0:
+        raise ValueError("exponent must be a natural number")
     nfa = normalize(nfa)
-    lv = len(v)
-    index = {q: k for k, q in enumerate(dict.fromkeys(nfa.states))}
-    edges = [
-        (index[t.src] * lv + i, index[t.dst] * lv + j, t.length)
-        for t, i, j in _product_edges(nfa, v)
-    ]
-    finals = {index[f] * lv for f in nfa.finals}
-    return _search(len(index) * lv, edges, index[nfa.initial] * lv, finals, m * lv, caps)
+    if m == 0 or not v:
+        return nfa.initial in nfa.finals
+    return length_reach(*build_product(nfa, v), m * len(v), caps)
 
 
 # ------------------------------------------------------------------- text IO

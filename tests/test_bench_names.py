@@ -8,20 +8,26 @@ import ast
 import importlib.util
 from pathlib import Path
 
-BENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent
+BENCH = ROOT / "perfbench"
+KEPT = "# unused here; kept importable because the benchmark's"
 
 
 def _module(name):
     return importlib.import_module(f"crpqbound.{name}")
 
 
-def test_every_trace_target_exists():
+def _trace_targets():
     spec = importlib.util.spec_from_file_location("bench_tracing", BENCH / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing.TARGETS
+
+
+def test_every_trace_target_exists():
     missing = [
         (module, attr)
-        for module, attr, _ in tracing.TARGETS
+        for module, attr, _ in _trace_targets()
         if not hasattr(_module(module), attr)
     ]
     assert not missing
@@ -73,3 +79,30 @@ def test_every_name_the_checker_calls_exists():
     } <= names
     missing = sorted((m, a) for m, a in names if not hasattr(_module(m), a))
     assert not missing
+
+
+def _kept_imports():
+    """(module, name) for each name imported on the unused-import lines
+    (``# noqa: F401``) under a comment that says they are kept only for
+    the benchmark."""
+    kept = set()
+    for path in sorted((ROOT / "src" / "crpqbound").glob("*.py")):
+        marked = False
+        for line in path.read_text(encoding="utf-8").splitlines():
+            if line.startswith(KEPT):
+                marked = True
+            elif marked and line.endswith("# noqa: F401"):
+                (node,) = ast.parse(line).body
+                kept.update((path.stem, alias.name) for alias in node.names)
+            else:
+                marked = False
+    return kept
+
+
+def test_every_import_kept_for_the_benchmark_is_still_read_by_it():
+    kept = _kept_imports()
+    # the scan must see the marked imports, not an empty set
+    assert {("cli", "compute_bounds"), ("homomorphism", "membership")} <= kept
+    read = {(module, attr) for module, attr, _ in _trace_targets()} | _checker_names()
+    unread = sorted(kept - read)
+    assert not unread, f"no longer read by the benchmark; delete the import: {unread}"

@@ -341,6 +341,16 @@ def test_member_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_member_eps_answers_alike_for_every_exponent(tmp_path, capsys):
+    # eps^3 is eps: the answer is whether the automaton accepts eps
+    for finals, want in (("f", 1), ("p", 0)):
+        nfa = tmp_path / "e.nfa"
+        nfa.write_text(f"initial: p\nfinals: {finals}\np -[a^2]-> f\n")
+        assert main(["member", str(nfa), "eps", "0"]) == want
+        assert main(["member", str(nfa), "eps", "3"]) == want
+    capsys.readouterr()
+
+
 CYCLIC_NFA = (
     "initial: p\nfinals: f\n"
     "p -[a^7]-> q\nq -[a^5]-> p\nq -[(aa)^2]-> q\np -[a^3]-> f\n"

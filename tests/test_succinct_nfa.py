@@ -19,7 +19,6 @@ from crpqbound.succinct_nfa import (
     _cycle_head,
     _reachable,
     build_product,
-    length_reach,
     membership,
     normalize,
     parse_nfa,
@@ -41,16 +40,15 @@ def _nfa(transitions, initial, finals, states=None):
 
 def test_build_product_exact_match():
     nfa = _nfa([SNFATransition("p", ("a", "b"), 2, "f")], "p", ["f"])
-    product = build_product(nfa, ("a", "b"))
+    # p is 0 and f is 1; (ab)^2 reads only from phase 0 and ends there
+    assert build_product(nfa, ("a", "b")) == (4, [(0, 2, 4)], 0, {2})
     assert membership(nfa, ("a", "b"), 2)
-    phase_zero = [s for s in product.states if s.endswith("@0")]
-    assert phase_zero
 
 
 def test_build_product_wrong_letter_prunes():
     nfa = _nfa([SNFATransition("p", ("b",), 1, "f")], "p", ["f"])
-    product = build_product(nfa, ("a",))
-    assert not product.transitions
+    size, edges, initial, finals = build_product(nfa, ("a",))
+    assert edges == []
 
 
 def test_build_product_even_power_split():
@@ -90,7 +88,8 @@ def test_build_product_matches_a_letter_by_letter_read():
             n = rng.randint(1, 12) if rng.random() < 0.5 else rng.randint(1, 10**9)
             transitions.add(SNFATransition(src, tuple(w), n, dst))
         nfa = _nfa(sorted(transitions), "p", ["f"])
-        want = set()
+        index = {q: k for k, q in enumerate(nfa.states)}
+        want = []
         for t in nfa.transitions:
             window = len(t.word) + len(v) - gcd(len(t.word), len(v))
             for i in range(len(v)):
@@ -99,8 +98,8 @@ def test_build_product_matches_a_letter_by_letter_read():
                     deep[ok] += 1
                 if ok:
                     j = (i + t.length) % len(v)
-                    want.add(SNFATransition(f"{t.src}@{i}", t.word, t.exponent, f"{t.dst}@{j}"))
-        assert set(build_product(nfa, v).transitions) == want, (nfa, v)
+                    want.append((index[t.src] * len(v) + i, index[t.dst] * len(v) + j, t.length))
+        assert sorted(build_product(nfa, v)[1]) == sorted(want), (nfa, v)
     assert min(deep.values()) > 100, deep
 
 
@@ -141,6 +140,28 @@ def test_membership_zero_exponent_is_epsilon_test():
     assert not membership(eps_out, ("a",), 0)
 
 
+def test_membership_refuses_a_negative_exponent():
+    nfa = _nfa([SNFATransition("p", ("a",), 1, "f")], "p", ["f"])
+    for v, m in ((("a",), -1), (("a",), -2), ((), -1)):
+        with pytest.raises(ValueError, match="exponent must be a natural number"):
+            membership(nfa, v, m)
+
+
+def test_membership_of_the_empty_word_ignores_the_exponent():
+    # eps^m is eps for every m, so only whether eps is accepted matters
+    rng = random.Random(7)
+    seen = set()
+    for _ in range(100):
+        nfa = gen_random_snfa(rng)
+        eps = membership(nfa, (), 0)
+        seen.add(eps)
+        for m in range(1, 6):
+            assert membership(nfa, (), m) == eps == nfa_membership_brute(nfa, (), m), (
+                repr(nfa), m,
+            )
+    assert seen == {True, False}
+
+
 def test_membership_huge_exponent_stays_symbolic():
     nfa = _nfa([SNFATransition("p", ("a",), 10**12, "f")], "p", ["f"])
     assert membership(nfa, ("a",), 10**12)
@@ -148,12 +169,13 @@ def test_membership_huge_exponent_stays_symbolic():
 
 
 def test_length_reach_examples():
+    # one-letter words throughout: the product is the automaton itself
     single = _nfa([SNFATransition("p", ("a",), 6, "f")], "p", ["f"])
-    assert length_reach(single, 6)
-    assert not length_reach(single, 5)
+    assert membership(single, ("a",), 6)
+    assert not membership(single, ("a",), 5)
     loop = _nfa([SNFATransition("p", ("a", "a"), 1, "p")], "p", ["p"])
-    assert not length_reach(loop, 7)
-    assert length_reach(loop, 8)
+    assert not membership(loop, ("a",), 7)
+    assert membership(loop, ("a",), 8)
     coin = _nfa(
         [
             SNFATransition("p", ("a",), 3, "p"),
@@ -162,8 +184,8 @@ def test_length_reach_examples():
         "p",
         ["p"],
     )
-    assert not length_reach(coin, 7)
-    assert length_reach(coin, 8)
+    assert not membership(coin, ("a",), 7)
+    assert membership(coin, ("a",), 8)
 
 
 def _self_loops(gens):
@@ -179,7 +201,7 @@ def test_length_reach_matches_semigroup_dp():
     for _ in range(40):
         reachable |= {r + g for r in reachable for g in generators}
     for target in range(0, 50):
-        assert length_reach(loops, target) == (target in reachable)
+        assert membership(loops, ("a",), target) == (target in reachable)
 
 
 @settings(max_examples=60, deadline=None)
@@ -195,7 +217,7 @@ def test_semigroup_membership_is_sound(gens, target):
         if new <= sums:
             break
         sums |= new
-    assert length_reach(loops, target) == (target in sums)
+    assert membership(loops, ("a",), target) == (target in sums)
 
 
 def test_normalize_removes_zero_transitions():
@@ -274,7 +296,7 @@ def test_seeded_differential_up_to_m_2000():
 
 def test_length_reach_matches_brute_force_on_unary_cycles():
     # one letter, so the product is the automaton itself and every m poses
-    # length_reach directly; short transitions make cycles through
+    # its length question directly; short transitions make cycles through
     # several states, self-loops and walks that avoid a cycle common
     rng = random.Random(77)
     for _ in range(300):
@@ -290,9 +312,7 @@ def test_length_reach_matches_brute_force_on_unary_cycles():
             assert membership(nfa, ("a",), m) == want, (repr(nfa), m)
 
 
-def test_membership_answers_and_stops_as_the_named_product_search():
-    # membership searches an integer product, length_reach the named one
-    # build_product makes: the same answer, or a cap stop on both
+def test_membership_answers_as_brute_force_or_stops_at_a_cap():
     rng = random.Random(29)
     seen = {True: 0, False: 0, None: 0}  # decided yes, decided no, cap stop
     for k in range(300):
@@ -303,18 +323,12 @@ def test_membership_answers_and_stops_as_the_named_product_search():
         want = nfa_membership_brute(nfa, v, m)
         for cap in (1, 2, 3, None):
             caps = DEFAULT_CAPS if cap is None else replace(DEFAULT_CAPS, max_length_dp=cap)
-            got = []
-            for ask in (
-                lambda: membership(nfa, v, m, caps),
-                lambda: length_reach(build_product(nfa, v), m * len(v), caps),
-            ):
-                try:
-                    got.append(ask())
-                except CapExceeded:
-                    got.append(None)
-            assert got[0] == got[1], (repr(nfa), v, m, cap)
-            assert got[0] in (want, None), (repr(nfa), v, m, cap)
-            seen[got[0]] += 1
+            try:
+                got = membership(nfa, v, m, caps)
+            except CapExceeded:
+                got = None
+            assert got in (want, None), (repr(nfa), v, m, cap)
+            seen[got] += 1
     assert min(seen.values()) >= 5, seen
 
 
@@ -372,8 +386,8 @@ def test_residue_table_cap_fires():
         ["f"],
     )
     with pytest.raises(CapExceeded, match="residue table too large"):
-        length_reach(nfa, 15, replace(DEFAULT_CAPS, max_length_dp=2))
-    assert length_reach(nfa, 15, replace(DEFAULT_CAPS, max_length_dp=3)) is True
+        membership(nfa, ("a",), 15, replace(DEFAULT_CAPS, max_length_dp=2))
+    assert membership(nfa, ("a",), 15, replace(DEFAULT_CAPS, max_length_dp=3)) is True
 
 
 def test_acyclic_length_set_cap_fires():
@@ -385,10 +399,10 @@ def test_acyclic_length_set_cap_fires():
         ["f"],
     )
     with pytest.raises(CapExceeded, match="residue table too large"):
-        length_reach(nfa, 3, replace(DEFAULT_CAPS, max_length_dp=1))
-    assert length_reach(nfa, 3, replace(DEFAULT_CAPS, max_length_dp=2)) is False
+        membership(nfa, ("a",), 3, replace(DEFAULT_CAPS, max_length_dp=1))
+    assert membership(nfa, ("a",), 3, replace(DEFAULT_CAPS, max_length_dp=2)) is False
     # the target 2 is met as f's second length is found, before f holds it
-    assert length_reach(nfa, 2, replace(DEFAULT_CAPS, max_length_dp=1)) is True
+    assert membership(nfa, ("a",), 2, replace(DEFAULT_CAPS, max_length_dp=1)) is True
 
 
 def test_acyclic_membership_matches_brute_force_under_both_caps():
