@@ -47,8 +47,7 @@ def test_build_product_exact_match():
 
 def test_build_product_wrong_letter_prunes():
     nfa = _nfa([SNFATransition("p", ("b",), 1, "f")], "p", ["f"])
-    size, edges, initial, finals = build_product(nfa, ("a",))
-    assert edges == []
+    assert build_product(nfa, ("a",)) == (2, [], 0, {1})
 
 
 def test_build_product_even_power_split():
@@ -169,7 +168,7 @@ def test_membership_huge_exponent_stays_symbolic():
 
 
 def test_length_reach_examples():
-    # one-letter words throughout: the product is the automaton itself
+    # v is one letter, so the product is the automaton itself
     single = _nfa([SNFATransition("p", ("a",), 6, "f")], "p", ["f"])
     assert membership(single, ("a",), 6)
     assert not membership(single, ("a",), 5)
