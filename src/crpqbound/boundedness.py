@@ -52,8 +52,11 @@ from __future__ import annotations
 
 import itertools
 import time
+from bisect import bisect_right
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass, fields, replace
+from operator import itemgetter
 
 from crpqbound.config import DEFAULT_CAPS, Caps, Stats
 from crpqbound.errors import CapExceeded
@@ -201,18 +204,46 @@ def _probe_counts(splits, z, per, caps):
     return raw, real
 
 
+class _ProbeAxis(Sequence):
+    """The exponents 0..z, then the probe, indexed on demand: the z + 2
+    values of a probed star, which are never listed."""
+
+    __slots__ = ("z", "probe")
+
+    def __init__(self, z, probe):
+        self.z, self.probe = z, probe
+
+    def __len__(self):
+        return self.z + 2
+
+    def __getitem__(self, i):
+        if i < 0:
+            i += self.z + 2
+        if 0 <= i <= self.z:
+            return i
+        if i == self.z + 1:
+            return self.probe
+        raise IndexError("probe axis index out of range")
+
+    def __iter__(self):
+        return itertools.chain(range(self.z + 1), (self.probe,))
+
+
 def _probe_vectors(lists, probed, z):
-    """The product of the choice lists, pruned to the vectors in which at
-    least one atom of ``probed``, which is not empty, takes an exponent
+    """The product of the choice sequences, pruned to the vectors in which
+    at least one atom of ``probed``, which is not empty, takes an exponent
     above z.
 
     Lexicographic order is kept: each prefix up to the last probed atom is
-    followed by that atom's full choice list if the prefix already exceeds
-    z, and by its choices above z otherwise.
+    followed by that atom's full choice sequence if the prefix already
+    exceeds z, and by its choices above z otherwise.  The probed atoms are
+    stars, whose exponents ascend, so those choices are found by bisection
+    and indexed; the choices at or below z are never listed.
     """
     last = max(probed)
     earlier = [i for i in probed if i < last]
-    high = [c for c in lists[last] if c[1] > z]
+    choices = lists[last]
+    high = [choices[k] for k in range(bisect_right(choices, z, key=itemgetter(1)), len(choices))]
     tail = lists[last + 1:]
     for prefix in itertools.product(*lists[:last]):
         here = lists[last] if any(prefix[i][1] > z for i in earlier) else high
@@ -294,7 +325,11 @@ def _decide(starred, rhs, z, probe, letters, caps, full, stats, mode):
     rhs is q with every capped star capped.  Returns (verdict,
     witness, reason); the witness is the expansion of the first
     uncontained probe vector in walk order.  The budget bounds the raw
-    combinations, which are never fewer than the probe vectors.
+    combinations, which are never fewer than the probe vectors.  A star
+    takes the exponents 0..z, then the probe (a _ProbeAxis), or
+    range(probe + 1) under full enumeration; its choices are indexed on
+    demand and never listed, so nothing is spent on Z before the first
+    check.
 
     A vector is a tuple of atom choices, walked per disjunct in the
     lexicographic order of _probe_vectors, and every one counts in
@@ -341,7 +376,7 @@ def _decide(starred, rhs, z, probe, letters, caps, full, stats, mode):
     for d, stars, probed in splits:
         if not probed:
             continue
-        values = range(probe + 1) if full else (*range(z + 1), probe)
+        values = range(probe + 1) if full else _ProbeAxis(z, probe)
         lists = choice_lists(d, dict.fromkeys(stars, values), caps)
         walk = _Walk(d, lists, rhs, caps, stats)
         for v in _probe_vectors(lists, probed, z):

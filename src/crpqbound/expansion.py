@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from crpqbound.config import DEFAULT_CAPS, Caps
@@ -302,12 +303,38 @@ def succinct_cq_from_crpq(d: CRPQ) -> SuccinctCQ:
 # ---------------------------------------------------------------- enumeration
 
 
+class WordPowers(Sequence):
+    """The choices (word, e) for e in ``exponents``, indexed on demand.
+
+    ``exponents`` is any sequence (a range, a tuple, the probe walk's
+    axis); no choice is built before it is asked for.
+    """
+
+    __slots__ = ("word", "exponents")
+
+    def __init__(self, word, exponents):
+        self.word, self.exponents = word, exponents
+
+    def __len__(self):
+        return len(self.exponents)
+
+    def __getitem__(self, i):
+        return self.word, self.exponents[i]
+
+    def __iter__(self):
+        return zip(itertools.repeat(self.word), self.exponents)
+
+
 def _atom_choices(label: RegexExpr, dom_values, caps: Caps):
-    """Choice list for one atom: pairs (word, exponent), in canonical order."""
+    """Choices of one atom: pairs (word, exponent), in canonical order.
+
+    A star's and a w^<=n atom's choices are a WordPowers, indexed and
+    never listed; a star-free language is listed word by word.
+    """
     if isinstance(label, Star):
-        return [(label.word, e) for e in dom_values]
+        return WordPowers(label.word, dom_values)
     if isinstance(label, PowerLE):
-        return [(label.word, k) for k in range(label.exponent + 1)]
+        return WordPowers(label.word, range(label.exponent + 1))
     pair = as_power(label)
     if pair is not None:
         return [pair]
@@ -332,11 +359,12 @@ def star_free_choice_count(label: RegexExpr, caps: Caps = DEFAULT_CAPS) -> int:
 
 
 def choice_lists(q: CRPQ, dom: dict, caps: Caps = DEFAULT_CAPS) -> list:
-    """One choice list per atom of q, which holds no equality atom.
+    """One choice sequence per atom of q, which holds no equality atom.
 
     A choice is a pair (word, exponent).  Star atoms draw their exponents
-    from ``dom``, a dict from atom index to exponent values; star-free
-    atoms range over their finite languages, in canonical order.
+    from ``dom``, a dict from atom index to a sequence of exponent values;
+    star-free atoms range over their finite languages, in canonical order.
+    Star and w^<=n choices are indexed on demand, not listed (WordPowers).
     """
     return [
         _atom_choices(a.label, dom[i] if isinstance(a.label, Star) else None, caps)

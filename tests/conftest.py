@@ -186,6 +186,10 @@ def enumerate_then_skip(q, letters, z, probe, full, caps=DEFAULT_CAPS, pendant_v
     grid's order, which holds every combination with the pendant stars at
     0, so it finds the grid's first uncontained combination whenever that
     one has them at 0.
+
+    The star exponents are listed as plain tuples, never the walk's
+    indexed probe axis, so that the reference shares no lazy sequence
+    with the code it checks.
     """
     qc = collapse(q)
     rhs = RightSide(bound_letters(qc, letters, z))  # prepared once for every check

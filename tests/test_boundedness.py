@@ -424,6 +424,37 @@ def test_stars_into_leaves_leave_one_star_to_probe():
     assert peak < 8 * 2**20
 
 
+def test_a_large_z_is_probed_without_listing_its_exponents():
+    # Z = 64,000: listing the star's z + 2 choices would take megabytes,
+    # while the one probe vector is found by indexing
+    q = parse_ucrpq("?x -[(ab)*]-> ?y, ?x -[(ab)^1000]-> ?y")
+    tracemalloc.start()
+    try:
+        report = is_bounded(q)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.bounds.z == 64000
+    assert report.verdict == "bounded"
+    assert report.stats.expansions_checked == 1
+    assert report.mode["raw_combos"] == report.bounds.z + 2
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize("z, probe", [(0, 1), (2, 7), (64000, 128001)])
+def test_probe_axis_behaves_like_the_tuple_it_replaces(z, probe):
+    axis = boundedness._ProbeAxis(z, probe)
+    assert len(axis) == z + 2
+    assert (axis[0], axis[1], axis[-1], axis[-2]) == (0, 1 if z else probe, probe, z)
+    for i in (z + 2, -(z + 3)):
+        with pytest.raises(IndexError):
+            axis[i]
+    if z < 100:
+        want = (*range(z + 1), probe)
+        assert tuple(axis) == want
+        assert [axis[i] for i in range(-(z + 2), z + 2)] == [*want, *want]
+
+
 def test_verdicts_never_contradict_between_modes():
     rng = random.Random(29)
     for _ in range(20):
@@ -568,7 +599,7 @@ def test_a_star_beside_a_same_word_atom_is_not_pendant():
     d = collapse(q).disjuncts[0]
     stars = [i for i, a in enumerate(d.edge_atoms) if isinstance(a.label, Star)]
     assert boundedness._pendant(d) == frozenset()
-    lists = choice_lists(d, dict.fromkeys(stars, (*range(z + 1), probe)))
+    lists = choice_lists(d, dict.fromkeys(stars, boundedness._ProbeAxis(z, probe)))
     walk = boundedness._Walk(d, lists, None, DEFAULT_CAPS, None)
     # at a = 1 the star and the a atom normalize to one atom, whose end u
     # no other atom touches; were the star judged pendant there, the

@@ -115,17 +115,26 @@ def test_enumeration_is_lexicographic_and_counted():
 
 def test_enumerate_above_keeps_order_of_filtered_product():
     # the boundedness walk visits the probe vectors, those with a probed
-    # atom above z, in the order of the whole product
+    # atom above z, in the order of the whole product; its star choices
+    # come from a plain tuple, from _decide's probe axis or from full
+    # mode's range, and the product runs over the same choices listed
     q = parse_ucrpq(
         "?x -[a*]-> ?y, ?y -[b^<=1]-> ?z, ?z -[c*]-> ?w, ?w -[d*]-> ?x"
     ).disjuncts[0]
-    lists = choice_lists(q, dict.fromkeys((0, 2, 3), (0, 1, 2, 5)))
-    everything = list(itertools.product(*lists))
-    for probed in ({0}, {2}, {0, 2}, {0, 3}, {0, 2, 3}):
-        for z in (0, 1, 2):
-            want = [v for v in everything if any(v[i][1] > z for i in probed)]
-            got = list(boundedness._probe_vectors(lists, probed, z))
-            assert got == want, (probed, z)
+    for z in (0, 1, 2):
+        for values, plain in (
+            ((0, 1, 2, 5), (0, 1, 2, 5)),
+            (boundedness._ProbeAxis(z, 5), (*range(z + 1), 5)),
+            (range(6), tuple(range(6))),
+        ):
+            lists = choice_lists(q, dict.fromkeys((0, 2, 3), values))
+            listed = [[(w, e) for e in plain] for w in (("a",), ("b",), ("c",), ("d",))]
+            listed[1] = [(("b",), 0), (("b",), 1)]
+            everything = list(itertools.product(*listed))
+            for probed in ({0}, {2}, {0, 2}, {0, 3}, {0, 2, 3}):
+                want = [v for v in everything if any(v[i][1] > z for i in probed)]
+                got = list(boundedness._probe_vectors(lists, probed, z))
+                assert got == want, (probed, z, plain)
 
 
 def test_enumerate_cap_raises():
