@@ -246,7 +246,7 @@ def _probe_vectors(lists, probed, z):
     high = [choices[k] for k in range(bisect_right(choices, z, key=itemgetter(1)), len(choices))]
     tail = lists[last + 1:]
     for prefix in itertools.product(*lists[:last]):
-        here = lists[last] if any(prefix[i][1] > z for i in earlier) else high
+        here = choices if any(prefix[i][1] > z for i in earlier) else high
         for rest in itertools.product(here, *tail):
             yield prefix + rest
 
@@ -328,8 +328,8 @@ def _decide(starred, rhs, z, probe, letters, caps, full, stats, mode):
     combinations, which are never fewer than the probe vectors.  A star
     takes the exponents 0..z, then the probe (a _ProbeAxis), or
     range(probe + 1) under full enumeration; its choices are indexed on
-    demand and never listed, so nothing is spent on Z before the first
-    check.
+    demand and never listed, so the work before the first check does not
+    grow with Z.
 
     A vector is a tuple of atom choices, walked per disjunct in the
     lexicographic order of _probe_vectors, and every one counts in

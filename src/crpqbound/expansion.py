@@ -326,11 +326,8 @@ class WordPowers(Sequence):
 
 
 def _atom_choices(label: RegexExpr, dom_values, caps: Caps):
-    """Choices of one atom: pairs (word, exponent), in canonical order.
-
-    A star's and a w^<=n atom's choices are a WordPowers, indexed and
-    never listed; a star-free language is listed word by word.
-    """
+    """Choices of one atom: pairs (word, exponent), in canonical order;
+    a star's and a w^<=n atom's are indexed (WordPowers), not listed."""
     if isinstance(label, Star):
         return WordPowers(label.word, dom_values)
     if isinstance(label, PowerLE):
